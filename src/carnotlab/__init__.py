@@ -2,7 +2,7 @@
 
 The package synthesizes shortcut driving protocols for a parametric
 oscillator working medium, propagates open and closed strokes in a closed
-four-operator moment basis, iterates composed cycles to their limit cycle,
+four-operator moment basis, solves composed cycles for their limit cycle,
 and extracts the thermodynamics (work, heat, power, efficiency, coherence,
 entropy).  A truncated number-basis integrator serves as the brute-force
 reference for the moment dynamics.
@@ -16,8 +16,8 @@ from .core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
 from .cycle_engine import (CornerGeometry, CycleResult, assemble_cycle,
                            carnot_corner_frequencies,
                            endo_global_corner_frequencies, run_to_limit_cycle)
-from .dynamics import (NameRates, Trajectory, free_propagator, name_rates,
-                       open_generator, propagate_dephasing, propagate_open,
+from .dynamics import (NameRates, Trajectory, free_propagator, generator,
+                       name_rates, propagate_dephasing, propagate_open,
                        propagate_ste_beta, propagate_unitary)
 from .errors import (CarnotLabError, ConfigError, DomainError, InfeasibleStroke,
                      InvalidProtocol, NonConvergence, ProtocolInversionFailure,

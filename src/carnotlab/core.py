@@ -74,6 +74,22 @@ def thermal_population(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def dressed_rates(omega: float, mu: float, bath: "BathSpec") -> tuple:
+    """Downward/upward rates of the dressed-mode master equation at one instant.
+
+    With kappa = sqrt(4 - mu^2) and the modified frequency alpha = w kappa / 2,
+    k_down = (alpha g / kappa)(1 + N(alpha)) and detailed balance gives
+    k_up = k_down exp(-hbar alpha / k_B T).  The form 1 + N = 1/(1 - e^-x)
+    stays finite for arbitrarily cold baths.  Returns plain floats
+    ``(k_down, k_up, kappa)``; the caller guarantees |mu| < 2.
+    """
+    kappa = math.sqrt(4.0 - mu * mu)
+    alpha = 0.5 * omega * kappa
+    x = HBAR * alpha / (KB * bath.temperature)
+    k_down = (alpha * bath.coupling / kappa) / -math.expm1(-x)
+    return k_down, k_down * math.exp(-x), kappa
+
+
 @dataclass(frozen=True)
 class ObservableVector:
     """Moment vector (<H>, <L>, <C>, <I>) of a Gaussian oscillator state."""

@@ -14,7 +14,8 @@ adjoint of the dressed-mode jump dissipator expressed in the same basis:
 both quadratures damp at Gamma = k_down - k_up while the energy relaxes to
 hbar w (k_down + k_up) / (Gamma kappa), which at mu = 0 is the Gibbs energy.
 Pure dephasing in the instantaneous energy basis damps l and c at
-4 gamma_d w^2 and leaves h untouched.
+4 gamma_d w^2 and leaves h untouched.  One :func:`generator` holds all three
+parts; the bath and the dephasing strength select which are present.
 
 Every propagator also accumulates the stroke work
 W = integral (w_dot / w) (h - l) dt as an auxiliary ODE component, so work
@@ -24,13 +25,15 @@ values inherit the integrator tolerance rather than a sampling grid.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import HBAR, KB, BathSpec, FrequencyProtocol, ObservableVector
+from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
+                   dressed_rates)
 from .errors import DomainError, NumericalError
 from .protocols import SteSolution
 
@@ -64,59 +67,49 @@ def name_rates(omega: float, omega_dot: float, bath: BathSpec) -> NameRates:
     mu = omega_dot / omega**2
     if abs(mu) >= 2.0:
         raise DomainError(f"|mu| = {abs(mu):.4g} >= 2: outside the inertial family")
-    kappa = math.sqrt(4.0 - mu * mu)
-    alpha = 0.5 * omega * kappa
-    x = HBAR * alpha / (KB * bath.temperature)
-    n_alpha = 1.0 / math.expm1(x)
-    k_down = (alpha * bath.coupling / kappa) * (1.0 + n_alpha)
-    return NameRates(k_down=k_down, k_up=k_down * math.exp(-x), alpha=alpha)
+    k_down, k_up, kappa = dressed_rates(omega, mu, bath)
+    return NameRates(k_down=k_down, k_up=k_up, alpha=0.5 * omega * kappa)
 
 
-def unitary_generator(omega: float, omega_dot: float) -> np.ndarray:
-    """4x4 generator of the driven closed dynamics, including the w factor."""
-    mu = omega_dot / omega**2
-    return omega * np.array([
-        [mu, -mu, 0.0, 0.0],
-        [-mu, mu, -2.0, 0.0],
-        [0.0, 2.0, mu, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
+def generator(omega: float, omega_dot: float, bath: Optional[BathSpec] = None,
+              gamma_d: float = 0.0, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """5x5 generator of (h, l, c, 1, accumulated work) at one instant.
 
-
-def open_generator(omega: float, omega_dot: float, bath: BathSpec) -> np.ndarray:
-    """Full open-stroke generator: unitary part plus the dissipative closure.
-
-    The dissipative block damps all three moments at Gamma = k_down - k_up
-    and pumps h (and, off the adiabatic limit, c) toward the dressed-mode
-    stationary state.
-    """
-    rates = name_rates(omega, omega_dot, bath)
-    mu = omega_dot / omega**2
-    kappa = math.sqrt(4.0 - mu * mu)
-    gam = rates.gamma
-    sig = rates.k_down + rates.k_up
-    g = unitary_generator(omega, omega_dot)
-    g[0, 0] += -gam
-    g[0, 3] += HBAR * omega * sig / kappa
-    g[1, 1] += -gam
-    g[2, 2] += -gam
-    g[2, 3] += -HBAR * omega * mu * sig / (2.0 * kappa)
-    return g
-
-
-def dephasing_generator(omega: float, omega_dot: float, gamma_d: float,
-                        bath: Optional[BathSpec] = None) -> np.ndarray:
-    """Generator with pure dephasing in the instantaneous energy basis.
-
-    Dephasing adds -4 gamma_d w^2 damping on l and c only; the identity row
-    stays zero so the trace component is preserved exactly.
+    The unitary part carries the w factor of the module equations.  A bath
+    adds the dissipative closure: all three moments damp at
+    Gamma = k_down - k_up while h (and, off the adiabatic limit, c) is pumped
+    toward the dressed-mode stationary state.  Pure dephasing adds
+    -4 gamma_d w^2 on l and c only.  The identity row stays zero, so the
+    trace component is preserved exactly; the last row is the work integrand
+    (w_dot / w)(h - l).  ``out`` is filled in place when given (every entry
+    the generator can set is overwritten; the rest must be zero).
     """
     if gamma_d < 0:
         raise DomainError("dephasing strength must be non-negative")
-    g = open_generator(omega, omega_dot, bath) if bath is not None \
-        else unitary_generator(omega, omega_dot)
-    g[1, 1] += -4.0 * gamma_d * omega**2
-    g[2, 2] += -4.0 * gamma_d * omega**2
+    g = np.zeros((5, 5)) if out is None else out
+    mu = omega_dot / (omega * omega)
+    wmu = omega * mu
+    gam = d03 = d23 = 0.0
+    if bath is not None:
+        if mu * mu >= 4.0:
+            raise DomainError(f"|mu| = {abs(mu):.4g} >= 2: outside the inertial family")
+        k_down, k_up, kappa = dressed_rates(omega, mu, bath)
+        gam = k_down - k_up
+        sig = k_down + k_up
+        d03 = HBAR * omega * sig / kappa
+        d23 = -HBAR * omega * mu * sig / (2.0 * kappa)
+    d11 = -gam - 4.0 * gamma_d * omega * omega
+    g[0, 0] = wmu - gam
+    g[0, 1] = -wmu
+    g[0, 3] = d03
+    g[1, 0] = -wmu
+    g[1, 1] = wmu + d11
+    g[1, 2] = -2.0 * omega
+    g[2, 1] = 2.0 * omega
+    g[2, 2] = wmu + d11
+    g[2, 3] = d23
+    g[4, 0] = omega_dot / omega
+    g[4, 1] = -omega_dot / omega
     return g
 
 
@@ -148,24 +141,23 @@ def free_propagator(omega_initial: float, mu: float, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# trajectories
-# ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
-# fast stroke generators (shared by trajectory and transfer-matrix integration)
+# stroke generators along a protocol (shared by trajectory and transfer-matrix
+# integration)
 # ---------------------------------------------------------------------------
 
 class _SplinePair:
-    """Scalar Horner evaluation of the omega / omega_dot cubic splines."""
+    """Scalar Horner evaluation of the omega / omega_dot cubic splines.
+
+    Grid splines are evaluated on Python floats: numpy scalars would make
+    every generator evaluation about a microsecond slower.
+    """
 
     def __init__(self, protocol):
         self.t_max = protocol.duration
         if protocol.grid_times is not None:
-            w_spl = protocol._omega_fn
-            wd_spl = protocol._omega_dot_fn
-            self.x = w_spl.x
-            self.cw = w_spl.c
-            self.cd = wd_spl.c
+            self.x = protocol._omega_fn.x.tolist()
+            self.cw = protocol._omega_fn.c.T.tolist()
+            self.cd = protocol._omega_dot_fn.c.T.tolist()
             self.fallback = None
         else:
             self.fallback = (protocol._omega_fn, protocol._omega_dot_fn)
@@ -178,73 +170,35 @@ class _SplinePair:
         if self.fallback is not None:
             wf, wdf = self.fallback
             return float(wf(t)), float(wdf(t))
-        i = np.searchsorted(self.x, t, side="right") - 1
+        t = float(t)
+        i = bisect_right(self.x, t) - 1
         if i < 0:
             i = 0
         elif i >= len(self.x) - 1:
             i = len(self.x) - 2
         dt = t - self.x[i]
-        cw = self.cw[:, i]
-        cd = self.cd[:, i]
-        w = ((cw[0] * dt + cw[1]) * dt + cw[2]) * dt + cw[3]
-        wd = ((cd[0] * dt + cd[1]) * dt + cd[2]) * dt + cd[3]
-        return w, wd
+        c0, c1, c2, c3 = self.cw[i]
+        d0, d1, d2, d3 = self.cd[i]
+        return (((c0 * dt + c1) * dt + c2) * dt + c3,
+                ((d0 * dt + d1) * dt + d2) * dt + d3)
 
 
-def gen5_factory(kind: str, protocol: FrequencyProtocol,
-                 bath: Optional[BathSpec] = None, gamma_d: float = 0.0):
-    """Build t -> 5x5 augmented generator (moments + accumulated work).
+def gen5_factory(protocol: FrequencyProtocol, bath: Optional[BathSpec] = None,
+                 gamma_d: float = 0.0):
+    """Build t -> :func:`generator` along the protocol.
 
     The returned callable reuses one buffer; callers must not hold on to the
-    returned array across calls.  Semantics match unitary_generator /
-    open_generator / dephasing_generator plus the work row.
+    returned array across calls.
     """
     pair = _SplinePair(protocol)
-    is_open = kind == "open" or (kind == "dephasing" and bath is not None)
-    if is_open and bath is None:
-        raise DomainError("open strokes need a bath")
-    temp = bath.temperature if bath is not None else 0.0
-    g_coup = bath.coupling if bath is not None else 0.0
-    deph = gamma_d if kind == "dephasing" else 0.0
-    if deph < 0:
-        raise DomainError("dephasing strength must be non-negative")
     buf = np.zeros((5, 5))
 
     def gen5(t):
         w, wd = pair(t)
-        mu = wd / (w * w)
-        wmu = w * mu
-        buf[0, 1] = -wmu
-        buf[1, 0] = -wmu
-        buf[1, 2] = -2.0 * w
-        buf[2, 1] = 2.0 * w
-        d00 = d11 = d22 = 0.0
-        d03 = d23 = 0.0
-        if is_open:
-            if mu * mu >= 4.0:
-                raise DomainError(f"|mu| = {abs(mu):.4g} >= 2 at t = {t:.6g}")
-            kappa = math.sqrt(4.0 - mu * mu)
-            alpha = 0.5 * w * kappa
-            x = HBAR * alpha / (KB * temp)
-            n_alpha = 1.0 / math.expm1(x)
-            k_down = (alpha * g_coup / kappa) * (1.0 + n_alpha)
-            k_up = k_down * math.exp(-x)
-            gam = k_down - k_up
-            sig = k_down + k_up
-            d00 = d11 = d22 = -gam
-            d03 = HBAR * w * sig / kappa
-            d23 = -HBAR * w * mu * sig / (2.0 * kappa)
-        if deph > 0.0:
-            d11 -= 4.0 * deph * w * w
-            d22 -= 4.0 * deph * w * w
-        buf[0, 0] = wmu + d00
-        buf[1, 1] = wmu + d11
-        buf[2, 2] = wmu + d22
-        buf[0, 3] = d03
-        buf[2, 3] = d23
-        buf[4, 0] = wd / w
-        buf[4, 1] = -wd / w
-        return buf
+        try:
+            return generator(w, wd, bath, gamma_d, out=buf)
+        except DomainError as err:
+            raise DomainError(f"{err} at t = {t:.6g}") from None
 
     return gen5
 
@@ -307,13 +261,13 @@ def _point_trajectory(v0, protocol, provenance):
 
 
 def _integrate_stroke(v0: ObservableVector, protocol: FrequencyProtocol,
-                      kind: str, provenance: str, n_samples: int,
+                      provenance: str, n_samples: int,
                       rtol: float, atol: float, bath=None,
                       gamma_d: float = 0.0) -> Trajectory:
     if protocol.duration == 0.0:
         return _point_trajectory(v0, protocol, provenance)
 
-    gen5 = gen5_factory(kind, protocol, bath=bath, gamma_d=gamma_d)
+    gen5 = gen5_factory(protocol, bath=bath, gamma_d=gamma_d)
 
     def rhs(t, y):
         return gen5(t) @ y
@@ -366,8 +320,7 @@ def propagate_unitary(v0: ObservableVector, protocol: FrequencyProtocol,
                           omega_dots=np.atleast_1d(protocol.omega_dot(times)),
                           provenance="unitary", work=work, heat=heat,
                           work_trace=work_trace)
-    return _integrate_stroke(v0, protocol, "unitary", "unitary",
-                             n_samples, rtol, atol)
+    return _integrate_stroke(v0, protocol, "unitary", n_samples, rtol, atol)
 
 
 def propagate_open(v0: ObservableVector, protocol: FrequencyProtocol,
@@ -375,8 +328,8 @@ def propagate_open(v0: ObservableVector, protocol: FrequencyProtocol,
                    rtol: float = DEFAULT_RTOL,
                    atol: float = DEFAULT_ATOL) -> Trajectory:
     """Thermal-contact stroke along an arbitrary protocol."""
-    return _integrate_stroke(v0, protocol, "open", "open", n_samples,
-                             rtol, atol, bath=bath)
+    return _integrate_stroke(v0, protocol, "open", n_samples, rtol, atol,
+                             bath=bath)
 
 
 def propagate_dephasing(v0: ObservableVector, protocol: FrequencyProtocol,
@@ -387,8 +340,8 @@ def propagate_dephasing(v0: ObservableVector, protocol: FrequencyProtocol,
     """Stroke with pure energy-basis dephasing (optionally plus a bath)."""
     if gamma_d < 0:
         raise DomainError("dephasing strength must be non-negative")
-    return _integrate_stroke(v0, protocol, "dephasing", "dephasing",
-                             n_samples, rtol, atol, bath=bath, gamma_d=gamma_d)
+    return _integrate_stroke(v0, protocol, "dephasing", n_samples, rtol, atol,
+                             bath=bath, gamma_d=gamma_d)
 
 
 def propagate_ste_beta(beta0: float, ste: SteSolution, bath: BathSpec,

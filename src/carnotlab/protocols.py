@@ -30,7 +30,7 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .core import HBAR, KB, BathSpec, FrequencyProtocol, thermal_population
+from .core import HBAR, KB, BathSpec, FrequencyProtocol, dressed_rates
 from .errors import (DomainError, InfeasibleStroke, InvalidProtocol,
                      ProtocolInversionFailure)
 
@@ -60,6 +60,20 @@ def _smoothstep(y0, y1):
     return _quintic(y0, y1, 0.0, 0.0, 0.0, 0.0)
 
 
+class _PolyEval:
+    """d^order/dt^order of a polynomial in s = t/t_f, or its log (picklable)."""
+
+    def __init__(self, poly, t_f, order=0, log=False):
+        self.poly = poly.deriv(order) if order else poly
+        self.t_f = t_f
+        self.scale = t_f ** (-order) if order else 1.0
+        self.log = log
+
+    def __call__(self, t):
+        v = self.poly(np.asarray(t, dtype=float) / self.t_f) * self.scale
+        return np.log(v) if self.log else v
+
+
 # ---------------------------------------------------------------------------
 # shortcut-to-adiabaticity (unitary) strokes
 # ---------------------------------------------------------------------------
@@ -78,25 +92,12 @@ class ErmakovSolution:
     omega: Callable = field(default=None, repr=False)
 
 
-class _PolyRho:
-    """rho(t) backed by a quintic in s = t/t_f (picklable)."""
-
-    def __init__(self, poly, t_f, order):
-        self.poly = poly.deriv(order) if order else poly
-        self.t_f = t_f
-        self.scale = t_f ** (-order) if order else 1.0
-
-    def __call__(self, t):
-        s = np.asarray(t, dtype=float) / self.t_f
-        return self.poly(s) * self.scale
-
-
 class _StaOmega:
     def __init__(self, poly, t_f, mass, order=0):
-        self.r = _PolyRho(poly, t_f, 0)
-        self.r1 = _PolyRho(poly, t_f, 1)
-        self.r2 = _PolyRho(poly, t_f, 2)
-        self.r3 = _PolyRho(poly, t_f, 3)
+        self.r = _PolyEval(poly, t_f, 0)
+        self.r1 = _PolyEval(poly, t_f, 1)
+        self.r2 = _PolyEval(poly, t_f, 2)
+        self.r3 = _PolyEval(poly, t_f, 3)
         self.mass = mass
         self.order = order
 
@@ -149,8 +150,8 @@ def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float,
         meta={"family": "sta", "omega_initial": omega_initial,
               "omega_final": omega_final, "t_f": t_f, "mass": mass})
     ermakov = ErmakovSolution(
-        rho=_PolyRho(poly, t_f, 0), rho_dot=_PolyRho(poly, t_f, 1),
-        rho_ddot=_PolyRho(poly, t_f, 2), t_f=t_f,
+        rho=_PolyEval(poly, t_f, 0), rho_dot=_PolyEval(poly, t_f, 1),
+        rho_ddot=_PolyEval(poly, t_f, 2), t_f=t_f,
         omega_initial=omega_initial, omega_final=omega_final, mass=mass,
         omega=omega_fn)
     return protocol, ermakov
@@ -247,23 +248,9 @@ class SteSolution:
     target_final: float    # beta(t_f)
 
 
-class _PolyEval:
-    def __init__(self, poly, t_f, order=0, log=False):
-        self.poly = poly.deriv(order) if order else poly
-        self.t_f = t_f
-        self.scale = t_f ** (-order) if order else 1.0
-        self.log = log
-
-    def __call__(self, t):
-        v = self.poly(np.asarray(t, dtype=float) / self.t_f) * self.scale
-        return np.log(v) if self.log else v
-
-
 def _static_beta_dot(omega: float, beta: float, bath: BathSpec) -> float:
     """Rate-equation slope at a frozen drive (w_dot = 0, alpha = w)."""
-    n = thermal_population(omega, bath.temperature)
-    k_down = 0.5 * bath.coupling * omega * (1.0 + n)
-    k_up = 0.5 * bath.coupling * omega * n
+    k_down, k_up, _ = dressed_rates(omega, 0.0, bath)
     return k_down * math.expm1(beta) + k_up * math.expm1(-beta)
 
 

@@ -103,7 +103,18 @@ class TestCli:
         assert manifest["code_version"]
         assert manifest["tolerances"]["tol"] == 1e-9
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["converged"] is True
+        assert summary["periodicity_residual"] <= manifest["tolerances"]["tol"]
+        assert 0.0 <= summary["contraction"] < 1.0
+
+    def test_cold_bath_sweep_exits_0(self, tmp_path):
+        cfg = tmp_path / "cold.yaml"
+        cfg.write_text("preset: endo-global\ncycle_time: 40\n"
+                       "spec: {t_hot_bath: 0.008, t_cold_bath: 0.005}\n")
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", str(cfg), "--axis", "cycle_time",
+                   "--values", "40", "--out", str(out)])
+        assert rc == 0
+        assert (out / "sweep.csv").read_text().splitlines()[1].split(",")[1] == "ok"
 
     def test_sweep_determinism(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -8,10 +8,9 @@ from scipy.linalg import expm
 
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
                             thermal_observable_vector)
-from carnotlab.dynamics import (free_propagator, gen5_factory, name_rates,
-                                open_generator, propagate_dephasing,
-                                propagate_open, propagate_ste_beta,
-                                propagate_unitary, unitary_generator)
+from carnotlab.dynamics import (free_propagator, gen5_factory, generator,
+                                name_rates, propagate_dephasing, propagate_open,
+                                propagate_ste_beta, propagate_unitary)
 from carnotlab.errors import DomainError
 from carnotlab.protocols import (build_constant_mu_protocol, build_sta_protocol,
                                  build_ste_protocol)
@@ -41,6 +40,13 @@ class TestNameRates:
     def test_fast_drive_rejected(self):
         with pytest.raises(DomainError):
             name_rates(5.0, 2.0 * 25.0, BathSpec(5.0, 0.05))
+
+    def test_cold_bath_finite(self):
+        # hbar alpha / k_B T = 1000: far beyond where exp(x) overflows
+        r = name_rates(10.0, 0.0, BathSpec(0.01))
+        assert math.isfinite(r.k_down) and math.isfinite(r.k_up)
+        assert r.k_up >= 0.0
+        assert r.k_down == pytest.approx(0.5 * 10.0 * 0.05, rel=1e-15)
 
 
 class TestFreePropagator:
@@ -75,7 +81,7 @@ class TestFreePropagator:
         for mu in (-0.7, -0.05, 0.3, 1.2):
             w0, t = 7.0, 0.11
             theta = -math.log1p(-mu * w0 * t) / mu
-            g = unitary_generator(1.0, mu)  # generator per unit phase
+            g = generator(1.0, mu)[:4, :4]  # generator per unit phase
             assert np.allclose(free_propagator(w0, mu, t), expm(theta * g),
                                atol=1e-12)
 
@@ -83,7 +89,7 @@ class TestFreePropagator:
         mu, w0 = -0.4, 6.0
         eps = 1e-7
         du = (free_propagator(w0, mu, eps) - np.eye(4)) / eps
-        assert np.allclose(du, unitary_generator(w0, mu * w0**2), atol=1e-5)
+        assert np.allclose(du, generator(w0, mu * w0**2)[:4, :4], atol=1e-5)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
@@ -132,30 +138,39 @@ class TestPropagateUnitary:
 class TestOpenGenerator:
     def test_thermal_fixed_point_static(self):
         bath = BathSpec(5.0, 0.05)
-        g = open_generator(5.0, 0.0, bath)
-        v = thermal_observable_vector(5.0, 5.0).as_array()
+        g = generator(5.0, 0.0, bath)
+        v = np.append(thermal_observable_vector(5.0, 5.0).as_array(), 0.0)
         assert np.max(np.abs(g @ v)) < 1e-14
 
     def test_relaxation_rate_is_gamma(self):
         bath = BathSpec(5.0, 0.05)
         r = name_rates(5.0, 0.0, bath)
-        g = open_generator(5.0, 0.0, bath)
+        g = generator(5.0, 0.0, bath)
         # displacing h only decays at Gamma = k_down - k_up
         assert g[0, 0] == pytest.approx(-r.gamma, rel=1e-14)
         assert g[1, 1] == pytest.approx(-r.gamma, rel=1e-14)
         assert g[2, 2] == pytest.approx(-r.gamma, rel=1e-14)
+        # dephasing adds -4 gamma_d w^2 on l and c only, with or without a bath
+        for b in (None, bath):
+            d = generator(5.0, 0.0, b, gamma_d=1e-3) - generator(5.0, 0.0, b)
+            expect = np.zeros((5, 5))
+            expect[1, 1] = expect[2, 2] = -4.0 * 1e-3 * 25.0
+            assert np.allclose(d, expect, atol=1e-15)
 
-    def test_fast_path_matches_reference(self):
-        bath = BathSpec(6.5, 0.04)
-        prot = build_constant_mu_protocol(9.0, 6.0, -0.22)
-        gen5 = gen5_factory("open", prot, bath=bath)
-        for t in (0.0, 0.1, 0.17):
-            g5 = gen5(t)
-            ref = open_generator(float(prot.omega(t)), float(prot.omega_dot(t)),
-                                 bath)
-            assert np.allclose(g5[:4, :4], ref, atol=1e-13)
-            w = float(prot.omega(t))
-            assert g5[4, 0] == pytest.approx(float(prot.omega_dot(t)) / w)
+    def test_fast_path_matches_reference(self, hot_bath):
+        # closed-form (constant-mu) and grid (STE, Horner spline) protocols
+        cases = [(build_constant_mu_protocol(9.0, 6.0, -0.22), BathSpec(6.5, 0.04),
+                  (0.0, 0.1, 0.17)),
+                 (build_ste_protocol(10.0, 8.0, 20.0, hot_bath)[0], hot_bath,
+                  (0.0, 3.3333, 9.87654321, 20.0))]
+        for prot, bath, times in cases:
+            for gamma_d in (0.0, 2e-3):
+                gen5 = gen5_factory(prot, bath=bath, gamma_d=gamma_d)
+                for t in times:
+                    w, wd = float(prot.omega(t)), float(prot.omega_dot(t))
+                    ref = generator(w, wd, bath, gamma_d=gamma_d)
+                    assert np.allclose(gen5(t), ref, rtol=1e-12, atol=1e-13)
+                    assert gen5(t)[4, 0] == pytest.approx(wd / w)
 
 
 class TestPropagateOpen:
