@@ -13,7 +13,7 @@ spec = get_preset("carnot-shortcut", cycle_time=250.0)
 result = run_to_limit_cycle(spec)
 ledger = analyze_cycle(result)
 
-print(f"cycle map contraction rho(A) = {result.contraction:.3e}")
+print(f"converged in {result.iterations} cycle(s)")
 print(f"cycle time     : {ledger.cycle_time_units:.1f} (2*pi/w_min units)"
       f" = {ledger.cycle_time:.2f} atomic")
 print(f"mode           : {ledger.operational_mode}")

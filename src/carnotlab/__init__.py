@@ -2,7 +2,7 @@
 
 The package synthesizes shortcut driving protocols for a parametric
 oscillator working medium, propagates open and closed strokes in a closed
-four-operator moment basis, solves composed cycles for their limit cycle,
+four-operator moment basis, iterates composed cycles to their limit cycle,
 and extracts the thermodynamics (work, heat, power, efficiency, coherence,
 entropy).  A truncated number-basis integrator serves as the brute-force
 reference for the moment dynamics.

@@ -81,8 +81,10 @@ def dressed_rates(omega: float, mu: float, bath: "BathSpec") -> tuple:
     k_down = (alpha g / kappa)(1 + N(alpha)) and detailed balance gives
     k_up = k_down exp(-hbar alpha / k_B T).  The form 1 + N = 1/(1 - e^-x)
     stays finite for arbitrarily cold baths.  Returns plain floats
-    ``(k_down, k_up, kappa)``; the caller guarantees |mu| < 2.
+    ``(k_down, k_up, kappa)``; raises DomainError unless |mu| < 2.
     """
+    if mu * mu >= 4.0:
+        raise DomainError(f"|mu| = {abs(mu):.4g} >= 2: outside the inertial family")
     kappa = math.sqrt(4.0 - mu * mu)
     alpha = 0.5 * omega * kappa
     x = HBAR * alpha / (KB * bath.temperature)

@@ -1,25 +1,25 @@
-"""Cycle assembly and the limit-cycle solve.
+"""Cycle assembly and limit-cycle iteration.
 
 A cycle is four stroke descriptors; every stroke map is affine on the moment
 vector (the identity component carries the affine part), so each stroke is
 summarized by a 5x5 transfer matrix that also accumulates the stroke work.
-The composed cycle map v -> A v + b is then affine too, and its limit cycle
-is the solution of (I - A) v* = b; one final integration pass per stroke
-from v* produces the dense trajectories used for analysis and export.
+Limit-cycle iteration then reduces to cheap matrix application; once the
+corner state converges, one final integration pass per stroke produces the
+dense trajectories used for analysis and export.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
-                   ObservableVector)
+                   ObservableVector, thermal_observable_vector)
 from .dynamics import (Trajectory, gen5_factory, propagate_dephasing,
                        propagate_open, propagate_unitary)
 from .errors import CarnotLabError, ConfigError, NonConvergence, NumericalError
@@ -204,20 +204,16 @@ def _corner_diff(v_new: np.ndarray, v_old: np.ndarray) -> float:
 
 @dataclass
 class CycleResult:
-    """Limit cycle: trajectories, corner states, and diagnostics.
-
-    ``contraction`` is the spectral radius of the cycle map's linear part;
-    ``iterations`` counts applications of the composed map (always 1, the
-    one that measures periodicity).
-    """
+    """Converged limit cycle: trajectories, corner states, and diagnostics."""
 
     spec: CycleSpec
     strokes: List[StrokeDescriptor]
     trajectories: List[Trajectory]
     corner_vectors: List[ObservableVector]
     corner_omegas: List[float]
-    contraction: float
-    iterations: int = 1
+    iterations: int
+    converged: bool
+    residuals: List[float] = field(default_factory=list)
 
     @property
     def cycle_time_atomic(self) -> float:
@@ -233,38 +229,49 @@ class CycleResult:
         return _corner_diff(end, start)
 
 
-def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9,
-                       n_samples: int = 801) -> CycleResult:
-    """Solve for the fixed point of the four-stroke map.
+def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
+    """Designed corner-1 state: thermal at (omega1, hot temperature)."""
+    t_hot = spec.t_hot_internal if spec.kind is CycleKind.ENDO_SHORTCUT \
+        else spec.t_hot_bath
+    return thermal_observable_vector(spec.omega1, t_hot)
 
-    The composed transfer matrix acts as v -> A v + b on (h, l, c); the corner-1
-    state is v* = (I - A)^-1 b.  Raises NonConvergence when the map does not
-    contract (spectral radius of A at least 1), when the linear algebra
-    fails, or when one application of the map moves v* by more than ``tol``
-    (component-wise, with an h-scaled floor for the two coherence
-    components).
+
+def run_to_limit_cycle(spec: CycleSpec, v0: Optional[ObservableVector] = None,
+                       tol: float = 1e-9, max_cycles: int = 500,
+                       n_samples: int = 801) -> CycleResult:
+    """Iterate the four-stroke map to its fixed point.
+
+    Convergence is declared when the corner-1 vector changes by less than
+    ``tol`` between successive cycles (component-wise, with an h-scaled floor
+    for the two coherence components).  Raises NonConvergence with the
+    residual history if ``max_cycles`` is exhausted.
     """
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
     strokes = assemble_cycle(spec)
-    m = np.eye(5)
-    for stroke in strokes:
-        m = stroke_transfer_matrix(stroke) @ m
+    transfers = [stroke_transfer_matrix(s) for s in strokes]
 
-    a, b = m[:3, :3], m[:3, 3]
-    try:
-        contraction = float(np.max(np.abs(np.linalg.eigvals(a))))
-        if not contraction < 1.0:
-            raise NonConvergence(
-                f"cycle map does not contract: spectral radius {contraction:.6g}")
-        y = np.append(np.linalg.solve(np.eye(3) - a, b), [1.0, 0.0])
-    except np.linalg.LinAlgError as err:
-        raise NonConvergence(f"limit-cycle solve failed: {err}") from err
-    resid = _corner_diff(m @ y, y)
-    if not resid <= tol:
+    v = (v0 or initial_corner_vector(spec)).as_array()
+    y = np.append(v, 0.0)
+    residuals: List[float] = []
+    iterations = 0
+    converged = False
+    for _ in range(max_cycles):
+        y_new = y.copy()
+        y_new[4] = 0.0
+        for m in transfers:
+            y_new = m @ y_new
+        iterations += 1
+        resid = _corner_diff(y_new[:4], y[:4])
+        residuals.append(resid)
+        y = y_new
+        if resid < tol:
+            converged = True
+            break
+    if not converged:
         raise NonConvergence(
-            f"solved corner state moves by {resid:.3e} per cycle (tol {tol}); "
-            f"spectral radius {contraction:.6g}")
+            f"corner state still moving by {residuals[-1]:.3e} after "
+            f"{iterations} cycles (tol {tol})", residuals=residuals)
 
     trajectories: List[Trajectory] = []
     corner_vectors: List[ObservableVector] = []
@@ -286,7 +293,8 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9,
 
     return CycleResult(spec=spec, strokes=strokes, trajectories=trajectories,
                        corner_vectors=corner_vectors, corner_omegas=corner_omegas,
-                       contraction=contraction)
+                       iterations=iterations, converged=converged,
+                       residuals=residuals)
 
 
 def export_cycle_result(result: CycleResult, outdir,
@@ -297,7 +305,8 @@ def export_cycle_result(result: CycleResult, outdir,
         traj.to_csv(os.path.join(outdir, f"stroke{i + 1}_{stroke.label}.csv"))
     summary = {
         "spec": result.spec.to_dict(),
-        "contraction": result.contraction,
+        "iterations": result.iterations,
+        "converged": result.converged,
         "corner_omegas": result.corner_omegas,
         "corners": [[v.h, v.l, v.c, v.id] for v in result.corner_vectors],
         "periodicity_residual": result.periodicity_residual(),

@@ -64,10 +64,7 @@ def name_rates(omega: float, omega_dot: float, bath: BathSpec) -> NameRates:
     """
     if omega <= 0:
         raise DomainError("omega must be positive")
-    mu = omega_dot / omega**2
-    if abs(mu) >= 2.0:
-        raise DomainError(f"|mu| = {abs(mu):.4g} >= 2: outside the inertial family")
-    k_down, k_up, kappa = dressed_rates(omega, mu, bath)
+    k_down, k_up, kappa = dressed_rates(omega, omega_dot / omega**2, bath)
     return NameRates(k_down=k_down, k_up=k_up, alpha=0.5 * omega * kappa)
 
 
@@ -91,8 +88,6 @@ def generator(omega: float, omega_dot: float, bath: Optional[BathSpec] = None,
     wmu = omega * mu
     gam = d03 = d23 = 0.0
     if bath is not None:
-        if mu * mu >= 4.0:
-            raise DomainError(f"|mu| = {abs(mu):.4g} >= 2: outside the inertial family")
         k_down, k_up, kappa = dressed_rates(omega, mu, bath)
         gam = k_down - k_up
         sig = k_down + k_up
@@ -148,16 +143,22 @@ def free_propagator(omega_initial: float, mu: float, t: float) -> np.ndarray:
 class _SplinePair:
     """Scalar Horner evaluation of the omega / omega_dot cubic splines.
 
-    Grid splines are evaluated on Python floats: numpy scalars would make
-    every generator evaluation about a microsecond slower.
+    Grid splines are evaluated on Python floats, read through memoryviews of
+    the spline's own coefficient arrays: numpy scalars would make every
+    generator evaluation several microseconds slower, and a Python copy of
+    the coefficients would cost memory per stroke.
     """
 
     def __init__(self, protocol):
         self.t_max = protocol.duration
         if protocol.grid_times is not None:
-            self.x = protocol._omega_fn.x.tolist()
-            self.cw = protocol._omega_fn.c.T.tolist()
-            self.cd = protocol._omega_dot_fn.c.T.tolist()
+            # coefficient k of interval i sits at k * m + i
+            cw = np.ascontiguousarray(protocol._omega_fn.c)
+            cd = np.ascontiguousarray(protocol._omega_dot_fn.c)
+            self.m = cw.shape[1]
+            self.x = memoryview(np.ascontiguousarray(protocol._omega_fn.x))
+            self.cw = memoryview(cw.reshape(-1))
+            self.cd = memoryview(cd.reshape(-1))
             self.fallback = None
         else:
             self.fallback = (protocol._omega_fn, protocol._omega_dot_fn)
@@ -171,16 +172,15 @@ class _SplinePair:
             wf, wdf = self.fallback
             return float(wf(t)), float(wdf(t))
         t = float(t)
-        i = bisect_right(self.x, t) - 1
+        x, c, d, m = self.x, self.cw, self.cd, self.m
+        i = bisect_right(x, t) - 1
         if i < 0:
             i = 0
-        elif i >= len(self.x) - 1:
-            i = len(self.x) - 2
-        dt = t - self.x[i]
-        c0, c1, c2, c3 = self.cw[i]
-        d0, d1, d2, d3 = self.cd[i]
-        return (((c0 * dt + c1) * dt + c2) * dt + c3,
-                ((d0 * dt + d1) * dt + d2) * dt + d3)
+        elif i >= m:
+            i = m - 1
+        dt = t - x[i]
+        return (((c[i] * dt + c[i + m]) * dt + c[i + 2 * m]) * dt + c[i + 3 * m],
+                ((d[i] * dt + d[i + m]) * dt + d[i + 2 * m]) * dt + d[i + 3 * m])
 
 
 def gen5_factory(protocol: FrequencyProtocol, bath: Optional[BathSpec] = None,

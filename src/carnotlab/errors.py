@@ -37,7 +37,14 @@ class ConfigError(CarnotLabError):
 
 
 class NonConvergence(CarnotLabError):
-    """The cycle map has no attracting fixed point that solves to tolerance."""
+    """Limit-cycle iteration exhausted its budget.
+
+    Carries ``residuals``, the per-cycle corner-change history.
+    """
+
+    def __init__(self, message, residuals=None):
+        super().__init__(message)
+        self.residuals = list(residuals) if residuals is not None else []
 
 
 class TruncationError(CarnotLabError):

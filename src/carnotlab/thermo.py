@@ -155,7 +155,9 @@ class CycleLedger:
 
 
 def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> CycleLedger:
-    """Fill the thermodynamic ledger for a limit cycle."""
+    """Fill the thermodynamic ledger for a converged limit cycle."""
+    if not result.converged:
+        raise DomainError("cannot analyze a non-converged cycle")
     spec = spec or result.spec
     works = tuple(t.work for t in result.trajectories)
     heats = tuple(t.heat for t in result.trajectories)
@@ -286,18 +288,18 @@ def _dict_hash(d: dict) -> str:
 
 
 def _sweep_point(args):
-    template, axis, value, tol = args
+    template, axis, value, tol, max_cycles = args
     try:
         spec = spec_for_sweep_value(template, axis, value)
-        result = run_to_limit_cycle(spec, tol=tol)
+        result = run_to_limit_cycle(spec, tol=tol, max_cycles=max_cycles)
         return SweepRow(value=value, ledger=analyze_cycle(result, spec))
     except CarnotLabError as err:
         return SweepRow(value=value, error=f"{type(err).__name__}: {err}")
 
 
 def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
-          tol: float = 1e-9, jobs: int = 1) -> SweepTable:
-    """Solve one limit cycle per axis value.
+          tol: float = 1e-9, max_cycles: int = 500, jobs: int = 1) -> SweepTable:
+    """Run one converged limit cycle per axis value.
 
     Failures are recorded per point without aborting the sweep; rows come
     back in input order regardless of execution order.
@@ -305,7 +307,7 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    args = [(spec_template, axis, v, tol) for v in values]
+    args = [(spec_template, axis, v, tol, max_cycles) for v in values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -40,6 +40,8 @@ class TestNameRates:
     def test_fast_drive_rejected(self):
         with pytest.raises(DomainError):
             name_rates(5.0, 2.0 * 25.0, BathSpec(5.0, 0.05))
+        with pytest.raises(DomainError):
+            generator(5.0, 2.0 * 25.0, BathSpec(5.0, 0.05))
 
     def test_cold_bath_finite(self):
         # hbar alpha / k_B T = 1000: far beyond where exp(x) overflows

@@ -156,6 +156,13 @@ class TestAnalyzeAndSweep:
         assert led.energy_closure < 1e-8
         assert led.unitary_heat_residual < 1e-8
 
+    def test_non_converged_rejected(self):
+        spec = get_preset("carnot-shortcut", cycle_time=40.0)
+        res = run_to_limit_cycle(spec)
+        res.converged = False
+        with pytest.raises(DomainError):
+            analyze_cycle(res, spec)
+
     def test_cold_bath_sweep_row(self):
         # hbar w / k_B T reaches ~1900: the bath rates must not overflow
         spec = get_preset("endo-global", cycle_time=40.0, t_hot_bath=0.008,
