@@ -3,9 +3,10 @@
 A cycle is four stroke descriptors; every stroke map is affine on the moment
 vector (the identity component carries the affine part), so each stroke is
 summarized by a 5x5 transfer matrix that also accumulates the stroke work.
-Limit-cycle iteration then reduces to cheap matrix application; once the
-corner state converges, one final integration pass per stroke produces the
-dense trajectories used for analysis and export.
+Each stroke is integrated once, as a sampled propagator: its last sample is
+the transfer matrix, on which the limit-cycle iteration runs as cheap matrix
+application, and the same samples applied to the converged corner state give
+the trajectories used for analysis and export.
 """
 
 from __future__ import annotations
@@ -16,15 +17,19 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
                    ObservableVector, thermal_observable_vector)
-from .dynamics import (Trajectory, gen5_factory, propagate_dephasing,
-                       propagate_open, propagate_unitary)
-from .errors import CarnotLabError, ConfigError, NonConvergence, NumericalError
+from .dynamics import (DEFAULT_SAMPLES, Trajectory, stroke_propagators,
+                       trajectory)
+from .errors import CarnotLabError, ConfigError, NonConvergence
 from .protocols import (build_constant_mu_protocol, build_sta_protocol,
                         build_ste_nonthermal_protocol, build_ste_protocol)
+
+# Unused here, but bench/tracing.py patches these names on this module.
+from scipy.integrate import solve_ivp  # noqa: F401
+from .dynamics import (propagate_dephasing, propagate_open,  # noqa: F401
+                       propagate_unitary)
 
 
 @dataclass(frozen=True)
@@ -179,21 +184,10 @@ def assemble_cycle(spec: CycleSpec) -> List[StrokeDescriptor]:
 # transfer matrices and the limit cycle
 # ---------------------------------------------------------------------------
 
-def stroke_transfer_matrix(stroke: StrokeDescriptor, rtol: float = 1e-11,
-                           atol: float = 1e-13) -> np.ndarray:
-    """5x5 map (v, w) -> (v', w + stroke work); exactness set by rtol/atol."""
-    if stroke.protocol.duration == 0.0:
-        return np.eye(5)
-    gen5 = gen5_factory(stroke.protocol, bath=stroke.bath, gamma_d=stroke.gamma_d)
-
-    def rhs(t, y):
-        return (gen5(t) @ y.reshape(5, 5)).ravel()
-
-    sol = solve_ivp(rhs, (0.0, stroke.protocol.duration), np.eye(5).ravel(),
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalError(f"transfer-matrix integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(5, 5)
+def stroke_transfer_matrix(stroke: StrokeDescriptor) -> np.ndarray:
+    """5x5 map (v, w) -> (v', w + stroke work) of one stroke."""
+    return stroke_propagators(stroke.protocol, stroke.bath, stroke.gamma_d,
+                              n_samples=2)[1][-1]
 
 
 def _corner_diff(v_new: np.ndarray, v_old: np.ndarray) -> float:
@@ -238,7 +232,7 @@ def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
 
 def run_to_limit_cycle(spec: CycleSpec, v0: Optional[ObservableVector] = None,
                        tol: float = 1e-9, max_cycles: int = 500,
-                       n_samples: int = 801) -> CycleResult:
+                       n_samples: int = DEFAULT_SAMPLES) -> CycleResult:
     """Iterate the four-stroke map to its fixed point.
 
     Convergence is declared when the corner-1 vector changes by less than
@@ -249,7 +243,8 @@ def run_to_limit_cycle(spec: CycleSpec, v0: Optional[ObservableVector] = None,
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
     strokes = assemble_cycle(spec)
-    transfers = [stroke_transfer_matrix(s) for s in strokes]
+    propagators = [stroke_propagators(s.protocol, s.bath, s.gamma_d, n_samples)
+                   for s in strokes]
 
     v = (v0 or initial_corner_vector(spec)).as_array()
     y = np.append(v, 0.0)
@@ -259,8 +254,8 @@ def run_to_limit_cycle(spec: CycleSpec, v0: Optional[ObservableVector] = None,
     for _ in range(max_cycles):
         y_new = y.copy()
         y_new[4] = 0.0
-        for m in transfers:
-            y_new = m @ y_new
+        for _, maps in propagators:
+            y_new = maps[-1] @ y_new
         iterations += 1
         resid = _corner_diff(y_new[:4], y[:4])
         residuals.append(resid)
@@ -277,17 +272,10 @@ def run_to_limit_cycle(spec: CycleSpec, v0: Optional[ObservableVector] = None,
     corner_vectors: List[ObservableVector] = []
     corner_omegas: List[float] = []
     vec = ObservableVector.from_array(y[:4])
-    for stroke in strokes:
+    for stroke, (times, maps) in zip(strokes, propagators):
         corner_vectors.append(vec)
         corner_omegas.append(stroke.omega_start)
-        if stroke.kind == "open":
-            traj = propagate_open(vec, stroke.protocol, stroke.bath,
-                                  n_samples=n_samples)
-        elif stroke.kind == "dephasing":
-            traj = propagate_dephasing(vec, stroke.protocol, stroke.gamma_d,
-                                       stroke.bath, n_samples=n_samples)
-        else:
-            traj = propagate_unitary(vec, stroke.protocol, n_samples=n_samples)
+        traj = trajectory(vec, stroke.protocol, times, maps, stroke.kind)
         trajectories.append(traj)
         vec = traj.final_vector
 

@@ -17,9 +17,12 @@ Pure dephasing in the instantaneous energy basis damps l and c at
 4 gamma_d w^2 and leaves h untouched.  One :func:`generator` holds all three
 parts; the bath and the dephasing strength select which are present.
 
-Every propagator also accumulates the stroke work
-W = integral (w_dot / w) (h - l) dt as an auxiliary ODE component, so work
-values inherit the integrator tolerance rather than a sampling grid.
+Every stroke is one DOP853 solve of the 5x5 propagator of (h, l, c, 1, W),
+sampled at the output times (:func:`stroke_propagators`): its last sample is
+the transfer matrix, and applied to any initial vector the samples give the
+trajectory.  The fifth component accumulates the stroke work
+W = integral (w_dot / w) (h - l) dt, so work values inherit the integrator
+tolerance rather than a sampling grid.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ from .protocols import SteSolution
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_SAMPLES = 801
+# tolerances of every stroke propagator (transfer matrix and trajectory)
+PROPAGATOR_RTOL = 1e-11
+PROPAGATOR_ATOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,7 @@ def free_propagator(omega_initial: float, mu: float, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stroke generators along a protocol (shared by trajectory and transfer-matrix
-# integration)
+# stroke generators and sampled propagators along a protocol
 # ---------------------------------------------------------------------------
 
 class _SplinePair:
@@ -251,36 +256,39 @@ class Trajectory:
             fh.write("\n".join(lines) + "\n")
 
 
-def _point_trajectory(v0, protocol, provenance):
-    w0 = float(np.atleast_1d(protocol.omega(0.0))[0])
-    v = v0.as_array()
-    return Trajectory(times=np.array([0.0]), vectors=v[None, :],
-                      omegas=np.array([w0]), omega_dots=np.array([0.0]),
-                      provenance=provenance, work=0.0, heat=0.0,
-                      work_trace=np.zeros(1))
+def stroke_propagators(protocol: FrequencyProtocol,
+                       bath: Optional[BathSpec] = None, gamma_d: float = 0.0,
+                       n_samples: int = DEFAULT_SAMPLES):
+    """Sampled 5x5 propagator of one stroke: Phi(t_k) for dPhi/dt = G(t) Phi.
 
-
-def _integrate_stroke(v0: ObservableVector, protocol: FrequencyProtocol,
-                      provenance: str, n_samples: int,
-                      rtol: float, atol: float, bath=None,
-                      gamma_d: float = 0.0) -> Trajectory:
+    One DOP853 solve from Phi(0) = I, sampled at ``n_samples`` uniform times.
+    Returns ``(times, maps)`` with maps of shape (n, 5, 5); ``maps[-1]`` is the
+    stroke's transfer matrix (v, w) -> (v', w + stroke work), and
+    ``maps @ [v, 0]`` is the trajectory from any initial moment vector v.  A
+    zero-duration stroke gives the identity at the single time 0.
+    """
     if protocol.duration == 0.0:
-        return _point_trajectory(v0, protocol, provenance)
-
+        return np.zeros(1), np.eye(5)[None]
     gen5 = gen5_factory(protocol, bath=bath, gamma_d=gamma_d)
 
     def rhs(t, y):
-        return gen5(t) @ y
+        return (gen5(t) @ y.reshape(5, 5)).ravel()
 
-    y0 = np.append(v0.as_array(), 0.0)
-    sol = solve_ivp(rhs, (0.0, protocol.duration), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+    times = np.linspace(0.0, protocol.duration, n_samples)
+    sol = solve_ivp(rhs, (0.0, protocol.duration), np.eye(5).ravel(),
+                    method="DOP853", rtol=PROPAGATOR_RTOL, atol=PROPAGATOR_ATOL,
+                    t_eval=times)
     if not sol.success:
         raise NumericalError(f"stroke integration failed: {sol.message}",
-                             diagnostics={"provenance": provenance,
-                                          "duration": protocol.duration})
-    times = np.linspace(0.0, protocol.duration, n_samples)
-    ys = sol.sol(times).T
+                             diagnostics={"duration": protocol.duration})
+    return times, sol.y.T.reshape(-1, 5, 5)
+
+
+def trajectory(v0: ObservableVector, protocol: FrequencyProtocol,
+               times: np.ndarray, maps: np.ndarray,
+               provenance: str) -> Trajectory:
+    """Trajectory from v0 through the sampled propagators of one stroke."""
+    ys = maps @ np.append(v0.as_array(), 0.0)
     work = float(ys[-1, 4])
     heat = float(ys[-1, 0] - ys[0, 0]) - work
     return Trajectory(times=times, vectors=ys[:, :4],
@@ -291,57 +299,27 @@ def _integrate_stroke(v0: ObservableVector, protocol: FrequencyProtocol,
 
 
 def propagate_unitary(v0: ObservableVector, protocol: FrequencyProtocol,
-                      n_samples: int = DEFAULT_SAMPLES,
-                      rtol: float = DEFAULT_RTOL,
-                      atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Closed-system stroke.  Constant-mu drives use the closed-form map;
-    anything else integrates the moment equations."""
-    if protocol.meta.get("family") == "constant_mu" and protocol.duration > 0.0:
-        mu = protocol.meta["mu"]
-        w0 = protocol.meta["omega_initial"]
-        times = np.linspace(0.0, protocol.duration, n_samples)
-        vecs = np.array([free_propagator(w0, mu, t) @ v0.as_array() for t in times])
-        omegas = np.atleast_1d(protocol.omega(times))
-        v0a = v0.as_array()
-
-        def wrhs(t, y):
-            v = free_propagator(w0, mu, t) @ v0a
-            w = float(protocol.omega(t))
-            return [(float(protocol.omega_dot(t)) / w) * (v[0] - v[1])]
-
-        sol = solve_ivp(wrhs, (0.0, protocol.duration), [0.0], method="RK45",
-                        rtol=1e-12, atol=1e-14, dense_output=True)
-        if not sol.success:
-            raise NumericalError(f"work quadrature failed: {sol.message}")
-        work_trace = sol.sol(times)[0]
-        work = float(work_trace[-1])
-        heat = float(vecs[-1, 0] - vecs[0, 0]) - work
-        return Trajectory(times=times, vectors=vecs, omegas=omegas,
-                          omega_dots=np.atleast_1d(protocol.omega_dot(times)),
-                          provenance="unitary", work=work, heat=heat,
-                          work_trace=work_trace)
-    return _integrate_stroke(v0, protocol, "unitary", n_samples, rtol, atol)
+                      n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
+    """Closed-system stroke along an arbitrary protocol."""
+    return trajectory(v0, protocol, *stroke_propagators(
+        protocol, n_samples=n_samples), "unitary")
 
 
 def propagate_open(v0: ObservableVector, protocol: FrequencyProtocol,
-                   bath: BathSpec, n_samples: int = DEFAULT_SAMPLES,
-                   rtol: float = DEFAULT_RTOL,
-                   atol: float = DEFAULT_ATOL) -> Trajectory:
+                   bath: BathSpec, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Thermal-contact stroke along an arbitrary protocol."""
-    return _integrate_stroke(v0, protocol, "open", n_samples, rtol, atol,
-                             bath=bath)
+    return trajectory(v0, protocol, *stroke_propagators(
+        protocol, bath, n_samples=n_samples), "open")
 
 
 def propagate_dephasing(v0: ObservableVector, protocol: FrequencyProtocol,
                         gamma_d: float, bath: Optional[BathSpec] = None,
-                        n_samples: int = DEFAULT_SAMPLES,
-                        rtol: float = DEFAULT_RTOL,
-                        atol: float = DEFAULT_ATOL) -> Trajectory:
+                        n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Stroke with pure energy-basis dephasing (optionally plus a bath)."""
     if gamma_d < 0:
         raise DomainError("dephasing strength must be non-negative")
-    return _integrate_stroke(v0, protocol, "dephasing", n_samples, rtol, atol,
-                             bath=bath, gamma_d=gamma_d)
+    return trajectory(v0, protocol, *stroke_propagators(
+        protocol, bath, gamma_d, n_samples), "dephasing")
 
 
 def propagate_ste_beta(beta0: float, ste: SteSolution, bath: BathSpec,
@@ -360,9 +338,9 @@ def propagate_ste_beta(beta0: float, ste: SteSolution, bath: BathSpec,
         r = name_rates(float(protocol.omega(t)), float(protocol.omega_dot(t)), bath)
         return [r.k_down * math.expm1(y[0]) + r.k_up * math.expm1(-y[0])]
 
-    sol = solve_ivp(rhs, (0.0, protocol.duration), [beta0], method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True)
+    times = np.linspace(0.0, protocol.duration, n_samples)
+    sol = solve_ivp(rhs, (0.0, protocol.duration), [beta0], method="DOP853",
+                    rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
         raise NumericalError(f"beta integration failed: {sol.message}")
-    times = np.linspace(0.0, protocol.duration, n_samples)
-    return times, sol.sol(times)[0]
+    return times, sol.y[0]

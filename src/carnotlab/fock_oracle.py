@@ -199,17 +199,17 @@ def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
 
     y0 = np.concatenate([np.eye(dim, dtype=complex).ravel(),
                          rho0.matrix.astype(complex).ravel()])
+    times = np.linspace(0.0, protocol.duration, n_samples)
     sol = solve_ivp(rhs, (0.0, protocol.duration), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+                    rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
         raise NumericalError(f"density-matrix integration failed: {sol.message}")
 
-    times = np.linspace(0.0, protocol.duration, n_samples)
     hs = np.empty(n_samples)
     ls = np.empty(n_samples)
     cs = np.empty(n_samples)
     for i, t in enumerate(times):
-        y = sol.sol(t)
+        y = sol.y[:, i]
         u = y[:nmat].reshape(dim, dim)
         rho_int = y[nmat:].reshape(dim, dim)
         rho_s = u @ rho_int @ u.conj().T

@@ -152,6 +152,23 @@ class TestLimitCycle:
         b = r2.corner_vectors[0].as_array()
         assert np.max(np.abs(a - b)) < 1e-8 * a[0]
 
+    def test_one_integration_per_stroke(self, monkeypatch):
+        from carnotlab import cycle_engine, dynamics
+
+        calls = []
+
+        def counting(original):
+            def solve(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+            return solve
+
+        for module in (cycle_engine, dynamics):
+            monkeypatch.setattr(module, "solve_ivp", counting(module.solve_ivp))
+        res = run_to_limit_cycle(get_preset("endo-global", cycle_time=8))
+        assert len(calls) == 4
+        assert res.periodicity_residual() <= 1e-9
+
     def test_nonconvergence_raises(self):
         spec = get_preset("endo-global", cycle_time=8.0)
         with pytest.raises(NonConvergence) as err:
