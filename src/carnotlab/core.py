@@ -74,22 +74,27 @@ def thermal_population(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def dressed_rates(omega: float, mu: float, bath: "BathSpec") -> tuple:
-    """Downward/upward rates of the dressed-mode master equation at one instant.
+def dressed_rates(omega, mu, bath: "BathSpec") -> tuple:
+    """Downward/upward rates of the dressed-mode master equation.
 
     With kappa = sqrt(4 - mu^2) and the modified frequency alpha = w kappa / 2,
     k_down = (alpha g / kappa)(1 + N(alpha)) and detailed balance gives
     k_up = k_down exp(-hbar alpha / k_B T).  The form 1 + N = 1/(1 - e^-x)
-    stays finite for arbitrarily cold baths.  Returns plain floats
-    ``(k_down, k_up, kappa)``; raises DomainError unless |mu| < 2.
+    stays finite for arbitrarily cold baths.  ``omega`` and ``mu`` are
+    scalars or broadcastable arrays, and so are the returned
+    ``(k_down, k_up, kappa)``.  Raises DomainError unless |mu| < 2
+    everywhere, naming the first offending value.
     """
-    if mu * mu >= 4.0:
-        raise DomainError(f"|mu| = {abs(mu):.4g} >= 2: outside the inertial family")
-    kappa = math.sqrt(4.0 - mu * mu)
+    mu = np.asarray(mu, dtype=float)
+    bad = mu * mu >= 4.0
+    if np.any(bad):
+        raise DomainError(f"|mu| = {abs(mu[bad].flat[0]):.4g} >= 2: "
+                          "outside the inertial family")
+    kappa = np.sqrt(4.0 - mu * mu)
     alpha = 0.5 * omega * kappa
     x = HBAR * alpha / (KB * bath.temperature)
-    k_down = (alpha * bath.coupling / kappa) / -math.expm1(-x)
-    return k_down, k_down * math.exp(-x), kappa
+    k_down = (alpha * bath.coupling / kappa) / -np.expm1(-x)
+    return k_down, k_down * np.exp(-x), kappa
 
 
 @dataclass(frozen=True)

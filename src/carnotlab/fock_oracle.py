@@ -11,6 +11,7 @@ tr(U rho U^dag X(t)).
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 
@@ -202,6 +203,11 @@ def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
     times = np.linspace(0.0, protocol.duration, n_samples)
     sol = solve_ivp(rhs, (0.0, protocol.duration), y0, method="DOP853",
                     rtol=rtol, atol=atol, t_eval=times)
+    # solve_ivp leaves its OdeSolver in a reference cycle (its ``fun`` closure
+    # refers back to the solver), and the solver holds the DOP853 stages of
+    # the whole state; collect it now rather than whenever the cyclic
+    # collector next runs.
+    gc.collect()
     if not sol.success:
         raise NumericalError(f"density-matrix integration failed: {sol.message}")
 

@@ -37,8 +37,8 @@ def curzon_ahlborn_efficiency(t_cold: float, t_hot: float) -> float:
 def stroke_work(traj: Trajectory) -> float:
     """Work performed on the medium over one stroke.
 
-    The propagators accumulate integral (w_dot/w)(h - l) dt as an auxiliary
-    ODE component, so this is already at integrator accuracy;
+    The propagators accumulate integral (w_dot/w)(h - l) dt as a fifth
+    component of the stroke map, so this is already at propagator accuracy;
     :func:`stroke_work_quadrature` is the grid-based cross-check.
     """
     return traj.work

@@ -107,16 +107,15 @@ class TestAssembly:
 
 class TestTransferMatrix:
     def test_matches_free_propagator(self):
-        spec = get_preset("endo-global", cycle_time=32.0)
-        strokes = assemble_cycle(spec)
-        s = strokes[1]  # unitary constant-mu stroke
         from carnotlab.dynamics import free_propagator
 
-        m = stroke_transfer_matrix(s)
-        mu = s.protocol.meta["mu"]
-        u = free_propagator(s.protocol.meta["omega_initial"], mu,
-                            s.protocol.duration)
-        assert np.allclose(m[:4, :4], u, atol=1e-10)
+        for tau in (8.0, 32.0, 250.0):
+            strokes = assemble_cycle(get_preset("endo-global", cycle_time=tau))
+            for s in strokes[1::2]:  # unitary constant-mu strokes
+                m = stroke_transfer_matrix(s)
+                u = free_propagator(s.protocol.meta["omega_initial"],
+                                    s.protocol.meta["mu"], s.protocol.duration)
+                assert np.max(np.abs(m[:4, :4] - u)) <= 1e-12
 
     def test_transfer_reproduces_trajectory(self):
         from carnotlab.dynamics import propagate_open
@@ -155,18 +154,21 @@ class TestLimitCycle:
     def test_one_integration_per_stroke(self, monkeypatch):
         from carnotlab import cycle_engine, dynamics
 
-        calls = []
+        calls = {"propagators": 0, "solve_ivp": 0}
 
-        def counting(original):
-            def solve(*args, **kwargs):
-                calls.append(1)
+        def counting(key, original):
+            def counted(*args, **kwargs):
+                calls[key] += 1
                 return original(*args, **kwargs)
-            return solve
+            return counted
 
+        monkeypatch.setattr(cycle_engine, "stroke_propagators", counting(
+            "propagators", cycle_engine.stroke_propagators))
         for module in (cycle_engine, dynamics):
-            monkeypatch.setattr(module, "solve_ivp", counting(module.solve_ivp))
+            monkeypatch.setattr(module, "solve_ivp",
+                                counting("solve_ivp", module.solve_ivp))
         res = run_to_limit_cycle(get_preset("endo-global", cycle_time=8))
-        assert len(calls) == 4
+        assert calls == {"propagators": 4, "solve_ivp": 0}
         assert res.periodicity_residual() <= 1e-9
 
     def test_nonconvergence_raises(self):

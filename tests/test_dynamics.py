@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
                             thermal_observable_vector)
-from carnotlab.dynamics import (free_propagator, gen5_factory, generator,
+from carnotlab.cycle_engine import assemble_cycle
+from carnotlab.dynamics import (MAGNUS_STEPS, free_propagator, generator,
                                 name_rates, propagate_dephasing, propagate_open,
-                                propagate_ste_beta, propagate_unitary)
+                                propagate_ste_beta, propagate_unitary,
+                                stroke_propagators)
 from carnotlab.errors import DomainError
+from carnotlab.presets import get_preset
 from carnotlab.protocols import (build_constant_mu_protocol, build_sta_protocol,
                                  build_ste_protocol)
 
@@ -106,13 +110,15 @@ class TestPropagateUnitary:
         assert np.max(np.abs(traj.vectors - v0.as_array())) < 1e-10
 
     def test_constant_mu_matches_free_propagator(self):
-        prot = build_constant_mu_protocol(9.6875, 7.75, -0.02)
-        v0 = ObservableVector(h=9.0, l=0.6, c=-0.4)
-        traj = propagate_unitary(v0, prot)
-        expect = np.array([free_propagator(9.6875, -0.02, t) @ v0.as_array()
-                           for t in traj.times])
-        err = np.max(np.abs(traj.vectors - expect))
-        assert err <= 1e-9 * np.max(np.abs(traj.vectors))
+        # every sampled map of both unitary constant-mu strokes, short to long
+        for tau in (8.0, 32.0, 250.0):
+            strokes = assemble_cycle(get_preset("endo-global", cycle_time=tau))
+            for s in strokes[1::2]:
+                times, maps = stroke_propagators(s.protocol)
+                expect = np.array([free_propagator(
+                    s.protocol.meta["omega_initial"], s.protocol.meta["mu"], t)
+                    for t in times])
+                assert np.max(np.abs(maps[:, :4, :4] - expect)) <= 1e-12
 
     def test_casimir_conserved_on_sta(self):
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
@@ -158,19 +164,70 @@ class TestOpenGenerator:
             assert np.allclose(d, expect, atol=1e-15)
 
     def test_fast_path_matches_reference(self, hot_bath):
-        # closed-form (constant-mu) and grid (STE, Horner spline) protocols
-        cases = [(build_constant_mu_protocol(9.0, 6.0, -0.22), BathSpec(6.5, 0.04),
-                  (0.0, 0.1, 0.17)),
-                 (build_ste_protocol(10.0, 8.0, 20.0, hot_bath)[0], hot_bath,
-                  (0.0, 3.3333, 9.87654321, 20.0))]
-        for prot, bath, times in cases:
+        # the batched generator equals the scalar one at every Magnus node of
+        # a closed-form (constant-mu) and a grid (STE spline) protocol
+        cases = [(build_constant_mu_protocol(9.0, 6.0, -0.22), BathSpec(6.5, 0.04)),
+                 (build_ste_protocol(10.0, 8.0, 20.0, hot_bath)[0], hot_bath)]
+        for prot, bath in cases:
+            h = prot.duration / MAGNUS_STEPS
+            nodes = (np.arange(MAGNUS_STEPS)[:, None]
+                     + 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0) * h
+            w, wd = prot.omega(nodes), prot.omega_dot(nodes)
             for gamma_d in (0.0, 2e-3):
-                gen5 = gen5_factory(prot, bath=bath, gamma_d=gamma_d)
-                for t in times:
-                    w, wd = float(prot.omega(t)), float(prot.omega_dot(t))
-                    ref = generator(w, wd, bath, gamma_d=gamma_d)
-                    assert np.allclose(gen5(t), ref, rtol=1e-12, atol=1e-13)
-                    assert gen5(t)[4, 0] == pytest.approx(wd / w)
+                batched = generator(w, wd, bath, gamma_d=gamma_d)
+                assert batched.shape == nodes.shape + (5, 5)
+                ref = np.array([[generator(float(a), float(b), bath, gamma_d=gamma_d)
+                                 for a, b in zip(ra, rb)] for ra, rb in zip(w, wd)])
+                assert np.allclose(batched, ref, rtol=1e-12, atol=0.0)
+
+
+def _dop853_transfer_matrix(stroke):
+    """Reference transfer matrix: DOP853 on the scalar generator."""
+    prot = stroke.protocol
+
+    def rhs(t, y):
+        g = generator(float(prot.omega(t)), float(prot.omega_dot(t)),
+                      stroke.bath, stroke.gamma_d)
+        return (g @ y.reshape(5, 5)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, prot.duration), np.eye(5).ravel(),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y[:, -1].reshape(5, 5)
+
+
+class TestStrokePropagators:
+    @pytest.mark.parametrize("preset,tau", [
+        ("carnot-shortcut", 250.0), ("endo-shortcut", 250.0),
+        ("endo-shortcut", 40.0), ("table1-literal", 40.0),
+        ("endo-global", 40.0), ("endo-global", 8.0)])
+    def test_matches_dop853_reference(self, preset, tau):
+        # constant-mu unitary strokes are checked against free_propagator
+        for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
+            if s.bath is None and s.protocol.meta.get("family") == "constant_mu":
+                continue
+            ref = _dop853_transfer_matrix(s)
+            m = stroke_propagators(s.protocol, s.bath, s.gamma_d)[1][-1]
+            assert np.max(np.abs(m - ref)) <= 1e-10 * np.max(np.abs(ref)), s.label
+
+    def test_needs_two_samples(self):
+        prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
+        for n in (1, 0):
+            with pytest.raises(DomainError):
+                stroke_propagators(prot, n_samples=n)
+        traj = propagate_unitary(thermal_observable_vector(5.0, 5.0), prot,
+                                 n_samples=2)
+        assert traj.work == pytest.approx(traj.energy_change, rel=1e-9)
+        assert traj.work > 5.0
+
+    def test_inertial_limit_names_time(self):
+        # omega = 2 - 2t: |mu| = 2 / (2 - 2t)^2 crosses 2 at t = 0.5
+        t = np.linspace(0.0, 0.9, 901)
+        prot = FrequencyProtocol.from_grid(t, 2.0 - 2.0 * t, np.full_like(t, -2.0))
+        with pytest.raises(DomainError, match="at t = ") as err:
+            stroke_propagators(prot, BathSpec(5.0, 0.05))
+        t_bad = float(str(err.value).rsplit("at t = ", 1)[1])
+        assert 0.5 <= t_bad <= 0.5 + 2.0 * 0.9 / MAGNUS_STEPS
 
 
 class TestPropagateOpen:

@@ -1,5 +1,8 @@
+import gc
+
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
                             thermal_observable_vector)
@@ -111,3 +114,19 @@ class TestIntegration:
             _, h, l, c = integrate_lindblad(rho0, prot, bath=bath, n_samples=5)
             results.append(h)
         assert np.max(np.abs(results[0] - results[1])) < 1e-6 * np.max(results[1])
+
+    def test_solver_freed_after_stroke(self):
+        # the solver sits in a reference cycle with its right-hand side and
+        # holds the integrator stages of the whole state: it must not wait
+        # for the cyclic collector
+        bath = BathSpec(5.0, 0.05)
+        rho0 = thermal_fock_state(5.0, 1.0, 8)
+        prot = FrequencyProtocol.constant(5.0, 0.2)
+        gc.collect()
+        gc.disable()
+        try:
+            integrate_lindblad(rho0, prot, bath=bath, n_samples=3)
+            left = [o for o in gc.get_objects() if isinstance(o, DOP853)]
+        finally:
+            gc.enable()
+        assert not left
