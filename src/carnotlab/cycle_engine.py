@@ -11,6 +11,7 @@ the trajectories used for analysis and export.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -104,8 +105,9 @@ class StrokeDescriptor:
 
 
 def _rewrap(err: CarnotLabError, label: str) -> CarnotLabError:
-    new = type(err)(f"{label}: {err}", *(
-        [getattr(err, "time")] if hasattr(err, "time") else []))
+    """A copy of ``err``, attributes included, whose message names the stroke."""
+    new = copy.copy(err)
+    new.args = (f"{label}: {err}",)
     return new
 
 
@@ -184,10 +186,18 @@ def assemble_cycle(spec: CycleSpec) -> List[StrokeDescriptor]:
 # transfer matrices and the limit cycle
 # ---------------------------------------------------------------------------
 
+def _propagate(stroke: StrokeDescriptor, n_samples: int):
+    """``stroke_propagators`` of one stroke; a failure names the stroke."""
+    try:
+        return stroke_propagators(stroke.protocol, stroke.bath, stroke.gamma_d,
+                                  n_samples)
+    except CarnotLabError as err:
+        raise _rewrap(err, stroke.label) from err
+
+
 def stroke_transfer_matrix(stroke: StrokeDescriptor) -> np.ndarray:
     """5x5 map (v, w) -> (v', w + stroke work) of one stroke."""
-    return stroke_propagators(stroke.protocol, stroke.bath, stroke.gamma_d,
-                              n_samples=2)[1][-1]
+    return _propagate(stroke, 2)[1][-1]
 
 
 def _corner_diff(v_new: np.ndarray, v_old: np.ndarray) -> float:
@@ -243,8 +253,7 @@ def run_to_limit_cycle(spec: CycleSpec, v0: Optional[ObservableVector] = None,
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
     strokes = assemble_cycle(spec)
-    propagators = [stroke_propagators(s.protocol, s.bath, s.gamma_d, n_samples)
-                   for s in strokes]
+    propagators = [_propagate(s, n_samples) for s in strokes]
 
     v = (v0 or initial_corner_vector(spec)).as_array()
     y = np.append(v, 0.0)

@@ -23,7 +23,8 @@ as a product of 4th-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep.
 output times (:func:`stroke_propagators`): its last sample is the transfer
 matrix, and applied to any initial vector the samples give the trajectory.
 Each step evaluates the generator at its two Gauss nodes, all steps of a block
-at once, and exponentiates exactly.  The fifth component accumulates the
+at once, and exponentiates them together with a stacked, scaled Taylor
+exponential to unit roundoff.  The fifth component accumulates the
 stroke work W = integral (w_dot / w) (h - l) dt, so work values carry the
 step error of the product rather than that of a sampling grid.
 """
@@ -36,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                    dressed_rates)
@@ -54,6 +54,11 @@ DEFAULT_SAMPLES = 801
 MAGNUS_STEPS = 2 * (DEFAULT_GRID_POINTS - 1)
 #: Steps per batched exponential, about: bounds the memory of a block.
 _MAGNUS_BLOCK = 512
+#: The stacked exponential scales a block to 1-norm <= _EXPM_THETA and sums
+#: its Taylor series to the lowest degree whose remainder bound is below the
+#: unit roundoff.
+_EXPM_THETA = 0.5
+_UNIT_ROUNDOFF = 2.0**-53
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _MAGNUS_C = math.sqrt(3.0) / 12.0
 
@@ -205,6 +210,40 @@ class Trajectory:
             fh.write("\n".join(lines) + "\n")
 
 
+def _expm_stack(x: np.ndarray) -> np.ndarray:
+    """exp of every matrix of an (m, n, n) stack, by one stacked computation.
+
+    One 1-norm bound for the whole stack fixes a scaling 2^-s that brings every
+    matrix to norm <= _EXPM_THETA, where a Taylor polynomial of the smallest
+    degree k with norm^(k+1)/(k+1)! <= 2^-53 is summed by Horner's rule; s
+    squarings undo the scaling.  A matrix whose norm is not finite raises
+    NumericalError whose diagnostics name the ``index`` of the first such one.
+    """
+    column_sums = np.einsum("mij->mj", np.abs(x))
+    norm = float(column_sums.max(initial=0.0))
+    if not math.isfinite(norm):
+        bad = np.flatnonzero(~np.isfinite(column_sums).all(axis=-1))
+        raise NumericalError("matrix exponential of a non-finite matrix",
+                             diagnostics={"index": int(bad[0])})
+    s = max(0, math.ceil(math.log2(norm) - math.log2(_EXPM_THETA))) \
+        if norm > 0 else 0
+    x = x * 2.0**-s
+    norm *= 2.0**-s
+    k, term = 1, norm * norm / 2.0
+    while term > _UNIT_ROUNDOFF:
+        k += 1
+        term *= norm / (k + 1)
+    eye = np.eye(x.shape[-1])
+    e = x / k + eye
+    for j in range(k - 1, 0, -1):
+        e = x @ e
+        e /= j
+        e += eye
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def _magnus_steps(protocol: FrequencyProtocol, nodes: np.ndarray, h: float,
                   bath: Optional[BathSpec], gamma_d: float) -> np.ndarray:
     """exp(Omega) of the 4th-order Magnus steps whose Gauss nodes are ``nodes``.
@@ -223,7 +262,29 @@ def _magnus_steps(protocol: FrequencyProtocol, nodes: np.ndarray, h: float,
             raise
         raise DomainError(f"{err} at t = {nodes.flat[bad[0]]:.6g}") from None
     a1, a2 = a[:, 0], a[:, 1]
-    return expm(0.5 * h * (a1 + a2) + _MAGNUS_C * h * h * (a2 @ a1 - a1 @ a2))
+    try:
+        return _expm_stack(0.5 * h * (a1 + a2)
+                           + _MAGNUS_C * h * h * (a2 @ a1 - a1 @ a2))
+    except NumericalError as err:
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=(-2, -1)))
+        t = float(nodes.flat[bad[0]] if bad.size
+                  else nodes[err.diagnostics["index"], 0])
+        raise NumericalError(
+            f"non-finite Magnus step at t = {t:.6g}",
+            diagnostics={"time": t, "duration": protocol.duration}) from None
+
+
+def _interval_products(steps: np.ndarray) -> np.ndarray:
+    """Ordered products of (n, p, 5, 5) steps along axis 1, later on the left.
+
+    Adjacent pairs are multiplied by stacked matmuls until one map per
+    interval is left.
+    """
+    while steps.shape[1] > 1:
+        p = steps.shape[1] - steps.shape[1] % 2
+        pairs = steps[:, 1:p:2] @ steps[:, 0:p:2]
+        steps = np.concatenate((pairs, steps[:, p:]), axis=1)
+    return steps[:, 0]
 
 
 def stroke_propagators(protocol: FrequencyProtocol,
@@ -256,11 +317,9 @@ def stroke_propagators(protocol: FrequencyProtocol,
         starts = np.arange(j0 * per_interval, j1 * per_interval)[:, None]
         steps = _magnus_steps(protocol, (starts + _GAUSS_NODES) * h, h, bath,
                               gamma_d)
-        for j, interval in enumerate(steps.reshape(j1 - j0, per_interval, 5, 5),
-                                     start=j0 + 1):
-            for step in interval:
-                phi = step @ phi
-            maps[j] = phi
+        for j, step in enumerate(_interval_products(
+                steps.reshape(j1 - j0, per_interval, 5, 5)), start=j0 + 1):
+            maps[j] = phi = step @ phi
     if not np.all(np.isfinite(maps)):
         raise NumericalError("stroke propagator is not finite",
                              diagnostics={"duration": protocol.duration})

@@ -167,7 +167,8 @@ def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> Cycl
     unitary_heat = 0.0
     for stroke, traj in zip(result.strokes, result.trajectories):
         if stroke.kind == "open" and stroke.bath is not None:
-            if stroke.bath.temperature == spec.t_hot_bath:
+            # assemble_cycle gives the hot bath to open-expansion in every kind
+            if stroke.label == "open-expansion":
                 q_hot += traj.heat
             else:
                 q_cold += traj.heat

@@ -9,7 +9,8 @@ from carnotlab.cycle_engine import (CornerGeometry, assemble_cycle,
                                     carnot_corner_frequencies,
                                     endo_global_corner_frequencies,
                                     run_to_limit_cycle, stroke_transfer_matrix)
-from carnotlab.errors import ConfigError, NonConvergence
+from carnotlab.errors import (ConfigError, InvalidProtocol, NonConvergence,
+                              NumericalError)
 from carnotlab.presets import get_preset
 from carnotlab.thermo import von_neumann_entropy
 
@@ -170,6 +171,39 @@ class TestLimitCycle:
         res = run_to_limit_cycle(get_preset("endo-global", cycle_time=8))
         assert calls == {"propagators": 4, "solve_ivp": 0}
         assert res.periodicity_residual() <= 1e-9
+
+    def test_stroke_failure_names_stroke(self, monkeypatch):
+        from carnotlab import cycle_engine
+
+        original = cycle_engine.stroke_propagators
+        calls = []
+
+        def third_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericalError("non-finite Magnus step at t = 1.5",
+                                     diagnostics={"time": 1.5, "duration": 9.0})
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cycle_engine, "stroke_propagators", third_fails)
+        spec = get_preset("carnot-shortcut", cycle_time=40.0)
+        with pytest.raises(NumericalError) as err:
+            run_to_limit_cycle(spec)
+        assert str(err.value).startswith("open-compression: ")
+        assert err.value.diagnostics == {"time": 1.5, "duration": 9.0}
+        calls[:] = [(), ()]
+        with pytest.raises(NumericalError, match="^adiabatic-expansion: "):
+            stroke_transfer_matrix(assemble_cycle(spec)[1])
+
+    def test_rewrap_keeps_attributes(self):
+        from carnotlab.cycle_engine import _rewrap
+
+        err = _rewrap(NumericalError("x", diagnostics={"a": 1}), "lab")
+        assert (str(err), err.diagnostics) == ("lab: x", {"a": 1})
+        err = _rewrap(NonConvergence("x", residuals=[1.0, 0.5]), "lab")
+        assert (str(err), err.residuals) == ("lab: x", [1.0, 0.5])
+        err = _rewrap(InvalidProtocol("x", time=2.5), "lab")
+        assert (type(err), str(err), err.time) == (InvalidProtocol, "lab: x", 2.5)
 
     def test_nonconvergence_raises(self):
         spec = get_preset("endo-global", cycle_time=8.0)

@@ -9,12 +9,13 @@ from scipy.linalg import expm
 
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
                             thermal_observable_vector)
+from carnotlab import dynamics
 from carnotlab.cycle_engine import assemble_cycle
 from carnotlab.dynamics import (MAGNUS_STEPS, free_propagator, generator,
                                 name_rates, propagate_dephasing, propagate_open,
                                 propagate_ste_beta, propagate_unitary,
                                 stroke_propagators)
-from carnotlab.errors import DomainError
+from carnotlab.errors import DomainError, NumericalError
 from carnotlab.presets import get_preset
 from carnotlab.protocols import (build_constant_mu_protocol, build_sta_protocol,
                                  build_ste_protocol)
@@ -194,6 +195,77 @@ def _dop853_transfer_matrix(stroke):
                     method="DOP853", rtol=1e-12, atol=1e-14)
     assert sol.success
     return sol.y[:, -1].reshape(5, 5)
+
+
+def _random_stack(rng, norms):
+    """5x5 matrices with the given 1-norms."""
+    x = rng.standard_normal((len(norms), 5, 5))
+    return x * (np.asarray(norms) / np.abs(x).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def _max_expm_deviation(x, e):
+    """Largest per-matrix deviation of ``e`` from scipy's expm, relative to
+    max|expm(x_i)|."""
+    return max(np.max(np.abs(ei - ref)) / np.max(np.abs(ref))
+               for ei, ref in zip(e, (expm(xi) for xi in x)))
+
+
+class TestStackedExponential:
+    def test_matches_expm_without_scaling(self):
+        rng = np.random.default_rng(5)
+        x = _random_stack(rng, rng.uniform(0.0, 0.5, 300))
+        assert _max_expm_deviation(x, dynamics._expm_stack(x)) <= 1e-15
+
+    def test_matches_expm_with_squaring(self):
+        rng = np.random.default_rng(6)
+        x = _random_stack(rng, rng.uniform(0.5, 4.0, 300))
+        assert _max_expm_deviation(x, dynamics._expm_stack(x)) <= 1e-13
+
+    def test_mixed_block(self):
+        # one norm sets the scaling of the whole block
+        rng = np.random.default_rng(7)
+        norms = np.full(64, 1e-3)
+        norms[17] = 3.0
+        x = _random_stack(rng, norms)
+        assert _max_expm_deviation(x, dynamics._expm_stack(x)) <= 1e-13
+
+    def test_zero_is_identity(self):
+        e = dynamics._expm_stack(np.zeros((3, 5, 5)))
+        assert np.array_equal(e, np.broadcast_to(np.eye(5), (3, 5, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        x = np.zeros((4, 5, 5))
+        x[2, 1, 3] = bad
+        with pytest.raises(NumericalError) as err:
+            dynamics._expm_stack(x)
+        assert err.value.diagnostics == {"index": 2}
+
+    @pytest.mark.parametrize("preset,tau", [("carnot-shortcut", 250.0),
+                                            ("endo-global", 8.0)])
+    def test_magnus_steps_match_expm(self, preset, tau, monkeypatch):
+        calls = []
+        original = dynamics._expm_stack
+
+        def recorded(x):
+            calls.append((x, original(x)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dynamics, "_expm_stack", recorded)
+        for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
+            stroke_propagators(s.protocol, s.bath, s.gamma_d)
+        assert sum(len(x) for x, _ in calls) >= 4 * MAGNUS_STEPS
+        assert max(_max_expm_deviation(x, e) for x, e in calls) <= 1e-15
+
+    def test_non_finite_protocol_names_time(self):
+        prot = FrequencyProtocol.from_callables(
+            1.0, lambda t: np.where(t < 0.3, 5.0, np.nan),
+            lambda t: np.zeros_like(t))
+        with pytest.raises(NumericalError, match="at t = ") as err:
+            stroke_propagators(prot)
+        diag = err.value.diagnostics
+        assert diag["duration"] == 1.0
+        assert 0.3 <= diag["time"] <= 0.3 + 1.0 / MAGNUS_STEPS
 
 
 class TestStrokePropagators:

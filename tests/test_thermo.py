@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
@@ -155,6 +157,17 @@ class TestAnalyzeAndSweep:
         assert led.bath_entropy_production >= 0
         assert led.energy_closure < 1e-8
         assert led.unitary_heat_residual < 1e-8
+
+    def test_heat_booked_by_stroke_role(self):
+        # a hot-bath temperature one ulp off still books the expansion as hot
+        spec = get_preset("carnot-shortcut", cycle_time=40.0)
+        res = run_to_limit_cycle(spec)
+        led = analyze_cycle(res, spec)
+        shifted = replace(spec, t_hot_bath=float(
+            np.nextafter(spec.t_hot_bath, np.inf)))
+        led_shifted = analyze_cycle(res, shifted)
+        assert led_shifted.q_hot == led.q_hot > 0
+        assert led_shifted.q_cold == led.q_cold < 0
 
     def test_non_converged_rejected(self):
         spec = get_preset("carnot-shortcut", cycle_time=40.0)
