@@ -106,7 +106,7 @@ def _cmd_protocol(args) -> int:
 def _cmd_cycle(args) -> int:
     cfg = _config_from_args(args)
     spec = cfg.build_spec()
-    result = run_to_limit_cycle(spec, tol=cfg.tol, max_cycles=cfg.max_cycles)
+    result = run_to_limit_cycle(spec, tol=cfg.tol)
     ledger = analyze_cycle(result, spec)
     out = cfg.out or _default_out("cycle")
     export_cycle_result(result, out, manifest_extra={"ledger": ledger.as_dict()})
@@ -122,8 +122,7 @@ def _cmd_sweep(args) -> int:
     if not cfg.axis or not cfg.values:
         raise ConfigError("sweep needs --axis and --values")
     spec = cfg.build_spec()
-    table = sweep(spec, cfg.axis, cfg.values, tol=cfg.tol,
-                  max_cycles=cfg.max_cycles, jobs=cfg.jobs)
+    table = sweep(spec, cfg.axis, cfg.values, tol=cfg.tol, jobs=cfg.jobs)
     out = cfg.out or _default_out("sweep")
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "sweep.csv")
@@ -149,8 +148,7 @@ def _cmd_compare(args) -> int:
     lines = ["preset,value,status,total_work,power,efficiency,operational_mode,error"]
     for name in presets:
         spec = get_preset(name, cycle_time=cfg.cycle_time or 250.0)
-        table = sweep(spec, axis, values, tol=cfg.tol,
-                      max_cycles=cfg.max_cycles, jobs=cfg.jobs)
+        table = sweep(spec, axis, values, tol=cfg.tol, jobs=cfg.jobs)
         for r in table.rows:
             if r.ok:
                 lines.append(

@@ -20,7 +20,6 @@ _SPEC_KEYS = {
 }
 _TOP_KEYS = {
     "preset", "cycle_time", "spec", "axis", "values", "out", "jobs", "tol",
-    "max_cycles",
 }
 
 
@@ -36,7 +35,6 @@ class RunConfig:
     out: Optional[str] = None
     jobs: int = 1
     tol: float = 1e-9
-    max_cycles: int = 500
 
     def build_spec(self) -> CycleSpec:
         if self.preset is not None:
@@ -54,8 +52,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {"preset": self.preset, "cycle_time": self.cycle_time,
                 "spec": dict(self.spec_overrides), "axis": self.axis,
-                "values": self.values, "jobs": self.jobs, "tol": self.tol,
-                "max_cycles": self.max_cycles}
+                "values": self.values, "jobs": self.jobs, "tol": self.tol}
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
@@ -79,7 +76,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
         out=raw.get("out"),
         jobs=int(raw.get("jobs", 1)),
         tol=float(raw.get("tol", 1e-9)),
-        max_cycles=int(raw.get("max_cycles", 500)),
     )
     if cfg.jobs < 1:
         raise ConfigError("jobs must be at least 1")

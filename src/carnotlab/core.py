@@ -188,11 +188,12 @@ class FrequencyProtocol:
     grid_omega_dot: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_callables(cls, duration, omega_fn, omega_dot_fn, meta=None, kind="closed-form"):
+    def from_callables(cls, duration, omega_fn, omega_dot_fn, meta=None):
         if duration < 0:
             raise DomainError("protocol duration must be non-negative")
-        return cls(duration=float(duration), kind=kind, meta=dict(meta or {}),
-                   _omega_fn=omega_fn, _omega_dot_fn=omega_dot_fn)
+        return cls(duration=float(duration), kind="closed-form",
+                   meta=dict(meta or {}), _omega_fn=omega_fn,
+                   _omega_dot_fn=omega_dot_fn)
 
     @classmethod
     def from_grid(cls, times, omega, omega_dot, meta=None):

@@ -1,12 +1,13 @@
-"""Cycle assembly and limit-cycle iteration.
+"""Cycle assembly and the limit cycle.
 
 A cycle is four stroke descriptors; every stroke map is affine on the moment
 vector (the identity component carries the affine part), so each stroke is
 summarized by a 5x5 transfer matrix that also accumulates the stroke work.
 Each stroke is integrated once, as a sampled propagator: its last sample is
-the transfer matrix, on which the limit-cycle iteration runs as cheap matrix
-application, and the same samples applied to the converged corner state give
-the trajectories used for analysis and export.
+the transfer matrix, and the same samples applied to the limit-cycle corner
+state give the trajectories used for analysis and export.  The limit cycle
+is the fixed point of the composed map, reached by iteration at the rate
+rho(A), the spectral radius of the map's (h, l, c) block A.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -208,7 +209,11 @@ def _corner_diff(v_new: np.ndarray, v_old: np.ndarray) -> float:
 
 @dataclass
 class CycleResult:
-    """Converged limit cycle: trajectories, corner states, and diagnostics."""
+    """Limit cycle: trajectories, corner states, and diagnostics.
+
+    ``contraction`` is rho(A), the factor by which one cycle shrinks a
+    deviation from the limit cycle.
+    """
 
     spec: CycleSpec
     strokes: List[StrokeDescriptor]
@@ -216,8 +221,7 @@ class CycleResult:
     corner_vectors: List[ObservableVector]
     corner_omegas: List[float]
     iterations: int
-    converged: bool
-    residuals: List[float] = field(default_factory=list)
+    contraction: float
 
     @property
     def cycle_time_atomic(self) -> float:
@@ -233,6 +237,9 @@ class CycleResult:
         return _corner_diff(end, start)
 
 
+MAX_CYCLES = 500  # budget of the limit-cycle iteration
+
+
 def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
     """Designed corner-1 state: thermal at (omega1, hot temperature)."""
     t_hot = spec.t_hot_internal if spec.kind is CycleKind.ENDO_SHORTCUT \
@@ -240,42 +247,38 @@ def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
     return thermal_observable_vector(spec.omega1, t_hot)
 
 
-def run_to_limit_cycle(spec: CycleSpec, v0: Optional[ObservableVector] = None,
-                       tol: float = 1e-9, max_cycles: int = 500,
-                       n_samples: int = DEFAULT_SAMPLES) -> CycleResult:
-    """Iterate the four-stroke map to its fixed point.
+def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
+    """Iterate the four-stroke map from the designed corner-1 state to its
+    fixed point.
 
     Convergence is declared when the corner-1 vector changes by less than
     ``tol`` between successive cycles (component-wise, with an h-scaled floor
-    for the two coherence components).  Raises NonConvergence with the
-    residual history if ``max_cycles`` is exhausted.
+    for the two coherence components).  Raises NonConvergence, naming the
+    contraction rho(A), if ``MAX_CYCLES`` cycles do not get there.
     """
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
     strokes = assemble_cycle(spec)
-    propagators = [_propagate(s, n_samples) for s in strokes]
+    propagators = [_propagate(s, DEFAULT_SAMPLES) for s in strokes]
+    cycle_map = np.eye(5)
+    for _, maps in propagators:
+        cycle_map = maps[-1] @ cycle_map
+    contraction = float(np.max(np.abs(np.linalg.eigvals(cycle_map[:3, :3]))))
 
-    v = (v0 or initial_corner_vector(spec)).as_array()
-    y = np.append(v, 0.0)
-    residuals: List[float] = []
-    iterations = 0
-    converged = False
-    for _ in range(max_cycles):
+    y = np.append(initial_corner_vector(spec).as_array(), 0.0)
+    for iterations in range(1, MAX_CYCLES + 1):
         y_new = y.copy()
         y_new[4] = 0.0
         for _, maps in propagators:
             y_new = maps[-1] @ y_new
-        iterations += 1
         resid = _corner_diff(y_new[:4], y[:4])
-        residuals.append(resid)
         y = y_new
         if resid < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NonConvergence(
-            f"corner state still moving by {residuals[-1]:.3e} after "
-            f"{iterations} cycles (tol {tol})", residuals=residuals)
+            f"corner state still moving by {resid:.3e} after {MAX_CYCLES} "
+            f"cycles (tol {tol}); contraction rho(A) = {contraction:.6g}")
 
     trajectories: List[Trajectory] = []
     corner_vectors: List[ObservableVector] = []
@@ -290,8 +293,7 @@ def run_to_limit_cycle(spec: CycleSpec, v0: Optional[ObservableVector] = None,
 
     return CycleResult(spec=spec, strokes=strokes, trajectories=trajectories,
                        corner_vectors=corner_vectors, corner_omegas=corner_omegas,
-                       iterations=iterations, converged=converged,
-                       residuals=residuals)
+                       iterations=iterations, contraction=contraction)
 
 
 def export_cycle_result(result: CycleResult, outdir,
@@ -303,7 +305,7 @@ def export_cycle_result(result: CycleResult, outdir,
     summary = {
         "spec": result.spec.to_dict(),
         "iterations": result.iterations,
-        "converged": result.converged,
+        "contraction": result.contraction,
         "corner_omegas": result.corner_omegas,
         "corners": [[v.h, v.l, v.c, v.id] for v in result.corner_vectors],
         "periodicity_residual": result.periodicity_residual(),

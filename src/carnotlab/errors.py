@@ -37,14 +37,7 @@ class ConfigError(CarnotLabError):
 
 
 class NonConvergence(CarnotLabError):
-    """Limit-cycle iteration exhausted its budget.
-
-    Carries ``residuals``, the per-cycle corner-change history.
-    """
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = list(residuals) if residuals is not None else []
+    """Limit-cycle iteration exhausted its budget."""
 
 
 class TruncationError(CarnotLabError):

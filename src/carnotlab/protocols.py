@@ -248,10 +248,23 @@ class SteSolution:
     target_final: float    # beta(t_f)
 
 
-def _static_beta_dot(omega: float, beta: float, bath: BathSpec) -> float:
-    """Rate-equation slope at a frozen drive (w_dot = 0, alpha = w)."""
+def _static_beta_dot(omega: float, beta: float, bath: BathSpec,
+                     time: float) -> float:
+    """Rate-equation slope at a frozen drive (w_dot = 0, alpha = w) at the
+    stroke endpoint ``time``.  Where e^-beta overflows (a cold internal
+    temperature), k_up (e^-beta - 1) = k_down (e^(-x-beta) - e^-x)."""
     k_down, k_up, _ = dressed_rates(omega, 0.0, bath)
-    return k_down * math.expm1(beta) + k_up * math.expm1(-beta)
+    try:
+        up = k_up * math.expm1(-beta)
+    except OverflowError:
+        x = HBAR * omega / (KB * bath.temperature)
+        with np.errstate(over="ignore"):
+            up = k_down * (np.exp(-x - beta) - np.exp(-x))
+    slope = k_down * math.expm1(beta) + up
+    if not np.isfinite(slope):
+        raise InfeasibleStroke(f"rate-equation slope at the endpoint t={time:g}"
+                               f" (omega={omega:g}) is not finite", time=time)
+    return slope
 
 
 def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final,
@@ -453,8 +466,8 @@ def build_ste_nonthermal_protocol(omega_initial: float, omega_final: float,
         raise DomainError("internal temperature must be positive")
     beta0 = -HBAR * omega_initial / (KB * internal_temperature)
     beta1 = -HBAR * omega_final / (KB * internal_temperature)
-    bd0 = _static_beta_dot(omega_initial, beta0, bath)
-    bd1 = _static_beta_dot(omega_final, beta1, bath)
+    bd0 = _static_beta_dot(omega_initial, beta0, bath, 0.0)
+    bd1 = _static_beta_dot(omega_final, beta1, bath, t_f)
     dy0 = bd0 * math.exp(beta0)
     dy1 = bd1 * math.exp(beta1)
     return _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import (HBAR, KB, CycleKind, CycleSpec, ObservableVector,
                    cycle_time_from_atomic, thermal_population)
@@ -38,19 +37,9 @@ def stroke_work(traj: Trajectory) -> float:
     """Work performed on the medium over one stroke.
 
     The propagators accumulate integral (w_dot/w)(h - l) dt as a fifth
-    component of the stroke map, so this is already at propagator accuracy;
-    :func:`stroke_work_quadrature` is the grid-based cross-check.
+    component of the stroke map, so this is at propagator accuracy.
     """
     return traj.work
-
-
-def stroke_work_quadrature(traj: Trajectory) -> float:
-    """Simpson quadrature of the work integrand over the stored grid."""
-    if len(traj.times) < 3:
-        return 0.0
-    integrand = (traj.omega_dots / traj.omegas) * \
-        (traj.vectors[:, 0] - traj.vectors[:, 1])
-    return float(simpson(integrand, x=traj.times))
 
 
 def stroke_heat(traj: Trajectory, work: Optional[float] = None) -> float:
@@ -155,9 +144,7 @@ class CycleLedger:
 
 
 def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> CycleLedger:
-    """Fill the thermodynamic ledger for a converged limit cycle."""
-    if not result.converged:
-        raise DomainError("cannot analyze a non-converged cycle")
+    """Fill the thermodynamic ledger for a limit cycle."""
     spec = spec or result.spec
     works = tuple(t.work for t in result.trajectories)
     heats = tuple(t.heat for t in result.trajectories)
@@ -289,18 +276,18 @@ def _dict_hash(d: dict) -> str:
 
 
 def _sweep_point(args):
-    template, axis, value, tol, max_cycles = args
+    template, axis, value, tol = args
     try:
         spec = spec_for_sweep_value(template, axis, value)
-        result = run_to_limit_cycle(spec, tol=tol, max_cycles=max_cycles)
+        result = run_to_limit_cycle(spec, tol=tol)
         return SweepRow(value=value, ledger=analyze_cycle(result, spec))
     except CarnotLabError as err:
         return SweepRow(value=value, error=f"{type(err).__name__}: {err}")
 
 
 def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
-          tol: float = 1e-9, max_cycles: int = 500, jobs: int = 1) -> SweepTable:
-    """Run one converged limit cycle per axis value.
+          tol: float = 1e-9, jobs: int = 1) -> SweepTable:
+    """Run one limit cycle per axis value.
 
     Failures are recorded per point without aborting the sweep; rows come
     back in input order regardless of execution order.
@@ -308,7 +295,7 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    args = [(spec_template, axis, v, tol, max_cycles) for v in values]
+    args = [(spec_template, axis, v, tol) for v in values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -5,15 +5,21 @@ import importlib.util
 import os
 
 from carnotlab import cli, cycle_engine, dynamics, fock_oracle, thermo
+from carnotlab.presets import get_preset
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "bench", "tracing.py")
 
 
-def test_tracer_installs_and_uninstalls():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = _load_tracing()
     modules = (cli, cycle_engine, dynamics, fock_oracle, thermo)
     before = [dict(vars(m)) for m in modules]
     tracer = tracing.Tracer()
@@ -25,3 +31,19 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for module, attrs in zip(modules, before):
         assert all(getattr(module, k) is v for k, v in attrs.items())
+
+
+def test_traced_sweep_reports_iterations_and_builds():
+    # the tracer reads CycleResult.iterations and counts protocol builds
+    spec = get_preset("endo-global", cycle_time=8.0)
+    untraced = cycle_engine.run_to_limit_cycle(spec)
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        table = thermo.sweep(spec, "cycle_time", [8.0])
+    finally:
+        tracer.uninstall()
+    assert table.rows[0].ok
+    layers = tracer.per_layer(1, 0.0)
+    assert layers["cycle_engine.iterations"] == untraced.iterations == 28
+    assert layers["protocols.calls"] == 4

@@ -15,6 +15,8 @@ class TestConfig:
             parse_config_dict({"preset": "endo-global", "bogus": 1})
         with pytest.raises(ConfigError):
             parse_config_dict({"spec": {"omega9": 1.0}})
+        with pytest.raises(ConfigError, match="max_cycles"):
+            parse_config_dict({"preset": "endo-global", "max_cycles": 500})
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -103,7 +105,8 @@ class TestCli:
         assert manifest["code_version"]
         assert manifest["tolerances"]["tol"] == 1e-9
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["converged"] is True
+        assert 0.0 < summary["contraction"] < 1.0
+        assert "converged" not in summary
 
     def test_cold_bath_sweep_exits_0(self, tmp_path):
         cfg = tmp_path / "cold.yaml"
@@ -114,6 +117,24 @@ class TestCli:
                    "--values", "40", "--out", str(out)])
         assert rc == 0
         assert (out / "sweep.csv").read_text().splitlines()[1].split(",")[1] == "ok"
+
+    def test_cold_internal_temperature_sweep_exits_0(self, tmp_path):
+        cfg = tmp_path / "cold.yaml"
+        cfg.write_text("preset: endo-shortcut\ncycle_time: 40\n"
+                       "spec: {t_hot_internal: 0.012, t_cold_internal: 0.0075,"
+                       " t_hot_bath: 0.0125, t_cold_bath: 0.007}\n")
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", str(cfg), "--axis", "cycle_time",
+                   "--values", "40,60", "--out", str(out)])
+        assert rc == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["error", "error"]
+
+    def test_removed_max_cycles_key_exit_code_2(self, tmp_path, capsys):
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text("preset: endo-global\nmax_cycles: 500\n")
+        assert main(["cycle", "--config", str(cfg)]) == 2
+        assert "max_cycles" in capsys.readouterr().err
 
     def test_sweep_determinism(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

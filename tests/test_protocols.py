@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,21 @@ class TestSteNonThermal:
         tgt = thermal_observable_vector(8.0, 8.0)
         assert vf.h == pytest.approx(tgt.h, rel=2e-3)
         assert abs(vf.l) < 2e-3 * tgt.h and abs(vf.c) < 2e-3 * tgt.h
+
+    def test_cold_internal_temperature_slope(self):
+        # hbar w / k_B T_int = 1000: e^-beta overflows, and k_up underflows
+        # against a bath of like temperature, yet the slope stays finite
+        from carnotlab.protocols import _static_beta_dot
+
+        bath = BathSpec(0.0105, 0.05)
+        x = 10.0 / bath.temperature
+        k_down = 10.0 * 0.05 / 2.0 / -math.expm1(-x)
+        slope = _static_beta_dot(10.0, -1000.0, bath, 0.0)
+        assert slope == pytest.approx(k_down * math.expm1(1000.0 - x),
+                                      rel=1e-12)
+        with pytest.raises(InfeasibleStroke, match="t=12 ") as err:
+            _static_beta_dot(10.0, -1000.0, BathSpec(1.0, 0.05), 12.0)
+        assert err.value.time == 12.0
 
 
 class TestSerialization:
