@@ -1,12 +1,21 @@
 """Brute-force reference dynamics in a truncated number basis.
 
 This module exists to validate the 4x4 moment propagators against a full
-density-matrix integration and is never used in cycle sweeps.  The density
-matrix is integrated in the interaction picture: the dressed jump operator is
-frozen at its stroke-initial form b(0) while the system propagator
-U(t) = T-exp(-i int H dt') is integrated alongside and used both to dress the
-dephasing double commutator and to extract Schrodinger-picture moments
-tr(U rho U^dag X(t)).
+density-matrix integration and is never used in cycle sweeps.  Each stroke
+integrates only what its master equation couples:
+
+* Open strokes (a bath).  The thermal dissipator acts in the interaction
+  picture with the dressed jump operator frozen at its stroke-initial form
+  b(0), so rho_int is one solve that never involves the system propagator
+  U(t) = T-exp(-(i/hbar) int H dt').  U is a second solve, in the frame of
+  H(omega_ref), where only the change of frequency is left to integrate: on
+  a static stroke U is exact.  Moments are tr(U rho_int U^dag X(t)).
+* Dephasing strokes (no bath).  The Schrodinger-picture density matrix obeys
+  -(i/hbar)[H, rho] - gamma_d [H, [H, rho]], the dephasing double commutator
+  of the interaction picture moved back by U, and is integrated directly
+  with no propagator; gamma_d = 0 is the closed system.
+
+Every solve is DOP853 with its step bounded by the method's stability region.
 """
 
 from __future__ import annotations
@@ -19,11 +28,32 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .core import HBAR, BathSpec, FrequencyProtocol, ObservableVector, thermal_population
+from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
+                   dressed_rates, thermal_population)
 from .dynamics import name_rates
 from .errors import DomainError, NumericalError, TruncationError, UnphysicalState
 
 DEFAULT_DIMENSION = 60
+#: Step bounds of the explicit solves.  DOP853 is the explicit Runge-Kutta
+#: pair of order 8 of Hairer, Norsett & Wanner, "Solving Ordinary
+#: Differential Equations I", 2nd ed. (Springer, 1993), Sec. II.10.  Its
+#: stability function R(z) = 1 + z b^T (I - z A)^-1 1, evaluated from scipy's
+#: coefficients, keeps |R(z)| <= 1 on the left half-disc |z| <= 5.75 (the
+#: region reaches -6.39 on the real axis and +-5.96 on the imaginary one).  A
+#: solve steps at most C / r, where r bounds the spectral radius of its
+#: right-hand side, so that modes which have decayed below the error estimate
+#: cannot grow again.  Without the bound long static strokes drift, by 1e-5
+#: of max <H> (open, T = 2.26) to 1e-3 (dephasing a thermal state,
+#: gamma_d = 0.02, T = 1).
+#:
+#: C for the dissipator of rho_int, with r = 2 |b|^2 max(k_down + k_up).  It
+#: stays well inside the region because a short stroke then takes one or two
+#: steps whose error the embedded estimate misjudges: at 5 a driven stroke of
+#: T = 0.09 deviated by 2e-10 of max <H> from the joint reference, at 3 by 6e-12.
+OPEN_STEP_RADIUS = 3.0
+#: C for commutator generators: -(i/hbar)[H, .] - gamma_d [H, [H, .]] on
+#: rho_s, with r = |H|/hbar + gamma_d |H|^2, and the generator of W.
+COHERENT_STEP_RADIUS = 5.0
 
 
 def ladder(dimension: int) -> np.ndarray:
@@ -152,78 +182,154 @@ def gaussian_fock_state(v: ObservableVector, omega: float,
     return FockState(squeeze @ base @ squeeze.conj().T)
 
 
+def _max_step(radius: float, rate: float) -> float:
+    """Largest step that keeps spectral radius ``rate`` within ``radius``."""
+    return radius / rate if rate > 0.0 else np.inf
+
+
+def _solve(rhs, duration: float, y0: np.ndarray, times: np.ndarray,
+           max_step: float, rtol: float, atol: float) -> np.ndarray:
+    """DOP853 solution of y' = rhs(t, y) at ``times``, shape (len(y0), n)."""
+    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853", rtol=rtol,
+                    atol=atol, t_eval=times, max_step=max_step)
+    if not sol.success:
+        raise NumericalError(f"density-matrix integration failed: {sol.message}")
+    return sol.y
+
+
+def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
+                 ham, times: np.ndarray, mass: float, rtol: float, atol: float):
+    """Schrodinger-picture density matrices U rho_int U^dag at ``times``.
+
+    rho_int obeys the dissipator of the jump operator b frozen at the stroke
+    start, which does not involve U.  U = P exp(-i E t / hbar) W P^dag in the
+    eigenbasis (E, P) of H0 = H(omega_ref); with H(w) = H0 + (w^2 - omega_ref^2)
+    m Q^2 / 2, W' = -(i/hbar)(w^2 - omega_ref^2)(Phi(t) o P^dag (m Q^2/2) P) W,
+    Phi_nm = exp(i (E_n - E_m) t / hbar) and W(0) = I.  On a static stroke W'
+    vanishes, so U is exact.
+    """
+    dim = rho0.shape[0]
+    omega_ref = float(protocol.omega(0.0))
+    b = build_jump_operator(omega_ref, float(protocol.mu(0.0)), dim, mass)
+    bd = b.conj().T
+    bdb = bd @ b
+    bbd = b @ bd
+
+    def rho_rhs(t, y):
+        rho = y.reshape(dim, dim)
+        r = name_rates(float(protocol.omega(t)), float(protocol.omega_dot(t)),
+                       bath)
+        # rho B = (B rho)^dag for Hermitian rho and B; the jump terms are made
+        # Hermitian to the last bit, so that rho_int stays Hermitian and no
+        # anti-Hermitian rounding is amplified by this form
+        anti = r.k_down * (bdb @ rho) + r.k_up * (bbd @ rho)
+        jump = r.k_down * (b @ rho @ bd) + r.k_up * (bd @ rho @ b)
+        return (0.5 * (jump + jump.conj().T - anti - anti.conj().T)).ravel()
+
+    energies, basis = np.linalg.eigh(ham(omega_ref))
+    q, _ = position_momentum(dim, omega_ref, mass)
+    x = basis.conj().T @ (0.5 * mass * (q @ q)) @ basis
+
+    def w_rhs(t, y):
+        w = float(protocol.omega(t))
+        phase = np.exp(1j * energies * t / HBAR)
+        coupling = phase[:, None] * x * phase.conj()  # Phi(t) o x
+        return ((-1j / HBAR) * (w * w - omega_ref * omega_ref)
+                * (coupling @ y.reshape(dim, dim))).ravel()
+
+    # spectral-radius bounds: |L rho| <= 2 |b|^2 (k_down + k_up) |rho| for the
+    # dissipator, and |Phi o X| = |X| since Phi o X = D X D^dag, D unitary
+    _, w, _, mu = protocol.sample()
+    k_down, k_up, _ = dressed_rates(w, mu, bath)
+    rho_rate = 2.0 * np.linalg.norm(b, 2) ** 2 * float(np.max(k_down + k_up))
+    w_rate = float(np.max(np.abs(w * w - omega_ref * omega_ref))) \
+        * float(np.linalg.eigvalsh(x)[-1]) / HBAR
+
+    rho_int = _solve(rho_rhs, protocol.duration, rho0.ravel(), times,
+                     _max_step(OPEN_STEP_RADIUS, rho_rate), rtol, atol)
+    w_mats = _solve(w_rhs, protocol.duration, np.eye(dim, dtype=complex).ravel(),
+                    times, _max_step(COHERENT_STEP_RADIUS, w_rate), rtol, atol)
+    for i, t in enumerate(times):
+        u = (basis * np.exp(-1j * energies * t / HBAR)) \
+            @ w_mats[:, i].reshape(dim, dim) @ basis.conj().T
+        yield u @ rho_int[:, i].reshape(dim, dim) @ u.conj().T
+
+
+def _dephasing_states(rho0: np.ndarray, protocol: FrequencyProtocol,
+                      gamma_d: float, ham, times: np.ndarray, rtol: float,
+                      atol: float):
+    """Density matrices at ``times`` under -(i/hbar)[H, rho] - gamma_d [H, [H, rho]].
+
+    This is the Schrodinger picture of rho_int' = -gamma_d [H_int, [H_int,
+    rho_int]] with H_int = U^dag H U, so no propagator is needed.
+    """
+    dim = rho0.shape[0]
+
+    def rhs(t, y):
+        h = ham(float(protocol.omega(t)))
+        hr = h @ y.reshape(dim, dim)
+        comm = hr - hr.conj().T  # [H, rho] for Hermitian rho
+        drho = (-1j / HBAR) * comm
+        if gamma_d:
+            hc = h @ comm
+            drho = drho - gamma_d * (hc + hc.conj().T)  # comm is anti-Hermitian
+        return drho.ravel()
+
+    # H(w) is positive semidefinite and grows with w^2 in the Loewner order, so
+    # the commutator's eigenvalues E_n - E_m are bounded by |H(w_max)|
+    _, w, _, _ = protocol.sample()
+    h_norm = float(np.linalg.eigvalsh(ham(float(np.max(w))))[-1])
+    rate = h_norm / HBAR + gamma_d * h_norm * h_norm
+    rho_s = _solve(rhs, protocol.duration, rho0.ravel(), times,
+                   _max_step(COHERENT_STEP_RADIUS, rate), rtol, atol)
+    return rho_s.T.reshape(len(times), dim, dim)
+
+
 def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
                        bath: BathSpec = None, gamma_d: float = None,
                        mass: float = 1.0, n_samples: int = 201,
                        rtol: float = 1e-8, atol: float = 1e-10):
     """Integrate the full master equation and return moment trajectories.
 
-    Returns ``(times, h, l, c)``.  The thermal dissipator uses the jump
-    operator frozen at the stroke start; the pure-dephasing double commutator
-    uses the dressed Hamiltonian.  Raises TruncationError if population leaks
-    into the top tenth of the basis.
+    Returns ``(times, h, l, c)`` at ``n_samples`` uniform times, or the
+    initial moments at the single time 0 for a zero-duration stroke.  A
+    stroke is open (a bath; the thermal dissipator uses the jump operator
+    frozen at the stroke start) or dephasing (no bath; the pure-dephasing
+    double commutator uses the instantaneous Hamiltonian, and ``gamma_d``
+    None or 0 is the closed system).  Raises DomainError for fewer than 2
+    samples or for a bath together with dephasing, and TruncationError if
+    population leaks into the top tenth of the basis.
     """
-    dim = rho0.dimension
-    omega_ref = float(protocol.omega(0.0))
-    mu0 = float(protocol.mu(0.0)) if protocol.duration > 0 else 0.0
-    ham, lag, corr = basis_operators(dim, omega_ref, mass)
-
-    have_bath = bath is not None
-    have_deph = gamma_d is not None and gamma_d > 0
     if gamma_d is not None and gamma_d < 0:
         raise DomainError("dephasing strength must be non-negative")
+    if bath is not None and gamma_d:
+        raise DomainError("the oracle integrates a bath or dephasing, not both")
+    if n_samples < 2:
+        raise DomainError(f"a stroke needs at least 2 samples, got {n_samples}")
+    ham, lag, corr = basis_operators(rho0.dimension, float(protocol.omega(0.0)),
+                                     mass)
+    rho = rho0.matrix.astype(complex)
+    times = np.linspace(0.0, protocol.duration,
+                        n_samples if protocol.duration > 0.0 else 1)
+    if protocol.duration == 0.0:
+        states = [rho]
+    elif bath is not None:
+        states = _open_states(rho, protocol, bath, ham, times, mass, rtol, atol)
+    else:
+        states = _dephasing_states(rho, protocol, gamma_d or 0.0, ham, times,
+                                   rtol, atol)
 
-    if have_bath:
-        b = build_jump_operator(omega_ref, mu0, dim, mass)
-        bd = b.conj().T
-        bdb = bd @ b
-        bbd = b @ bd
-
-    nmat = dim * dim
-
-    def rhs(t, y):
-        u = y[:nmat].reshape(dim, dim)
-        rho = y[nmat:].reshape(dim, dim)
+    moments = np.empty((3, len(times)))
+    for i, (t, rho_s) in enumerate(zip(times, states)):
         w = float(protocol.omega(t))
-        h_t = ham(w)
-        du = (-1j / HBAR) * (h_t @ u)
-        drho = np.zeros_like(rho)
-        if have_bath:
-            r = name_rates(w, float(protocol.omega_dot(t)), bath)
-            drho = drho + r.k_down * (b @ rho @ bd - 0.5 * (bdb @ rho + rho @ bdb))
-            drho = drho + r.k_up * (bd @ rho @ b - 0.5 * (bbd @ rho + rho @ bbd))
-        if have_deph:
-            h_int = u.conj().T @ h_t @ u
-            comm = h_int @ rho - rho @ h_int
-            drho = drho - gamma_d * (h_int @ comm - comm @ h_int)
-        return np.concatenate([du.ravel(), drho.ravel()])
-
-    y0 = np.concatenate([np.eye(dim, dtype=complex).ravel(),
-                         rho0.matrix.astype(complex).ravel()])
-    times = np.linspace(0.0, protocol.duration, n_samples)
-    sol = solve_ivp(rhs, (0.0, protocol.duration), y0, method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=times)
-    # solve_ivp leaves its OdeSolver in a reference cycle (its ``fun`` closure
+        # tr(rho X) = sum_ij rho_ij X_ji
+        moments[:, i] = [np.real(np.sum(rho_s * op(w).T))
+                         for op in (ham, lag, corr)]
+    # solve_ivp leaves each OdeSolver in a reference cycle (its ``fun`` closure
     # refers back to the solver), and the solver holds the DOP853 stages of
-    # the whole state; collect it now rather than whenever the cyclic
+    # the whole state; collect them now rather than whenever the cyclic
     # collector next runs.
     gc.collect()
-    if not sol.success:
-        raise NumericalError(f"density-matrix integration failed: {sol.message}")
-
-    hs = np.empty(n_samples)
-    ls = np.empty(n_samples)
-    cs = np.empty(n_samples)
-    for i, t in enumerate(times):
-        y = sol.y[:, i]
-        u = y[:nmat].reshape(dim, dim)
-        rho_int = y[nmat:].reshape(dim, dim)
-        rho_s = u @ rho_int @ u.conj().T
-        w = float(protocol.omega(t))
-        hs[i] = np.real(np.trace(rho_s @ ham(w)))
-        ls[i] = np.real(np.trace(rho_s @ lag(w)))
-        cs[i] = np.real(np.trace(rho_s @ corr(w)))
-        if i == n_samples - 1:
-            FockState(rho_s).validate(herm_tol=1e-8, trace_tol=1e-7,
-                                      psd_tol=1e-7, leakage_tol=1e-6)
-    return times, hs, ls, cs
+    FockState(rho_s).validate(herm_tol=1e-8, trace_tol=1e-7, psd_tol=1e-7,
+                              leakage_tol=1e-6)
+    return times, moments[0], moments[1], moments[2]

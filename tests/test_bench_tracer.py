@@ -5,7 +5,9 @@ import importlib.util
 import os
 
 from carnotlab import cli, cycle_engine, dynamics, fock_oracle, thermo
+from carnotlab.core import BathSpec
 from carnotlab.presets import get_preset
+from carnotlab.protocols import build_constant_mu_protocol
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "bench", "tracing.py")
@@ -47,3 +49,21 @@ def test_traced_sweep_reports_iterations_and_builds():
     layers = tracer.per_layer(1, 0.0)
     assert layers["cycle_engine.iterations"] == untraced.iterations == 28
     assert layers["protocols.calls"] == 4
+
+
+def test_traced_oracle_counts_rhs_evals():
+    # the tracer counts right-hand-side evaluations through the solve_ivp
+    # binding of fock_oracle, which every solve of the oracle must look up
+    rho0 = fock_oracle.thermal_fock_state(5.0, 1.0, 8)
+    prot = build_constant_mu_protocol(5.0, 4.5, -0.3)
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        for medium in ({"bath": BathSpec(5.0, 0.05)}, {"gamma_d": 0.01}):
+            fock_oracle.integrate_lindblad(rho0, prot, n_samples=3, **medium)
+    finally:
+        tracer.uninstall()
+    layers = tracer.per_layer(1, 0.0)
+    assert layers["fock_oracle.rhs_evals"] > 0
+    assert layers["fock_oracle.lindblad_s.driven_open"] > 0
+    assert layers["fock_oracle.lindblad_s.driven_dephasing"] > 0
