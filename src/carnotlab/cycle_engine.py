@@ -212,7 +212,9 @@ class CycleResult:
     """Limit cycle: trajectories, corner states, and diagnostics.
 
     ``contraction`` is rho(A), the factor by which one cycle shrinks a
-    deviation from the limit cycle.
+    deviation from the limit cycle.  ``magnus_steps`` and ``magnus_errors``
+    give, per stroke, the Magnus step count of its propagator and the
+    estimated error of its transfer matrix relative to the largest entry.
     """
 
     spec: CycleSpec
@@ -222,6 +224,8 @@ class CycleResult:
     corner_omegas: List[float]
     iterations: int
     contraction: float
+    magnus_steps: List[int]
+    magnus_errors: List[float]
 
     @property
     def cycle_time_atomic(self) -> float:
@@ -251,10 +255,12 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
     """Iterate the four-stroke map from the designed corner-1 state to its
     fixed point.
 
-    Convergence is declared when the corner-1 vector changes by less than
-    ``tol`` between successive cycles (component-wise, with an h-scaled floor
-    for the two coherence components).  Raises NonConvergence, naming the
-    contraction rho(A), if ``MAX_CYCLES`` cycles do not get there.
+    Corner-1 state y_k is returned once both its change from y_(k-1) and
+    its periodicity residual |M y_k - y_k| (the change to y_(k+1)) are below
+    ``tol``, component-wise with an h-scaled floor for the two coherence
+    components; so the returned cycle closes within ``tol`` by construction.
+    ``iterations`` is k.  Raises NonConvergence, naming the contraction
+    rho(A), if ``MAX_CYCLES`` cycles do not get there.
     """
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
@@ -266,15 +272,16 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
     contraction = float(np.max(np.abs(np.linalg.eigvals(cycle_map[:3, :3]))))
 
     y = np.append(initial_corner_vector(spec).as_array(), 0.0)
-    for iterations in range(1, MAX_CYCLES + 1):
-        y_new = y.copy()
-        y_new[4] = 0.0
+    moved = np.inf
+    for iterations in range(MAX_CYCLES + 1):
+        y_next = y.copy()
+        y_next[4] = 0.0
         for _, maps in propagators:
-            y_new = maps[-1] @ y_new
-        resid = _corner_diff(y_new[:4], y[:4])
-        y = y_new
-        if resid < tol:
+            y_next = maps[-1] @ y_next
+        resid = _corner_diff(y_next[:4], y[:4])
+        if moved < tol and resid < tol:
             break
+        y, moved = y_next, resid
     else:
         raise NonConvergence(
             f"corner state still moving by {resid:.3e} after {MAX_CYCLES} "
@@ -293,7 +300,9 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
 
     return CycleResult(spec=spec, strokes=strokes, trajectories=trajectories,
                        corner_vectors=corner_vectors, corner_omegas=corner_omegas,
-                       iterations=iterations, contraction=contraction)
+                       iterations=iterations, contraction=contraction,
+                       magnus_steps=[p.steps for p in propagators],
+                       magnus_errors=[p.error for p in propagators])
 
 
 def export_cycle_result(result: CycleResult, outdir,
@@ -306,6 +315,8 @@ def export_cycle_result(result: CycleResult, outdir,
         "spec": result.spec.to_dict(),
         "iterations": result.iterations,
         "contraction": result.contraction,
+        "magnus_steps": result.magnus_steps,
+        "magnus_errors": result.magnus_errors,
         "corner_omegas": result.corner_omegas,
         "corners": [[v.h, v.l, v.c, v.id] for v in result.corner_vectors],
         "periodicity_residual": result.periodicity_residual(),

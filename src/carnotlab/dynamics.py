@@ -18,15 +18,17 @@ Pure dephasing in the instantaneous energy basis damps l and c at
 parts; the bath and the dephasing strength select which are present.
 
 Every stroke map is the time-ordered exponential of that generator, computed
-as a product of 4th-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep.
+as a product of 6th-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep.
 470, 151 (2009)) on the 5x5 propagator of (h, l, c, 1, W), sampled at the
 output times (:func:`stroke_propagators`): its last sample is the transfer
 matrix, and applied to any initial vector the samples give the trajectory.
-Each step evaluates the generator at its two Gauss nodes, all steps of a block
-at once, and exponentiates them together with a stacked, scaled Taylor
-exponential to unit roundoff.  The fifth component accumulates the
-stroke work W = integral (w_dot / w) (h - l) dt, so work values carry the
-step error of the product rather than that of a sampling grid.
+Each step evaluates the generator at its three Gauss nodes, all steps of a
+block at once, and exponentiates them together with a stacked, scaled Taylor
+exponential to unit roundoff.  Each stroke takes the fewest steps that meet
+``MAGNUS_TARGET`` by an error estimate from two pilot products.  The fifth
+component accumulates the stroke work W = integral (w_dot / w) (h - l) dt,
+so work values carry the step error of the product rather than that of a
+sampling grid.
 """
 
 from __future__ import annotations
@@ -41,26 +43,32 @@ from scipy.integrate import solve_ivp
 from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                    dressed_rates)
 from .errors import DomainError, NumericalError
-from .protocols import DEFAULT_GRID_POINTS, SteSolution
+from .protocols import SteSolution
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_SAMPLES = 801
-#: Magnus steps per stroke, rounded up to a multiple of the sample intervals:
-#: two per interval of the open-stroke synthesis grid, so no step straddles a
-#: spline knot.  At one per interval the long open strokes of the
-#: endo-shortcut preset (tau = 250) miss a DOP853 reference at rtol 1e-12 by
-#: 2.9e-10 of max|M|; at two, every preset stays within 2e-11.
-MAGNUS_STEPS = 2 * (DEFAULT_GRID_POINTS - 1)
-#: Steps per batched exponential, about: bounds the memory of a block.
-_MAGNUS_BLOCK = 512
+#: Target error of each stroke's transfer matrix M, relative to max|M|: a
+#: tenth of the 1e-10 gate against a DOP853 reference.
+MAGNUS_TARGET = 1e-11
+#: Steps of the two unsampled pilot products; the finer is also the least
+#: resolution of any stroke.
+_PILOT_STEPS = (400, 800)
+#: A failing step is located on a grid of this many steps per stroke.
+_LOCATE_STEPS = 8000
+#: Largest step count a stroke may need before it fails.
+_MAX_STEPS = 100 * _PILOT_STEPS[1]
+#: Steps per batched exponential (768 generator evaluations): bounds the
+#: memory of a block.
+_MAGNUS_BLOCK = 256
 #: The stacked exponential scales a block to 1-norm <= _EXPM_THETA and sums
 #: its Taylor series to the lowest degree whose remainder bound is below the
 #: unit roundoff.
 _EXPM_THETA = 0.5
 _UNIT_ROUNDOFF = 2.0**-53
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-_MAGNUS_C = math.sqrt(3.0) / 12.0
+_GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+_MAGNUS_C2 = math.sqrt(15.0) / 3.0
+_MAGNUS_C3 = 10.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -244,31 +252,47 @@ def _expm_stack(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _magnus_steps(protocol: FrequencyProtocol, nodes: np.ndarray, h: float,
+def _magnus_steps(protocol: FrequencyProtocol, starts: np.ndarray, h: float,
                   bath: Optional[BathSpec], gamma_d: float) -> np.ndarray:
-    """exp(Omega) of the 4th-order Magnus steps whose Gauss nodes are ``nodes``.
+    """exp(Omega) of the 6th-order Magnus steps of size h that begin at
+    ``starts * h``.
 
-    ``nodes`` has shape (m, 2), chronological when flattened; the generators
-    A1, A2 at the two nodes give Omega = h/2 (A1 + A2) + (sqrt3/12) h^2 [A2, A1].
+    With A1, A2, A3 the generator at the three Gauss nodes,
+    a1 = h A2, a2 = (sqrt15 / 3) h (A3 - A1), a3 = (10 / 3) h (A3 - 2 A2 + A1),
+    c1 = [a1, a2] and c2 = -[a1, 2 a3 + c1] / 60, the step is
+    Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240.
     """
+    nodes = (_GAUSS_NODES[:, None] + starts) * h  # (3, m): one row per node
     w = protocol.omega(nodes)
     wd = protocol.omega_dot(nodes)
     try:
-        a = generator(w, wd, bath, gamma_d)
+        g = generator(w, wd, bath, gamma_d)
     except DomainError as err:
         mu = wd / (w * w)
-        bad = np.flatnonzero(mu * mu >= 4.0)
-        if bad.size == 0:
+        bad = mu * mu >= 4.0
+        if not bad.any():
             raise
-        raise DomainError(f"{err} at t = {nodes.flat[bad[0]]:.6g}") from None
-    a1, a2 = a[:, 0], a[:, 1]
+        raise DomainError(f"{err} at t = {nodes[bad].min():.6g}") from None
+    g0, g1, g2 = g
+    a1 = h * g1
+    a2 = (_MAGNUS_C2 * h) * (g2 - g0)
+    a3 = (_MAGNUS_C3 * h) * (g2 + g0) - 2.0 * _MAGNUS_C3 * a1
+    c1 = a1 @ a2
+    c1 -= a2 @ a1
+    x = 2.0 * a3 + c1
+    y = a2 + (x @ a1 - a1 @ x) / 60.0
+    x = c1 - 20.0 * a1 - a3
+    omega = x @ y
+    omega -= y @ x
+    omega /= 240.0
+    omega += a1
+    omega += a3 / 12.0
     try:
-        return _expm_stack(0.5 * h * (a1 + a2)
-                           + _MAGNUS_C * h * h * (a2 @ a1 - a1 @ a2))
+        return _expm_stack(omega)
     except NumericalError as err:
-        bad = np.flatnonzero(~np.isfinite(a).all(axis=(-2, -1)))
-        t = float(nodes.flat[bad[0]] if bad.size
-                  else nodes[err.diagnostics["index"], 0])
+        bad = ~np.isfinite(g).all(axis=(-2, -1))
+        t = float(nodes[bad].min() if bad.any()
+                  else nodes[0, err.diagnostics["index"]])
         raise NumericalError(
             f"non-finite Magnus step at t = {t:.6g}",
             diagnostics={"time": t, "duration": protocol.duration}) from None
@@ -287,43 +311,127 @@ def _interval_products(steps: np.ndarray) -> np.ndarray:
     return steps[:, 0]
 
 
+def _prefix_products(maps: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products maps[j] @ ... @ maps[0] of an (n, 5, 5) stack.
+
+    A Hillis-Steele scan: round r multiplies every map by the one 2^r places
+    before it, so ceil(log2 n) stacked matmuls replace n - 1 sequential ones.
+    """
+    maps = maps.copy()
+    shift = 1
+    while shift < len(maps):
+        maps[shift:] = maps[shift:] @ maps[:-shift]
+        shift *= 2
+    return maps
+
+
+def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
+                   bath: Optional[BathSpec], gamma_d: float) -> np.ndarray:
+    """Products of the steps in each of ``intervals`` equal parts of a uniform
+    ``n_steps``-step grid, shape (intervals, 5, 5).
+
+    Steps are exponentiated in chronological chunks of at most
+    ``_MAGNUS_BLOCK``, over blocks of as many whole intervals as fit in one
+    chunk (or of one longer interval).  A failing step on a grid coarser than
+    ``_LOCATE_STEPS`` is located again on that grid, so the error names its
+    time to within duration / 8000.
+    """
+    h = protocol.duration / n_steps
+    per_interval = n_steps // intervals
+    per_block = max(1, _MAGNUS_BLOCK // per_interval)
+    maps = np.empty((intervals, 5, 5))
+    try:
+        for j0 in range(0, intervals, per_block):
+            j1 = min(j0 + per_block, intervals)
+            starts = np.arange(j0 * per_interval, j1 * per_interval)
+            steps = np.concatenate([
+                _magnus_steps(protocol, chunk, h, bath, gamma_d) for chunk in
+                np.array_split(starts, -(-starts.size // _MAGNUS_BLOCK))])
+            maps[j0:j1] = _interval_products(
+                steps.reshape(j1 - j0, per_interval, 5, 5))
+    except (DomainError, NumericalError):
+        if n_steps >= _LOCATE_STEPS:
+            raise
+        try:
+            _interval_maps(protocol, _LOCATE_STEPS, 1, bath, gamma_d)
+        except (DomainError, NumericalError) as err:
+            raise err from None
+        raise
+    return maps
+
+
+@dataclass(frozen=True)
+class Propagators:
+    """Sampled maps of one stroke, which unpack as ``(times, maps)``, with
+    the resolution that made them: ``steps`` Magnus steps and ``error``, the
+    estimated largest entry error of the transfer matrix relative to its
+    largest entry."""
+
+    times: np.ndarray
+    maps: np.ndarray
+    steps: int
+    error: float
+
+    def __iter__(self):
+        return iter((self.times, self.maps))
+
+    def __getitem__(self, index):
+        return (self.times, self.maps)[index]
+
+
 def stroke_propagators(protocol: FrequencyProtocol,
                        bath: Optional[BathSpec] = None, gamma_d: float = 0.0,
-                       n_samples: int = DEFAULT_SAMPLES):
+                       n_samples: int = DEFAULT_SAMPLES) -> Propagators:
     """Sampled 5x5 propagator of one stroke: Phi(t_k) for dPhi/dt = G(t) Phi.
 
-    A product of 4th-order Magnus steps from Phi(0) = I: ``MAGNUS_STEPS``
-    uniform steps, rounded up to a whole number per sample interval, sampled
-    at ``n_samples`` uniform times.  Returns ``(times, maps)`` with maps of
+    A product of N uniform 6th-order Magnus steps from Phi(0) = I, sampled at
+    ``n_samples`` uniform times.  Two unsampled pilot products, of 400 and
+    800 steps, estimate the error of the finer as |M800 - M400| / 15; N is
+    the smallest multiple of the sample intervals, at least 800, whose error
+    under the N^-4 rate set by the protocols' spline knots meets
+    ``MAGNUS_TARGET`` * max|M|.  When N is 800 the pilot's steps are reused.
+    The interval maps are accumulated by a log-depth prefix scan.
+
+    Returns ``Propagators``, which unpacks as ``(times, maps)`` with maps of
     shape (n, 5, 5); ``maps[-1]`` is the stroke's transfer matrix
     (v, w) -> (v', w + stroke work), and ``maps @ [v, 0]`` is the trajectory
     from any initial moment vector v.  A zero-duration stroke gives the
     identity at the single time 0.  Raises DomainError, naming the time, where
-    a bath meets |mu| >= 2, and NumericalError on a non-finite map.
+    a bath meets |mu| >= 2, and NumericalError on a non-finite map or where
+    more than ``_MAX_STEPS`` steps would be needed.
     """
     if n_samples < 2:
         raise DomainError(f"a stroke needs at least 2 samples, got {n_samples}")
     if protocol.duration == 0.0:
-        return np.zeros(1), np.eye(5)[None]
+        return Propagators(np.zeros(1), np.eye(5)[None], 0, 0.0)
     intervals = n_samples - 1
-    per_interval = -(-MAGNUS_STEPS // intervals)
-    h = protocol.duration / (per_interval * intervals)
-    per_block = max(1, _MAGNUS_BLOCK // per_interval)  # sample intervals
-    times = np.linspace(0.0, protocol.duration, n_samples)
-    maps = np.empty((n_samples, 5, 5))
-    maps[0] = phi = np.eye(5)
-    for j0 in range(0, intervals, per_block):
-        j1 = min(j0 + per_block, intervals)
-        starts = np.arange(j0 * per_interval, j1 * per_interval)[:, None]
-        steps = _magnus_steps(protocol, (starts + _GAUSS_NODES) * h, h, bath,
-                              gamma_d)
-        for j, step in enumerate(_interval_products(
-                steps.reshape(j1 - j0, per_interval, 5, 5)), start=j0 + 1):
-            maps[j] = phi = step @ phi
+    coarse_steps, fine_steps = _PILOT_STEPS
+    coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0]
+    pilot = _prefix_products(_interval_maps(
+        protocol, fine_steps, math.gcd(fine_steps, intervals), bath, gamma_d))
+    scale = float(np.max(np.abs(pilot[-1])))
+    # the pilots' difference is 15 times the finer one's error under N^-4
+    error = float(np.max(np.abs(pilot[-1] - coarse))) / 15.0 / scale
+    if not math.isfinite(error):
+        raise NumericalError("stroke propagator is not finite",
+                             diagnostics={"duration": protocol.duration})
+    needed = fine_steps * (error / MAGNUS_TARGET) ** 0.25
+    if needed > _MAX_STEPS:
+        raise NumericalError(
+            f"stroke needs {needed:.4g} Magnus steps, more than {_MAX_STEPS}",
+            diagnostics={"steps": needed, "error": error,
+                         "duration": protocol.duration})
+    n_steps = intervals * math.ceil(max(needed, fine_steps) / intervals)
+    if n_steps != fine_steps:
+        pilot = _prefix_products(_interval_maps(protocol, n_steps, intervals,
+                                                bath, gamma_d))
+    maps = np.concatenate((np.eye(5)[None], pilot))
     if not np.all(np.isfinite(maps)):
         raise NumericalError("stroke propagator is not finite",
                              diagnostics={"duration": protocol.duration})
-    return times, maps
+    times = np.linspace(0.0, protocol.duration, n_samples)
+    return Propagators(times, maps, n_steps,
+                       error * (fine_steps / n_steps) ** 4)
 
 
 def trajectory(v0: ObservableVector, protocol: FrequencyProtocol,

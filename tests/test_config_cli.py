@@ -107,6 +107,10 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 < summary["contraction"] < 1.0
         assert "converged" not in summary
+        # per-stroke Magnus resolution: at least the finer pilot's 800 steps
+        assert len(summary["magnus_steps"]) == 4
+        assert min(summary["magnus_steps"]) >= 800
+        assert max(summary["magnus_errors"]) <= 1e-11
 
     def test_cold_bath_sweep_exits_0(self, tmp_path):
         cfg = tmp_path / "cold.yaml"

@@ -160,6 +160,17 @@ class TestLimitCycle:
         res = run_to_limit_cycle(get_preset(name, cycle_time=tau))
         assert res.contraction == pytest.approx(rho, abs=1e-3)
 
+    def test_reports_magnus_resolution(self):
+        from carnotlab.dynamics import MAGNUS_TARGET
+
+        res = run_to_limit_cycle(get_preset("endo-global", cycle_time=8.0))
+        assert res.magnus_steps == [800] * 4
+        res = run_to_limit_cycle(get_preset("carnot-shortcut", cycle_time=250.0))
+        # the long open strokes need more steps than the adiabats
+        assert res.magnus_steps[0] > 800 and res.magnus_steps[2] > 800
+        assert res.magnus_steps[1] == res.magnus_steps[3] == 800
+        assert all(0.0 <= e <= MAGNUS_TARGET for e in res.magnus_errors)
+
     def test_one_integration_per_stroke(self, monkeypatch):
         from carnotlab import cycle_engine, dynamics
 

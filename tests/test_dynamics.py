@@ -10,8 +10,8 @@ from scipy.linalg import expm
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
                             thermal_observable_vector)
 from carnotlab import dynamics
-from carnotlab.cycle_engine import assemble_cycle
-from carnotlab.dynamics import (MAGNUS_STEPS, free_propagator, generator,
+from carnotlab.cycle_engine import StrokeDescriptor, assemble_cycle
+from carnotlab.dynamics import (MAGNUS_TARGET, free_propagator, generator,
                                 name_rates, propagate_dephasing, propagate_open,
                                 propagate_ste_beta, propagate_unitary,
                                 stroke_propagators)
@@ -170,9 +170,9 @@ class TestOpenGenerator:
         cases = [(build_constant_mu_protocol(9.0, 6.0, -0.22), BathSpec(6.5, 0.04)),
                  (build_ste_protocol(10.0, 8.0, 20.0, hot_bath)[0], hot_bath)]
         for prot, bath in cases:
-            h = prot.duration / MAGNUS_STEPS
-            nodes = (np.arange(MAGNUS_STEPS)[:, None]
-                     + 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0) * h
+            h = prot.duration / 8000
+            nodes = (np.arange(8000)[:, None]
+                     + 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0) * h
             w, wd = prot.omega(nodes), prot.omega_dot(nodes)
             for gamma_d in (0.0, 2e-3):
                 batched = generator(w, wd, bath, gamma_d=gamma_d)
@@ -253,9 +253,22 @@ class TestStackedExponential:
 
         monkeypatch.setattr(dynamics, "_expm_stack", recorded)
         for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
-            stroke_propagators(s.protocol, s.bath, s.gamma_d)
-        assert sum(len(x) for x, _ in calls) >= 4 * MAGNUS_STEPS
-        assert max(_max_expm_deviation(x, e) for x, e in calls) <= 1e-15
+            calls.clear()
+            n = stroke_propagators(s.protocol, s.bath, s.gamma_d).steps
+            # the 400- and 800-step pilots, then the chosen steps unless
+            # they are the finer pilot's
+            assert sum(len(x) for x, _ in calls) == 1200 + (n if n != 800 else 0)
+            first = 0
+            pilot_only, used = [], []
+            for x, e in calls:
+                kept = first >= (400 if n == 800 else 1200)
+                (used if kept else pilot_only).append((x, e))
+                first += len(x)
+            # every step of the returned propagator
+            assert max(_max_expm_deviation(x, e) for x, e in used) <= 1e-15
+            # pilot-only steps of long strokes reach 1-norm 8, where expm
+            # itself is 5e-14 off a 34-digit reference (this one is 1.6e-15)
+            assert max(_max_expm_deviation(x, e) for x, e in pilot_only) <= 1e-13
 
     def test_non_finite_protocol_names_time(self):
         prot = FrequencyProtocol.from_callables(
@@ -265,14 +278,16 @@ class TestStackedExponential:
             stroke_propagators(prot)
         diag = err.value.diagnostics
         assert diag["duration"] == 1.0
-        assert 0.3 <= diag["time"] <= 0.3 + 1.0 / MAGNUS_STEPS
+        assert 0.3 <= diag["time"] <= 0.3 + 1.0 / 8000
+
+
+DOP853_PRESETS = [("carnot-shortcut", 250.0), ("endo-shortcut", 250.0),
+                  ("endo-shortcut", 40.0), ("table1-literal", 40.0),
+                  ("endo-global", 40.0), ("endo-global", 8.0)]
 
 
 class TestStrokePropagators:
-    @pytest.mark.parametrize("preset,tau", [
-        ("carnot-shortcut", 250.0), ("endo-shortcut", 250.0),
-        ("endo-shortcut", 40.0), ("table1-literal", 40.0),
-        ("endo-global", 40.0), ("endo-global", 8.0)])
+    @pytest.mark.parametrize("preset,tau", DOP853_PRESETS)
     def test_matches_dop853_reference(self, preset, tau):
         # constant-mu unitary strokes are checked against free_propagator
         for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
@@ -281,6 +296,14 @@ class TestStrokePropagators:
             ref = _dop853_transfer_matrix(s)
             m = stroke_propagators(s.protocol, s.bath, s.gamma_d)[1][-1]
             assert np.max(np.abs(m - ref)) <= 1e-10 * np.max(np.abs(ref)), s.label
+
+    def test_steps_are_sixth_order(self):
+        # doubling the steps of a smooth stroke cuts the error 2^6-fold
+        prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
+        ref = _dop853_transfer_matrix(StrokeDescriptor("sta", "unitary", prot))
+        err = [np.max(np.abs(dynamics._interval_maps(prot, n, 1, None, 0.0)[0]
+                             - ref)) for n in (80, 160)]
+        assert err[0] / err[1] > 40.0
 
     def test_needs_two_samples(self):
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
@@ -299,7 +322,52 @@ class TestStrokePropagators:
         with pytest.raises(DomainError, match="at t = ") as err:
             stroke_propagators(prot, BathSpec(5.0, 0.05))
         t_bad = float(str(err.value).rsplit("at t = ", 1)[1])
-        assert 0.5 <= t_bad <= 0.5 + 2.0 * 0.9 / MAGNUS_STEPS
+        assert 0.5 <= t_bad <= 0.5 + 2.0 * 0.9 / 8000
+
+    @pytest.mark.parametrize("preset,tau", DOP853_PRESETS)
+    def test_error_estimate_is_honest(self, preset, tau):
+        # the chosen product is within twice the target of one 4x finer
+        for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
+            prop = stroke_propagators(s.protocol, s.bath, s.gamma_d, 2)
+            m = prop[1][-1]
+            finer = dynamics._interval_products(dynamics._interval_maps(
+                s.protocol, 4 * prop.steps, 1, s.bath, s.gamma_d)[None])[0]
+            assert np.max(np.abs(m - finer)) <= \
+                2.0 * MAGNUS_TARGET * np.max(np.abs(m)), s.label
+            assert prop.error <= MAGNUS_TARGET
+
+    def test_short_strokes_take_the_least_steps(self):
+        # endo-global@8 strokes are at roundoff on the finer pilot's grid
+        for s in assemble_cycle(get_preset("endo-global", cycle_time=8.0)):
+            assert stroke_propagators(s.protocol, s.bath, s.gamma_d).steps == 800
+
+    def test_least_steps_with_two_samples(self):
+        prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
+        assert stroke_propagators(prot, n_samples=2).steps == 800
+        assert stroke_propagators(prot, n_samples=4).steps == 801
+
+    def test_unresolvable_stroke_fails(self):
+        # modulated at 20 rad per time unit for 50: the pilots differ by 4e-2
+        prot = FrequencyProtocol.from_callables(
+            50.0, lambda t: 5.0 + np.sin(20.0 * t),
+            lambda t: 20.0 * np.cos(20.0 * t))
+        with pytest.raises(NumericalError, match="Magnus steps") as err:
+            stroke_propagators(prot)
+        assert err.value.diagnostics["steps"] > 80000
+
+    def test_scan_equals_sequential_product(self):
+        s = assemble_cycle(get_preset("carnot-shortcut", cycle_time=250.0))[0]
+        steps = stroke_propagators(s.protocol, s.bath).steps
+        intervals = dynamics._interval_maps(s.protocol, steps, 800, s.bath, 0.0)
+        scan = dynamics._prefix_products(intervals)
+        phi = np.eye(5)
+        sequential = []
+        for m in intervals:
+            phi = m @ phi
+            sequential.append(phi)
+        sequential = np.array(sequential)
+        assert np.max(np.abs(scan - sequential)) <= \
+            1e-14 * np.max(np.abs(sequential))
 
 
 class TestPropagateOpen:

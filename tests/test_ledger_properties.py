@@ -65,9 +65,23 @@ COLD_INTERNAL = dict(kind="endo-shortcut", t_cold_bath=0.007,
                      t_hot_internal=0.012, ratio_excess=1.25, coupling=0.05,
                      gamma_dephasing=0.0, cycle_time=40.0)
 
+# slow, non-normal contraction (rho(A) 0.94 and 0.97): a cycle that moves
+# corner 1 by less than tol can be followed by one that moves it by more, so
+# only stopping on both keeps the periodicity residual below 1e-9
+SLOW_CONTRACTION = [
+    dict(kind="endo-global", t_cold_bath=1.0, t_hot_bath=3.0,
+         t_cold_internal=1.0, t_hot_internal=3.0, ratio_excess=1.25,
+         coupling=0.0078125, gamma_dephasing=0.0, cycle_time=8.0),
+    dict(kind="endo-global", t_cold_bath=1.0, t_hot_bath=1.4306,
+         t_cold_internal=0.9, t_hot_internal=1.2876, ratio_excess=1.1,
+         coupling=0.005, gamma_dephasing=0.0, cycle_time=8.0),
+]
+
 
 @given(cycle_draws())
 @example(COLD_INTERNAL)
+@example(SLOW_CONTRACTION[0])
+@example(SLOW_CONTRACTION[1])
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_cycle_ends_typed_or_keeps_invariants(draw):
     try:
