@@ -11,14 +11,14 @@ reference for the moment dynamics.
 __version__ = "0.1.0"
 
 from .core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
-                   GeneralizedGibbsState, ObservableVector, UnitSystem,
+                   GeneralizedGibbsState, ObservableVector, dressed_rates,
                    thermal_observable_vector, thermal_population)
 from .cycle_engine import (CornerGeometry, CycleResult, assemble_cycle,
                            carnot_corner_frequencies,
                            endo_global_corner_frequencies, run_to_limit_cycle)
-from .dynamics import (NameRates, Trajectory, free_propagator, generator,
-                       name_rates, propagate_dephasing, propagate_open,
-                       propagate_ste_beta, propagate_unitary)
+from .dynamics import (Trajectory, free_propagator, generator,
+                       propagate_dephasing, propagate_open, propagate_ste_beta,
+                       propagate_unitary)
 from .errors import (CarnotLabError, ConfigError, DomainError, InfeasibleStroke,
                      InvalidProtocol, NonConvergence, ProtocolInversionFailure,
                      TruncationError, UnphysicalState)
@@ -28,5 +28,4 @@ from .protocols import (ErmakovSolution, SteSolution, build_constant_mu_protocol
                         build_ste_protocol, sta_expectation_values)
 from .thermo import (CycleLedger, analyze_cycle, carnot_efficiency, coherence,
                      curzon_ahlborn_efficiency, friction_action_fit,
-                     ideal_carnot_work, stroke_heat, stroke_work, sweep,
-                     von_neumann_entropy)
+                     ideal_carnot_work, sweep, von_neumann_entropy)

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, parse_config_dict, read_config
 from .core import BathSpec
 from .cycle_engine import export_cycle_result, run_to_limit_cycle
 from .errors import CarnotLabError, ConfigError
@@ -44,25 +44,16 @@ def _write_manifest(outdir: str, payload: dict) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
-    if getattr(args, "preset", None):
-        cfg.preset = args.preset
-    if getattr(args, "cycle_time", None) is not None:
-        cfg.cycle_time = args.cycle_time
-    if getattr(args, "axis", None):
-        cfg.axis = args.axis
-    if getattr(args, "values", None):
-        cfg.values = [float(v) for v in args.values.split(",") if v.strip()]
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "jobs", None):
-        cfg.jobs = args.jobs
-    if getattr(args, "tol", None):
-        cfg.tol = args.tol
-    return cfg
+    """The config file, if any, with the given flags laid over its keys and
+    validated as one mapping."""
+    raw = read_config(args.config) if getattr(args, "config", None) else {}
+    flags = {key: getattr(args, key, None) for key in
+             ("preset", "cycle_time", "axis", "values", "out", "jobs", "tol")}
+    if flags["values"] is not None:
+        flags["values"] = [v for v in flags["values"].split(",")
+                           if v.strip()] or None
+    raw.update({k: v for k, v in flags.items() if v is not None})
+    return parse_config_dict(raw)
 
 
 def _cmd_protocol(args) -> int:

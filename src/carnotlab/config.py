@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import List, Optional
 
 import yaml
@@ -18,6 +18,7 @@ _SPEC_KEYS = {
     "coupling", "open_stroke_duration", "adiabat_duration", "mu_magnitude",
     "t_hot_internal", "t_cold_internal", "gamma_dephasing", "name",
 }
+_REQUIRED_SPEC_KEYS = [f.name for f in fields(CycleSpec) if f.default is MISSING]
 _TOP_KEYS = {
     "preset", "cycle_time", "spec", "axis", "values", "out", "jobs", "tol",
 }
@@ -40,11 +41,11 @@ class RunConfig:
         if self.preset is not None:
             tau = self.cycle_time if self.cycle_time is not None else 250.0
             return get_preset(self.preset, cycle_time=tau, **self.spec_overrides)
-        fields = dict(self.spec_overrides)
-        if "kind" not in fields:
-            raise ConfigError("config needs either a preset or a full spec with a kind")
-        fields["kind"] = CycleKind(fields["kind"])
-        spec = CycleSpec(**fields)
+        missing = [k for k in _REQUIRED_SPEC_KEYS if k not in self.spec_overrides]
+        if missing:
+            raise ConfigError("config needs either a preset or a full spec; "
+                              f"spec is missing {missing}")
+        spec = CycleSpec(**self.spec_overrides)
         if self.cycle_time is not None:
             spec = spec.with_cycle_time(self.cycle_time)
         return spec
@@ -56,6 +57,8 @@ class RunConfig:
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
+    """Validate a configuration mapping; every bad value raises a
+    ConfigError that names its key."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
     unknown = set(raw) - _TOP_KEYS
@@ -67,34 +70,47 @@ def parse_config_dict(raw: dict) -> RunConfig:
     bad = set(spec_part) - _SPEC_KEYS
     if bad:
         raise ConfigError(f"unknown spec keys: {sorted(bad)}")
+    spec = {}
+    for key, v in spec_part.items():
+        if key == "kind":
+            v = _convert(CycleKind, v, "spec.kind",
+                         f"one of {[k.value for k in CycleKind]}")
+        elif key != "name" and not isinstance(v, (int, float)):
+            # YAML leaves exponent forms such as 1e-3 as strings
+            v = _convert(float, v, f"spec.{key}", "a number")
+        spec[key] = v
+    values = raw.get("values")
+    if values is not None and not isinstance(values, list):
+        raise ConfigError(f"values must be a list of numbers, got {values!r}")
+    cycle_time = raw.get("cycle_time")
     cfg = RunConfig(
         preset=raw.get("preset"),
-        cycle_time=_opt_float(raw.get("cycle_time"), "cycle_time"),
-        spec_overrides=dict(spec_part),
+        cycle_time=None if cycle_time is None
+        else _convert(float, cycle_time, "cycle_time", "a number"),
+        spec_overrides=spec,
         axis=raw.get("axis"),
-        values=[float(v) for v in raw["values"]] if raw.get("values") else None,
+        values=[_convert(float, v, "values", "a list of numbers")
+                for v in values] if values else None,
         out=raw.get("out"),
-        jobs=int(raw.get("jobs", 1)),
-        tol=float(raw.get("tol", 1e-9)),
+        jobs=_convert(int, raw.get("jobs", 1), "jobs", "an integer"),
+        tol=_convert(float, raw.get("tol", 1e-9), "tol", "a number"),
     )
     if cfg.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
+        raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
     if cfg.tol <= 0:
-        raise ConfigError("tol must be positive")
+        raise ConfigError(f"tol must be positive, got {cfg.tol}")
     return cfg
 
 
-def _opt_float(v, label):
-    if v is None:
-        return None
+def _convert(kind, v, label, what):
     try:
-        return float(v)
+        return kind(v)
     except (TypeError, ValueError):
-        raise ConfigError(f"{label} must be a number, got {v!r}") from None
+        raise ConfigError(f"{label} must be {what}, got {v!r}") from None
 
 
-def load_config(path: str) -> RunConfig:
-    """Load a YAML (or JSON) configuration file."""
+def read_config(path: str) -> dict:
+    """The raw mapping of a YAML (or JSON) configuration file."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
@@ -106,4 +122,12 @@ def load_config(path: str) -> RunConfig:
             raw = yaml.safe_load(text)
     except (yaml.YAMLError, json.JSONDecodeError) as err:
         raise ConfigError(f"could not parse {path}: {err}") from err
-    return parse_config_dict(raw or {})
+    raw = raw or {}
+    if not isinstance(raw, dict):
+        raise ConfigError("configuration root must be a mapping")
+    return raw
+
+
+def load_config(path: str) -> RunConfig:
+    """Load and validate a YAML (or JSON) configuration file."""
+    return parse_config_dict(read_config(path))

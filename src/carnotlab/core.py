@@ -1,16 +1,16 @@
-"""Unit system, domain types, and thermal-state helpers.
+"""Units, domain types, and thermal-state helpers.
 
 Everything in the package works in atomic-style units with hbar = k_B = 1
-and (by default) unit mass.  The Gaussian state of the oscillator is carried
-around as the four-component moment vector
+and unit mass.  The Gaussian state of the oscillator is carried around as
+the four-component moment vector
 
     v = (<H>, <L>, <C>, <I>)
 
 where H is the instantaneous Hamiltonian, L the Lagrangian
-(P^2/2m - m w^2 Q^2 / 2), C the frequency-scaled position-momentum
+(P^2/2 - w^2 Q^2 / 2), C the frequency-scaled position-momentum
 correlation (w/2)(QP + PQ) and I the identity.  All stroke generators are
-linear on this vector, so states are plain 4-vectors and propagators are
-4x4 matrices.
+linear on this vector, so states are plain 4-vectors; a stroke map is a 5x5
+matrix that also accumulates the stroke work in a fifth component.
 """
 
 from __future__ import annotations
@@ -42,21 +42,6 @@ def cycle_time_to_atomic(tau_units: float) -> float:
 def cycle_time_from_atomic(tau_atomic: float) -> float:
     """Convert an atomic-unit duration to 2*pi/omega_min units."""
     return tau_atomic / TIME_UNIT
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Fixed atomic-style unit system; only the mass is adjustable."""
-
-    hbar: float = 1.0
-    k_boltzmann: float = 1.0
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if self.hbar != 1.0 or self.k_boltzmann != 1.0:
-            raise DomainError("unit system is fixed to hbar = k_B = 1")
-        if self.mass <= 0:
-            raise DomainError("mass must be positive")
 
 
 def thermal_population(omega: float, temperature: float) -> float:

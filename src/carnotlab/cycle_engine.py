@@ -198,7 +198,7 @@ def _propagate(stroke: StrokeDescriptor, n_samples: int):
 
 def stroke_transfer_matrix(stroke: StrokeDescriptor) -> np.ndarray:
     """5x5 map (v, w) -> (v', w + stroke work) of one stroke."""
-    return _propagate(stroke, 2)[1][-1]
+    return _propagate(stroke, 2).maps[-1]
 
 
 def _corner_diff(v_new: np.ndarray, v_old: np.ndarray) -> float:
@@ -267,8 +267,8 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
     strokes = assemble_cycle(spec)
     propagators = [_propagate(s, DEFAULT_SAMPLES) for s in strokes]
     cycle_map = np.eye(5)
-    for _, maps in propagators:
-        cycle_map = maps[-1] @ cycle_map
+    for p in propagators:
+        cycle_map = p.maps[-1] @ cycle_map
     contraction = float(np.max(np.abs(np.linalg.eigvals(cycle_map[:3, :3]))))
 
     y = np.append(initial_corner_vector(spec).as_array(), 0.0)
@@ -276,8 +276,8 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
     for iterations in range(MAX_CYCLES + 1):
         y_next = y.copy()
         y_next[4] = 0.0
-        for _, maps in propagators:
-            y_next = maps[-1] @ y_next
+        for p in propagators:
+            y_next = p.maps[-1] @ y_next
         resid = _corner_diff(y_next[:4], y[:4])
         if moved < tol and resid < tol:
             break
@@ -291,10 +291,10 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
     corner_vectors: List[ObservableVector] = []
     corner_omegas: List[float] = []
     vec = ObservableVector.from_array(y[:4])
-    for stroke, (times, maps) in zip(strokes, propagators):
+    for stroke, p in zip(strokes, propagators):
         corner_vectors.append(vec)
         corner_omegas.append(stroke.omega_start)
-        traj = trajectory(vec, stroke.protocol, times, maps, stroke.kind)
+        traj = trajectory(vec, stroke.protocol, p, stroke.kind)
         trajectories.append(traj)
         vec = traj.final_vector
 

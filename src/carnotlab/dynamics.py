@@ -2,7 +2,8 @@
 dephasing strokes.
 
 The basis (H, L, C, I) closes under every generator used here, so all
-dynamics reduce to 4x4 linear ODEs.  The unitary part is
+dynamics reduce to linear ODEs on the moment vector, carried with the
+accumulated work as a 5x5 system.  The unitary part is
 
     dh/dt = w mu (h - l)
     dl/dt = w (-mu h + mu l - 2 c)
@@ -45,9 +46,10 @@ from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
 from .errors import DomainError, NumericalError
 from .protocols import SteSolution
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 DEFAULT_SAMPLES = 801
+#: Tolerances of the reduced beta integration in :func:`propagate_ste_beta`.
+BETA_RTOL = 1e-10
+BETA_ATOL = 1e-12
 #: Target error of each stroke's transfer matrix M, relative to max|M|: a
 #: tenth of the 1e-10 gate against a DOP853 reference.
 MAGNUS_TARGET = 1e-11
@@ -69,32 +71,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 _MAGNUS_C2 = math.sqrt(15.0) / 3.0
 _MAGNUS_C3 = 10.0 / 3.0
-
-
-@dataclass(frozen=True)
-class NameRates:
-    """Instantaneous downward/upward rates and the modified frequency."""
-
-    k_down: float
-    k_up: float
-    alpha: float
-
-    @property
-    def gamma(self) -> float:
-        return self.k_down - self.k_up
-
-
-def name_rates(omega: float, omega_dot: float, bath: BathSpec) -> NameRates:
-    """Rates of the dressed-mode master equation at one instant.
-
-    alpha = w sqrt(1 - (w_dot / 2 w^2)^2) and
-    k_down = (alpha g / kappa)(1 + N(alpha)) with kappa = sqrt(4 - mu^2);
-    detailed balance fixes k_up = k_down exp(-hbar alpha / k_B T).
-    """
-    if omega <= 0:
-        raise DomainError("omega must be positive")
-    k_down, k_up, kappa = dressed_rates(omega, omega_dot / omega**2, bath)
-    return NameRates(k_down=k_down, k_up=k_up, alpha=0.5 * omega * kappa)
 
 
 def generator(omega, omega_dot, bath: Optional[BathSpec] = None,
@@ -362,21 +338,14 @@ def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
 
 @dataclass(frozen=True)
 class Propagators:
-    """Sampled maps of one stroke, which unpack as ``(times, maps)``, with
-    the resolution that made them: ``steps`` Magnus steps and ``error``, the
-    estimated largest entry error of the transfer matrix relative to its
-    largest entry."""
+    """Sampled maps of one stroke with the resolution that made them:
+    ``steps`` Magnus steps and ``error``, the estimated largest entry error
+    of the transfer matrix relative to its largest entry."""
 
     times: np.ndarray
     maps: np.ndarray
     steps: int
     error: float
-
-    def __iter__(self):
-        return iter((self.times, self.maps))
-
-    def __getitem__(self, index):
-        return (self.times, self.maps)[index]
 
 
 def stroke_propagators(protocol: FrequencyProtocol,
@@ -392,8 +361,8 @@ def stroke_propagators(protocol: FrequencyProtocol,
     ``MAGNUS_TARGET`` * max|M|.  When N is 800 the pilot's steps are reused.
     The interval maps are accumulated by a log-depth prefix scan.
 
-    Returns ``Propagators``, which unpacks as ``(times, maps)`` with maps of
-    shape (n, 5, 5); ``maps[-1]`` is the stroke's transfer matrix
+    Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
+    ``maps[-1]`` is the stroke's transfer matrix
     (v, w) -> (v', w + stroke work), and ``maps @ [v, 0]`` is the trajectory
     from any initial moment vector v.  A zero-duration stroke gives the
     identity at the single time 0.  Raises DomainError, naming the time, where
@@ -435,10 +404,10 @@ def stroke_propagators(protocol: FrequencyProtocol,
 
 
 def trajectory(v0: ObservableVector, protocol: FrequencyProtocol,
-               times: np.ndarray, maps: np.ndarray,
-               provenance: str) -> Trajectory:
+               propagators: Propagators, provenance: str) -> Trajectory:
     """Trajectory from v0 through the sampled propagators of one stroke."""
-    ys = maps @ np.append(v0.as_array(), 0.0)
+    times = propagators.times
+    ys = propagators.maps @ np.append(v0.as_array(), 0.0)
     work = float(ys[-1, 4])
     heat = float(ys[-1, 0] - ys[0, 0]) - work
     return Trajectory(times=times, vectors=ys[:, :4],
@@ -451,14 +420,14 @@ def trajectory(v0: ObservableVector, protocol: FrequencyProtocol,
 def propagate_unitary(v0: ObservableVector, protocol: FrequencyProtocol,
                       n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Closed-system stroke along an arbitrary protocol."""
-    return trajectory(v0, protocol, *stroke_propagators(
+    return trajectory(v0, protocol, stroke_propagators(
         protocol, n_samples=n_samples), "unitary")
 
 
 def propagate_open(v0: ObservableVector, protocol: FrequencyProtocol,
                    bath: BathSpec, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Thermal-contact stroke along an arbitrary protocol."""
-    return trajectory(v0, protocol, *stroke_propagators(
+    return trajectory(v0, protocol, stroke_propagators(
         protocol, bath, n_samples=n_samples), "open")
 
 
@@ -468,14 +437,12 @@ def propagate_dephasing(v0: ObservableVector, protocol: FrequencyProtocol,
     """Stroke with pure energy-basis dephasing (optionally plus a bath)."""
     if gamma_d < 0:
         raise DomainError("dephasing strength must be non-negative")
-    return trajectory(v0, protocol, *stroke_propagators(
+    return trajectory(v0, protocol, stroke_propagators(
         protocol, bath, gamma_d, n_samples), "dephasing")
 
 
 def propagate_ste_beta(beta0: float, ste: SteSolution, bath: BathSpec,
-                       n_samples: int = DEFAULT_SAMPLES,
-                       rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL):
+                       n_samples: int = DEFAULT_SAMPLES):
     """Reduced exponential-state dynamics along an open stroke.
 
     Integrates beta_dot = k_down (e^beta - 1) + k_up (e^-beta - 1) with the
@@ -485,12 +452,14 @@ def propagate_ste_beta(beta0: float, ste: SteSolution, bath: BathSpec,
     protocol = ste.protocol
 
     def rhs(t, y):
-        r = name_rates(float(protocol.omega(t)), float(protocol.omega_dot(t)), bath)
-        return [r.k_down * math.expm1(y[0]) + r.k_up * math.expm1(-y[0])]
+        w = float(protocol.omega(t))
+        k_down, k_up, _ = dressed_rates(w, float(protocol.omega_dot(t)) / w**2,
+                                        bath)
+        return [k_down * math.expm1(y[0]) + k_up * math.expm1(-y[0])]
 
     times = np.linspace(0.0, protocol.duration, n_samples)
     sol = solve_ivp(rhs, (0.0, protocol.duration), [beta0], method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=times)
+                    rtol=BETA_RTOL, atol=BETA_ATOL, t_eval=times)
     if not sol.success:
         raise NumericalError(f"beta integration failed: {sol.message}")
     return times, sol.y[0]

@@ -1,6 +1,6 @@
 """Brute-force reference dynamics in a truncated number basis.
 
-This module exists to validate the 4x4 moment propagators against a full
+This module exists to validate the moment propagators against a full
 density-matrix integration and is never used in cycle sweeps.  Each stroke
 integrates only what its master equation couples:
 
@@ -30,10 +30,12 @@ from scipy.linalg import expm
 
 from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                    dressed_rates, thermal_population)
-from .dynamics import name_rates
 from .errors import DomainError, NumericalError, TruncationError, UnphysicalState
 
 DEFAULT_DIMENSION = 60
+#: Tolerances of every DOP853 solve.
+ORACLE_RTOL = 1e-8
+ORACLE_ATOL = 1e-10
 #: Step bounds of the explicit solves.  DOP853 is the explicit Runge-Kutta
 #: pair of order 8 of Hairer, Norsett & Wanner, "Solving Ordinary
 #: Differential Equations I", 2nd ed. (Springer, 1993), Sec. II.10.  Its
@@ -61,26 +63,26 @@ def ladder(dimension: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dimension)), k=1).astype(complex)
 
 
-def position_momentum(dimension: int, omega: float, mass: float = 1.0):
+def position_momentum(dimension: int, omega: float):
     """Q and P matrices for the oscillator basis at reference frequency omega."""
     a = ladder(dimension)
-    q = math.sqrt(HBAR / (2.0 * mass * omega)) * (a + a.conj().T)
-    p = 1j * math.sqrt(HBAR * mass * omega / 2.0) * (a.conj().T - a)
+    q = math.sqrt(HBAR / (2.0 * omega)) * (a + a.conj().T)
+    p = 1j * math.sqrt(HBAR * omega / 2.0) * (a.conj().T - a)
     return q, p
 
 
-def basis_operators(dimension: int, omega_ref: float, mass: float = 1.0):
+def basis_operators(dimension: int, omega_ref: float):
     """Callables H(w), L(w), C(w) built on a fixed reference basis."""
-    q, p = position_momentum(dimension, omega_ref, mass)
+    q, p = position_momentum(dimension, omega_ref)
     q2 = q @ q
     p2 = p @ p
     qp = q @ p + p @ q
 
     def ham(w):
-        return p2 / (2.0 * mass) + 0.5 * mass * w**2 * q2
+        return p2 / 2.0 + 0.5 * w**2 * q2
 
     def lag(w):
-        return p2 / (2.0 * mass) - 0.5 * mass * w**2 * q2
+        return p2 / 2.0 - 0.5 * w**2 * q2
 
     def corr(w):
         return 0.5 * w * qp
@@ -88,11 +90,10 @@ def basis_operators(dimension: int, omega_ref: float, mass: float = 1.0):
     return ham, lag, corr
 
 
-def build_jump_operator(omega0: float, mu: float, dimension: int,
-                        mass: float = 1.0) -> np.ndarray:
+def build_jump_operator(omega0: float, mu: float, dimension: int) -> np.ndarray:
     """Dressed-mode annihilation operator at the stroke-initial parameters.
 
-    b = sqrt(m w0 / kappa hbar) (kappa + i mu)/2 (Q + (mu + i kappa)/(2 m w0) P);
+    b = sqrt(w0 / kappa hbar) (kappa + i mu)/2 (Q + (mu + i kappa)/(2 w0) P);
     reduces to the bare ladder operator at mu = 0.
     """
     if dimension < 4:
@@ -100,9 +101,9 @@ def build_jump_operator(omega0: float, mu: float, dimension: int,
     if abs(mu) >= 2.0:
         raise DomainError("|mu| must be below 2")
     kappa = math.sqrt(4.0 - mu * mu)
-    q, p = position_momentum(dimension, omega0, mass)
-    z = (mu + 1j * kappa) / (2.0 * mass * omega0)
-    return math.sqrt(mass * omega0 / (kappa * HBAR)) * ((kappa + 1j * mu) / 2.0) \
+    q, p = position_momentum(dimension, omega0)
+    z = (mu + 1j * kappa) / (2.0 * omega0)
+    return math.sqrt(omega0 / (kappa * HBAR)) * ((kappa + 1j * mu) / 2.0) \
         * (q + z * p)
 
 
@@ -152,8 +153,7 @@ def thermal_fock_state(omega: float, temperature: float,
 
 
 def gaussian_fock_state(v: ObservableVector, omega: float,
-                        dimension: int = DEFAULT_DIMENSION,
-                        mass: float = 1.0) -> FockState:
+                        dimension: int = DEFAULT_DIMENSION) -> FockState:
     """Squeezed thermal state realizing a physical moment vector."""
     v.check_physical(omega)
     x = math.sqrt(max(v.casimir(), 0.0)) / (HBAR * omega)
@@ -188,47 +188,49 @@ def _max_step(radius: float, rate: float) -> float:
 
 
 def _solve(rhs, duration: float, y0: np.ndarray, times: np.ndarray,
-           max_step: float, rtol: float, atol: float) -> np.ndarray:
+           max_step: float) -> np.ndarray:
     """DOP853 solution of y' = rhs(t, y) at ``times``, shape (len(y0), n)."""
-    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853", rtol=rtol,
-                    atol=atol, t_eval=times, max_step=max_step)
+    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
+                    rtol=ORACLE_RTOL, atol=ORACLE_ATOL, t_eval=times,
+                    max_step=max_step)
     if not sol.success:
         raise NumericalError(f"density-matrix integration failed: {sol.message}")
     return sol.y
 
 
 def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
-                 ham, times: np.ndarray, mass: float, rtol: float, atol: float):
+                 ham, times: np.ndarray):
     """Schrodinger-picture density matrices U rho_int U^dag at ``times``.
 
     rho_int obeys the dissipator of the jump operator b frozen at the stroke
     start, which does not involve U.  U = P exp(-i E t / hbar) W P^dag in the
     eigenbasis (E, P) of H0 = H(omega_ref); with H(w) = H0 + (w^2 - omega_ref^2)
-    m Q^2 / 2, W' = -(i/hbar)(w^2 - omega_ref^2)(Phi(t) o P^dag (m Q^2/2) P) W,
+    Q^2 / 2, W' = -(i/hbar)(w^2 - omega_ref^2)(Phi(t) o P^dag (Q^2/2) P) W,
     Phi_nm = exp(i (E_n - E_m) t / hbar) and W(0) = I.  On a static stroke W'
     vanishes, so U is exact.
     """
     dim = rho0.shape[0]
     omega_ref = float(protocol.omega(0.0))
-    b = build_jump_operator(omega_ref, float(protocol.mu(0.0)), dim, mass)
+    b = build_jump_operator(omega_ref, float(protocol.mu(0.0)), dim)
     bd = b.conj().T
     bdb = bd @ b
     bbd = b @ bd
 
     def rho_rhs(t, y):
         rho = y.reshape(dim, dim)
-        r = name_rates(float(protocol.omega(t)), float(protocol.omega_dot(t)),
-                       bath)
+        w = float(protocol.omega(t))
+        k_down, k_up, _ = dressed_rates(w, float(protocol.omega_dot(t)) / w**2,
+                                        bath)
         # rho B = (B rho)^dag for Hermitian rho and B; the jump terms are made
         # Hermitian to the last bit, so that rho_int stays Hermitian and no
         # anti-Hermitian rounding is amplified by this form
-        anti = r.k_down * (bdb @ rho) + r.k_up * (bbd @ rho)
-        jump = r.k_down * (b @ rho @ bd) + r.k_up * (bd @ rho @ b)
+        anti = k_down * (bdb @ rho) + k_up * (bbd @ rho)
+        jump = k_down * (b @ rho @ bd) + k_up * (bd @ rho @ b)
         return (0.5 * (jump + jump.conj().T - anti - anti.conj().T)).ravel()
 
     energies, basis = np.linalg.eigh(ham(omega_ref))
-    q, _ = position_momentum(dim, omega_ref, mass)
-    x = basis.conj().T @ (0.5 * mass * (q @ q)) @ basis
+    q, _ = position_momentum(dim, omega_ref)
+    x = basis.conj().T @ (0.5 * (q @ q)) @ basis
 
     def w_rhs(t, y):
         w = float(protocol.omega(t))
@@ -246,9 +248,9 @@ def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
         * float(np.linalg.eigvalsh(x)[-1]) / HBAR
 
     rho_int = _solve(rho_rhs, protocol.duration, rho0.ravel(), times,
-                     _max_step(OPEN_STEP_RADIUS, rho_rate), rtol, atol)
+                     _max_step(OPEN_STEP_RADIUS, rho_rate))
     w_mats = _solve(w_rhs, protocol.duration, np.eye(dim, dtype=complex).ravel(),
-                    times, _max_step(COHERENT_STEP_RADIUS, w_rate), rtol, atol)
+                    times, _max_step(COHERENT_STEP_RADIUS, w_rate))
     for i, t in enumerate(times):
         u = (basis * np.exp(-1j * energies * t / HBAR)) \
             @ w_mats[:, i].reshape(dim, dim) @ basis.conj().T
@@ -256,8 +258,7 @@ def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
 
 
 def _dephasing_states(rho0: np.ndarray, protocol: FrequencyProtocol,
-                      gamma_d: float, ham, times: np.ndarray, rtol: float,
-                      atol: float):
+                      gamma_d: float, ham, times: np.ndarray):
     """Density matrices at ``times`` under -(i/hbar)[H, rho] - gamma_d [H, [H, rho]].
 
     This is the Schrodinger picture of rho_int' = -gamma_d [H_int, [H_int,
@@ -281,14 +282,13 @@ def _dephasing_states(rho0: np.ndarray, protocol: FrequencyProtocol,
     h_norm = float(np.linalg.eigvalsh(ham(float(np.max(w))))[-1])
     rate = h_norm / HBAR + gamma_d * h_norm * h_norm
     rho_s = _solve(rhs, protocol.duration, rho0.ravel(), times,
-                   _max_step(COHERENT_STEP_RADIUS, rate), rtol, atol)
+                   _max_step(COHERENT_STEP_RADIUS, rate))
     return rho_s.T.reshape(len(times), dim, dim)
 
 
 def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
                        bath: BathSpec = None, gamma_d: float = None,
-                       mass: float = 1.0, n_samples: int = 201,
-                       rtol: float = 1e-8, atol: float = 1e-10):
+                       n_samples: int = 201):
     """Integrate the full master equation and return moment trajectories.
 
     Returns ``(times, h, l, c)`` at ``n_samples`` uniform times, or the
@@ -306,18 +306,16 @@ def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
         raise DomainError("the oracle integrates a bath or dephasing, not both")
     if n_samples < 2:
         raise DomainError(f"a stroke needs at least 2 samples, got {n_samples}")
-    ham, lag, corr = basis_operators(rho0.dimension, float(protocol.omega(0.0)),
-                                     mass)
+    ham, lag, corr = basis_operators(rho0.dimension, float(protocol.omega(0.0)))
     rho = rho0.matrix.astype(complex)
     times = np.linspace(0.0, protocol.duration,
                         n_samples if protocol.duration > 0.0 else 1)
     if protocol.duration == 0.0:
         states = [rho]
     elif bath is not None:
-        states = _open_states(rho, protocol, bath, ham, times, mass, rtol, atol)
+        states = _open_states(rho, protocol, bath, ham, times)
     else:
-        states = _dephasing_states(rho, protocol, gamma_d or 0.0, ham, times,
-                                   rtol, atol)
+        states = _dephasing_states(rho, protocol, gamma_d or 0.0, ham, times)
 
     moments = np.empty((3, len(times)))
     for i, (t, rho_s) in enumerate(zip(times, states)):

@@ -85,7 +85,7 @@ def get_preset(name: str, cycle_time: float = _DEFAULT_CYCLE_TIME,
     """
     try:
         factory = _FACTORIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}") from None
     spec = factory().with_cycle_time(cycle_time)

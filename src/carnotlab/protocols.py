@@ -88,40 +88,37 @@ class ErmakovSolution:
     t_f: float
     omega_initial: float
     omega_final: float
-    mass: float = 1.0
     omega: Callable = field(default=None, repr=False)
 
 
 class _StaOmega:
-    def __init__(self, poly, t_f, mass, order=0):
+    def __init__(self, poly, t_f, order=0):
         self.r = _PolyEval(poly, t_f, 0)
         self.r1 = _PolyEval(poly, t_f, 1)
         self.r2 = _PolyEval(poly, t_f, 2)
         self.r3 = _PolyEval(poly, t_f, 3)
-        self.mass = mass
         self.order = order
 
     def omega_sq(self, t):
         r, r2 = self.r(t), self.r2(t)
-        return 1.0 / (self.mass**2 * r**4) - r2 / r
+        return 1.0 / r**4 - r2 / r
 
     def __call__(self, t):
         w2 = self.omega_sq(t)
         if self.order == 0:
             return np.sqrt(w2)
         r, r1, r2, r3 = self.r(t), self.r1(t), self.r2(t), self.r3(t)
-        dw2 = -4.0 * r1 / (self.mass**2 * r**5) - (r3 * r - r2 * r1) / r**2
+        dw2 = -4.0 * r1 / r**5 - (r3 * r - r2 * r1) / r**2
         return dw2 / (2.0 * np.sqrt(w2))
 
 
-def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float,
-                       mass: float = 1.0, grid_points: int = DEFAULT_GRID_POINTS):
+def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float):
     """Transitionless ramp between two trap frequencies.
 
     Returns ``(FrequencyProtocol, ErmakovSolution)``.  The scaling function is
     the unique quintic satisfying the six stationarity conditions at the
     endpoints; the control frequency follows from
-    w^2 = 1/(m^2 rho^4) - rho_ddot/rho.  If the required w^2 turns negative
+    w^2 = 1/rho^4 - rho_ddot/rho.  If the required w^2 turns negative
     anywhere (the trap would have to become repulsive) the ramp is refused
     with ``InvalidProtocol`` carrying the first violating time.
     """
@@ -130,14 +127,14 @@ def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float,
     if t_f <= 0:
         raise DomainError("stroke duration must be positive")
 
-    rho0 = 1.0 / math.sqrt(mass * omega_initial)
+    rho0 = 1.0 / math.sqrt(omega_initial)
     rho1 = rho0 * math.sqrt(omega_initial / omega_final)
     poly = _smoothstep(rho0, rho1)
 
-    omega_fn = _StaOmega(poly, t_f, mass, order=0)
-    omega_dot_fn = _StaOmega(poly, t_f, mass, order=1)
+    omega_fn = _StaOmega(poly, t_f, order=0)
+    omega_dot_fn = _StaOmega(poly, t_f, order=1)
 
-    t_dense = np.linspace(0.0, t_f, grid_points)
+    t_dense = np.linspace(0.0, t_f, DEFAULT_GRID_POINTS)
     w2 = omega_fn.omega_sq(t_dense)
     if np.any(w2 <= 0):
         t_bad = float(t_dense[np.argmax(w2 <= 0)])
@@ -148,12 +145,11 @@ def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float,
     protocol = FrequencyProtocol.from_callables(
         t_f, omega_fn, omega_dot_fn,
         meta={"family": "sta", "omega_initial": omega_initial,
-              "omega_final": omega_final, "t_f": t_f, "mass": mass})
+              "omega_final": omega_final, "t_f": t_f})
     ermakov = ErmakovSolution(
         rho=_PolyEval(poly, t_f, 0), rho_dot=_PolyEval(poly, t_f, 1),
         rho_ddot=_PolyEval(poly, t_f, 2), t_f=t_f,
-        omega_initial=omega_initial, omega_final=omega_final, mass=mass,
-        omega=omega_fn)
+        omega_initial=omega_initial, omega_final=omega_final, omega=omega_fn)
     return protocol, ermakov
 
 
@@ -169,14 +165,13 @@ def sta_expectation_values(ermakov: ErmakovSolution, omega_start: float,
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < -1e-12) or np.any(t_arr > ermakov.t_f * (1 + 1e-12)):
         raise DomainError("t outside the stroke")
-    m = ermakov.mass
     r = ermakov.rho(t_arr)
     rd = ermakov.rho_dot(t_arr)
     w = ermakov.omega(t_arr)
     cfac = 0.5 / math.tanh(HBAR * omega_start / (2.0 * KB * temperature))
-    h = 0.5 * HBAR * (m * rd**2 + 1.0 / (m * r**2) + m * w**2 * r**2) * cfac
-    l = 0.5 * HBAR * (m * rd**2 + 1.0 / (m * r**2) - m * w**2 * r**2) * cfac
-    c = HBAR * w * m * rd * r * cfac
+    h = 0.5 * HBAR * (rd**2 + 1.0 / r**2 + w**2 * r**2) * cfac
+    l = 0.5 * HBAR * (rd**2 + 1.0 / r**2 - w**2 * r**2) * cfac
+    c = HBAR * w * rd * r * cfac
     if t_arr.ndim == 0:
         return ObservableVector(h=float(h), l=float(l), c=float(c))
     return np.stack([h, l, c, np.ones_like(h)], axis=1)
@@ -335,8 +330,8 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final,
                                         scale, times[i])
         change = np.max(np.abs(omega_new - omega) / scale)
         omega = omega_new if it < 10 else 0.5 * (omega + omega_new)
-        spline = CubicSpline(times, omega)
-        mu = spline(times, 1) / omega**2
+        omega_dot = CubicSpline(times, omega)(times, 1)
+        mu = omega_dot / omega**2
         # the construction imposes stationary drive endpoints
         mu[0] = 0.0
         mu[-1] = 0.0
@@ -346,7 +341,6 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final,
         raise ProtocolInversionFailure(
             f"frequency inversion did not converge (last change {change:.3e})")
 
-    omega_dot = CubicSpline(times, omega)(times, 1)
     alpha, _ = alpha_star(omega)
     if not np.all(np.isfinite(alpha)):
         t_bad = float(times[np.argmax(~np.isfinite(alpha))])
@@ -383,7 +377,7 @@ def _scalar_root(ck, n_eq, dcoef, temp, w_prev, scale, t):
 
 
 def _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1, dy0, dy1,
-               grid_points, family, extra_meta=None):
+               family, extra_meta=None):
     if omega_initial <= 0 or omega_final <= 0:
         raise DomainError("frequencies must be positive")
     if t_f <= 0:
@@ -392,7 +386,7 @@ def _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1, dy0, dy1,
     y0, y1 = math.exp(beta0), math.exp(beta1)
     poly = _quintic(y0, y1, dy0 * t_f, dy1 * t_f, 0.0, 0.0)
 
-    times = np.linspace(0.0, t_f, grid_points)
+    times = np.linspace(0.0, t_f, DEFAULT_GRID_POINTS)
     s = times / t_f
     y = poly(s)
     if np.any(y <= 0.0) or np.any(y >= 1.0):
@@ -437,7 +431,7 @@ class _BetaDot:
 
 
 def build_ste_protocol(omega_initial: float, omega_final: float, t_f: float,
-                       bath: BathSpec, grid_points: int = DEFAULT_GRID_POINTS):
+                       bath: BathSpec):
     """Open-stroke drive between Gibbs states at the bath temperature.
 
     The state parameter y = exp(beta) follows the quintic fixed by stationary
@@ -448,13 +442,12 @@ def build_ste_protocol(omega_initial: float, omega_final: float, t_f: float,
     beta0 = -HBAR * omega_initial / (KB * temp)
     beta1 = -HBAR * omega_final / (KB * temp)
     return _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1,
-                      0.0, 0.0, grid_points, "ste")
+                      0.0, 0.0, "ste")
 
 
 def build_ste_nonthermal_protocol(omega_initial: float, omega_final: float,
                                   t_f: float, internal_temperature: float,
-                                  bath: BathSpec,
-                                  grid_points: int = DEFAULT_GRID_POINTS):
+                                  bath: BathSpec):
     """Open-stroke drive between Gibbs states at an internal temperature that
     may differ from the bath's.
 
@@ -471,7 +464,7 @@ def build_ste_nonthermal_protocol(omega_initial: float, omega_final: float,
     dy0 = bd0 * math.exp(beta0)
     dy1 = bd1 * math.exp(beta1)
     return _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1,
-                      dy0, dy1, grid_points, "ste-nonthermal",
+                      dy0, dy1, "ste-nonthermal",
                       extra_meta={"internal_temperature": internal_temperature})
 
 

@@ -21,7 +21,6 @@ from .core import (HBAR, KB, CycleKind, CycleSpec, ObservableVector,
                    cycle_time_from_atomic, thermal_population)
 from .cycle_engine import (CornerGeometry, CycleResult, carnot_corner_frequencies,
                            run_to_limit_cycle)
-from .dynamics import Trajectory
 from .errors import CarnotLabError, ConfigError, DomainError, UnphysicalState
 
 
@@ -31,21 +30,6 @@ def carnot_efficiency(t_cold: float, t_hot: float) -> float:
 
 def curzon_ahlborn_efficiency(t_cold: float, t_hot: float) -> float:
     return 1.0 - math.sqrt(t_cold / t_hot)
-
-
-def stroke_work(traj: Trajectory) -> float:
-    """Work performed on the medium over one stroke.
-
-    The propagators accumulate integral (w_dot/w)(h - l) dt as a fifth
-    component of the stroke map, so this is at propagator accuracy.
-    """
-    return traj.work
-
-
-def stroke_heat(traj: Trajectory, work: Optional[float] = None) -> float:
-    """First-law heat Q = dE - W for one stroke."""
-    w = stroke_work(traj) if work is None else work
-    return traj.energy_change - w
 
 
 def coherence(v: ObservableVector, omega: float) -> float:
@@ -292,6 +276,8 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
     Failures are recorded per point without aborting the sweep; rows come
     back in input order regardless of execution order.
     """
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")

@@ -45,6 +45,21 @@ class TestConfig:
         spec = cfg.build_spec()
         assert spec.omega2 == 8.0
 
+    @pytest.mark.parametrize("text,key", [
+        ("preset: carnot-shortcut\njobs: two\n", "jobs"),
+        ("preset: carnot-shortcut\ntol: tiny\n", "tol"),
+        ("preset: carnot-shortcut\nvalues: 5\n", "values"),
+        ("spec: {kind: otto}\n", "spec.kind"),
+        ("spec: {kind: carnot-shortcut, omega1: 10.0}\n", "omega2"),
+        ("preset: carnot-shortcut\nspec: {coupling: strong}\n", "spec.coupling"),
+    ], ids=["jobs", "tol", "values", "kind", "partial-spec", "coupling"])
+    def test_malformed_value_names_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and key in err
+
     def test_preset_names(self):
         for name in PRESET_NAMES:
             assert get_preset(name, cycle_time=40.0) is not None
@@ -149,6 +164,34 @@ class TestCli:
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert (out1 / "sweep.meta.json").read_bytes() == \
             (out2 / "sweep.meta.json").read_bytes()
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--jobs", "0"], "jobs"), (["--jobs", "-3"], "jobs"),
+        (["--tol", "0"], "tol"), (["--values", "30,abc"], "values")],
+        ids=["jobs-0", "jobs-negative", "tol-0", "values-abc"])
+    def test_bad_flag_exit_code_2(self, tmp_path, capsys, flags, key):
+        argv = ["sweep", "--preset", "endo-global", "--axis", "cycle_time",
+                "--values", "30", "--out", str(tmp_path / "sw")]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and key in err
+        assert not (tmp_path / "sw").exists()
+
+    def test_flags_override_config(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("preset: endo-global\njobs: 2\ntol: 1.0e-6\n")
+        out = tmp_path / "cyc"
+        assert main(["cycle", "--config", str(path), "--tol", "1e-10",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["jobs"], config["tol"]) == (2, 1e-10)
+
+    def test_unknown_axis_in_config_exit_code_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("preset: endo-global\naxis: bogus\nvalues: [30]\n")
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert "unknown sweep axis 'bogus'" in capsys.readouterr().err
 
     def test_sweep_requires_axis(self, capsys):
         rc = main(["sweep", "--preset", "endo-global", "--values", "10"])

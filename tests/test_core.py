@@ -6,22 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnotlab.core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
-                            GeneralizedGibbsState, ObservableVector, UnitSystem,
+                            GeneralizedGibbsState, ObservableVector,
                             cycle_time_from_atomic, cycle_time_to_atomic,
                             thermal_observable_vector, thermal_population)
 from carnotlab.errors import ConfigError, DomainError, UnphysicalState
-
-
-class TestUnitSystem:
-    def test_defaults(self):
-        u = UnitSystem()
-        assert u.hbar == 1.0 and u.k_boltzmann == 1.0 and u.mass == 1.0
-
-    def test_fixed_constants(self):
-        with pytest.raises(DomainError):
-            UnitSystem(hbar=2.0)
-        with pytest.raises(DomainError):
-            UnitSystem(mass=-1.0)
 
 
 class TestThermalPopulation:

@@ -8,11 +8,11 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
-                            thermal_observable_vector)
+                            dressed_rates, thermal_observable_vector)
 from carnotlab import dynamics
 from carnotlab.cycle_engine import StrokeDescriptor, assemble_cycle
 from carnotlab.dynamics import (MAGNUS_TARGET, free_propagator, generator,
-                                name_rates, propagate_dephasing, propagate_open,
+                                propagate_dephasing, propagate_open,
                                 propagate_ste_beta, propagate_unitary,
                                 stroke_propagators)
 from carnotlab.errors import DomainError, NumericalError
@@ -22,38 +22,42 @@ from carnotlab.protocols import (build_constant_mu_protocol, build_sta_protocol,
 
 
 class TestNameRates:
+    """Rates of the non-adiabatic master equation (NAME): core.dressed_rates,
+    with the modified frequency alpha = w kappa / 2."""
+
     def test_static_drive(self):
-        r = name_rates(5.0, 0.0, BathSpec(5.0, 0.05))
+        k_down, _, kappa = dressed_rates(5.0, 0.0, BathSpec(5.0, 0.05))
         n = 1.0 / (math.e - 1.0)
-        assert r.alpha == 5.0
-        assert r.k_down == pytest.approx((5.0 * 0.05 / 2.0) * (1.0 + n), rel=1e-14)
-        assert r.k_down == pytest.approx(0.19775, abs=5e-6)
+        assert 0.5 * 5.0 * kappa == 5.0
+        assert k_down == pytest.approx((5.0 * 0.05 / 2.0) * (1.0 + n), rel=1e-14)
+        assert k_down == pytest.approx(0.19775, abs=5e-6)
 
     @given(st.floats(1.0, 15.0), st.floats(-1.5, 1.5), st.floats(1.0, 20.0))
     @settings(max_examples=80, deadline=None)
     def test_detailed_balance(self, omega, mu, temp):
-        r = name_rates(omega, mu * omega**2, BathSpec(temp, 0.05))
-        assert r.k_down / r.k_up == pytest.approx(math.exp(r.alpha / temp),
-                                                  rel=1e-12)
-        assert r.k_down > r.k_up > 0
-        assert r.alpha <= omega * (1 + 1e-15)
+        k_down, k_up, kappa = dressed_rates(omega, mu, BathSpec(temp, 0.05))
+        alpha = 0.5 * omega * kappa
+        assert k_down / k_up == pytest.approx(math.exp(alpha / temp), rel=1e-12)
+        assert k_down > k_up > 0
+        assert alpha <= omega * (1 + 1e-15)
 
     def test_modified_frequency(self):
-        r = name_rates(10.0, 0.5 * 10.0**2, BathSpec(8.0, 0.05))
-        assert r.alpha == pytest.approx(10.0 * math.sqrt(1 - 0.25 / 4), rel=1e-14)
+        _, _, kappa = dressed_rates(10.0, 0.5, BathSpec(8.0, 0.05))
+        assert 0.5 * 10.0 * kappa == pytest.approx(
+            10.0 * math.sqrt(1 - 0.25 / 4), rel=1e-14)
 
     def test_fast_drive_rejected(self):
         with pytest.raises(DomainError):
-            name_rates(5.0, 2.0 * 25.0, BathSpec(5.0, 0.05))
+            dressed_rates(5.0, 2.0, BathSpec(5.0, 0.05))
         with pytest.raises(DomainError):
             generator(5.0, 2.0 * 25.0, BathSpec(5.0, 0.05))
 
     def test_cold_bath_finite(self):
         # hbar alpha / k_B T = 1000: far beyond where exp(x) overflows
-        r = name_rates(10.0, 0.0, BathSpec(0.01))
-        assert math.isfinite(r.k_down) and math.isfinite(r.k_up)
-        assert r.k_up >= 0.0
-        assert r.k_down == pytest.approx(0.5 * 10.0 * 0.05, rel=1e-15)
+        k_down, k_up, _ = dressed_rates(10.0, 0.0, BathSpec(0.01))
+        assert math.isfinite(k_down) and math.isfinite(k_up)
+        assert k_up >= 0.0
+        assert k_down == pytest.approx(0.5 * 10.0 * 0.05, rel=1e-15)
 
 
 class TestFreePropagator:
@@ -115,11 +119,11 @@ class TestPropagateUnitary:
         for tau in (8.0, 32.0, 250.0):
             strokes = assemble_cycle(get_preset("endo-global", cycle_time=tau))
             for s in strokes[1::2]:
-                times, maps = stroke_propagators(s.protocol)
+                prop = stroke_propagators(s.protocol)
                 expect = np.array([free_propagator(
                     s.protocol.meta["omega_initial"], s.protocol.meta["mu"], t)
-                    for t in times])
-                assert np.max(np.abs(maps[:, :4, :4] - expect)) <= 1e-12
+                    for t in prop.times])
+                assert np.max(np.abs(prop.maps[:, :4, :4] - expect)) <= 1e-12
 
     def test_casimir_conserved_on_sta(self):
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
@@ -151,12 +155,13 @@ class TestOpenGenerator:
 
     def test_relaxation_rate_is_gamma(self):
         bath = BathSpec(5.0, 0.05)
-        r = name_rates(5.0, 0.0, bath)
+        k_down, k_up, _ = dressed_rates(5.0, 0.0, bath)
+        gamma = k_down - k_up
         g = generator(5.0, 0.0, bath)
         # displacing h only decays at Gamma = k_down - k_up
-        assert g[0, 0] == pytest.approx(-r.gamma, rel=1e-14)
-        assert g[1, 1] == pytest.approx(-r.gamma, rel=1e-14)
-        assert g[2, 2] == pytest.approx(-r.gamma, rel=1e-14)
+        assert g[0, 0] == pytest.approx(-gamma, rel=1e-14)
+        assert g[1, 1] == pytest.approx(-gamma, rel=1e-14)
+        assert g[2, 2] == pytest.approx(-gamma, rel=1e-14)
         # dephasing adds -4 gamma_d w^2 on l and c only, with or without a bath
         for b in (None, bath):
             d = generator(5.0, 0.0, b, gamma_d=1e-3) - generator(5.0, 0.0, b)
@@ -294,7 +299,7 @@ class TestStrokePropagators:
             if s.bath is None and s.protocol.meta.get("family") == "constant_mu":
                 continue
             ref = _dop853_transfer_matrix(s)
-            m = stroke_propagators(s.protocol, s.bath, s.gamma_d)[1][-1]
+            m = stroke_propagators(s.protocol, s.bath, s.gamma_d).maps[-1]
             assert np.max(np.abs(m - ref)) <= 1e-10 * np.max(np.abs(ref)), s.label
 
     def test_steps_are_sixth_order(self):
@@ -329,7 +334,7 @@ class TestStrokePropagators:
         # the chosen product is within twice the target of one 4x finer
         for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
             prop = stroke_propagators(s.protocol, s.bath, s.gamma_d, 2)
-            m = prop[1][-1]
+            m = prop.maps[-1]
             finer = dynamics._interval_products(dynamics._interval_maps(
                 s.protocol, 4 * prop.steps, 1, s.bath, s.gamma_d)[None])[0]
             assert np.max(np.abs(m - finer)) <= \
@@ -383,12 +388,12 @@ class TestPropagateOpen:
 
     def test_relaxation_rate(self):
         bath = BathSpec(5.0, 0.05)
-        r = name_rates(5.0, 0.0, bath)
+        k_down, k_up, _ = dressed_rates(5.0, 0.0, bath)
         prot = FrequencyProtocol.constant(5.0, 3.0)
         ref = thermal_observable_vector(5.0, 5.0)
         v0 = ObservableVector(h=ref.h + 1.0, l=0.0, c=0.0)
         traj = propagate_open(v0, prot, bath)
-        expected = ref.h + math.exp(-r.gamma * 3.0)
+        expected = ref.h + math.exp(-(k_down - k_up) * 3.0)
         assert traj.final_vector.h == pytest.approx(expected, rel=1e-9)
 
     def test_ste_endpoint_contract(self, hot_bath):

@@ -6,8 +6,8 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
 from carnotlab.core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
-                            thermal_observable_vector)
-from carnotlab.dynamics import name_rates, propagate_open
+                            dressed_rates, thermal_observable_vector)
+from carnotlab.dynamics import propagate_open
 from carnotlab.errors import DomainError
 from carnotlab.fock_oracle import (COHERENT_STEP_RADIUS, OPEN_STEP_RADIUS,
                                    FockState, basis_operators,
@@ -43,9 +43,10 @@ def joint_reference(rho0, protocol, bath, gamma_d, n_samples=41):
         du = (-1j / HBAR) * (h_t @ u)
         drho = np.zeros_like(rho)
         if bath is not None:
-            r = name_rates(w, float(protocol.omega_dot(t)), bath)
-            drho = drho + r.k_down * (b @ rho @ bd - 0.5 * (bdb @ rho + rho @ bdb))
-            drho = drho + r.k_up * (bd @ rho @ b - 0.5 * (bbd @ rho + rho @ bbd))
+            k_down, k_up, _ = dressed_rates(
+                w, float(protocol.omega_dot(t)) / w**2, bath)
+            drho = drho + k_down * (b @ rho @ bd - 0.5 * (bdb @ rho + rho @ bdb))
+            drho = drho + k_up * (bd @ rho @ b - 0.5 * (bbd @ rho + rho @ bbd))
         if gamma_d:
             h_int = u.conj().T @ h_t @ u
             comm = h_int @ rho - rho @ h_int
@@ -139,7 +140,8 @@ class TestIntegration:
         rho0 = thermal_fock_state(5.0, 7.5, dim)
         prot = FrequencyProtocol.constant(5.0, 4.0)
         times, h, l, c = integrate_lindblad(rho0, prot, bath=bath, n_samples=9)
-        gamma = name_rates(5.0, 0.0, bath).gamma
+        k_down, k_up, _ = dressed_rates(5.0, 0.0, bath)
+        gamma = k_down - k_up
         h_eq = thermal_observable_vector(5.0, 5.0).h
         h0 = thermal_observable_vector(5.0, 7.5).h
         expected = h_eq + (h0 - h_eq) * np.exp(-gamma * times)

@@ -15,8 +15,7 @@ from carnotlab.presets import get_preset
 from carnotlab.protocols import build_sta_protocol
 from carnotlab.thermo import (analyze_cycle, carnot_efficiency, coherence,
                               curzon_ahlborn_efficiency, friction_action_fit,
-                              ideal_carnot_work, spec_for_sweep_value,
-                              stroke_heat, stroke_work, sweep,
+                              ideal_carnot_work, spec_for_sweep_value, sweep,
                               von_neumann_entropy)
 
 
@@ -33,15 +32,15 @@ class TestStrokeWorkHeat:
         bath = BathSpec(5.0, 0.05)
         prot = FrequencyProtocol.constant(5.0, 8.0)
         traj = propagate_open(ObservableVector(h=7.0, l=0.5, c=0.0), prot, bath)
-        assert stroke_work(traj) == 0.0
+        assert traj.work == 0.0
 
     def test_unitary_first_law(self):
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
         v0 = thermal_observable_vector(5.0, 5.0)
         traj = propagate_unitary(v0, prot)
-        w = stroke_work(traj)
+        w = traj.work
         assert w == pytest.approx(traj.energy_change, rel=1e-8)
-        assert stroke_heat(traj, w) == pytest.approx(0.0, abs=1e-8)
+        assert traj.heat == pytest.approx(0.0, abs=1e-8)
         # frictionless doubling from thermal start: W = h_f - h_i = h_i
         assert w == pytest.approx(v0.h, rel=1e-8)
         assert w == pytest.approx(5.4098835, abs=1e-6)
@@ -57,7 +56,7 @@ class TestStrokeWorkHeat:
         prot = FrequencyProtocol.constant(5.0, 50.0)
         hot_state = thermal_observable_vector(5.0, 9.0)
         traj = propagate_open(hot_state, prot, bath)
-        assert stroke_heat(traj) < 0  # heat flows out to the colder bath
+        assert traj.heat < 0  # heat flows out to the colder bath
 
 
 class TestCoherenceEntropy:
