@@ -15,17 +15,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import RunConfig, parse_config_dict, read_config
 from .core import BathSpec
 from .cycle_engine import export_cycle_result, run_to_limit_cycle
 from .errors import CarnotLabError, ConfigError
-from .presets import PRESET_NAMES, get_preset
+from .presets import DEFAULT_CYCLE_TIME, PRESET_NAMES
 from .protocols import (build_constant_mu_protocol, build_sta_protocol,
                         build_ste_nonthermal_protocol, build_ste_protocol,
                         save_protocol)
-from .thermo import analyze_cycle, export_sweep, sweep
+from .thermo import SWEEP_AXES, analyze_cycle, export_sweep, sweep
 
 OUTPUT_ROOT_ENV = "CARNOTLAB_OUT"
 
@@ -133,12 +134,13 @@ def _cmd_compare(args) -> int:
     if not presets:
         raise ConfigError("compare needs --presets")
     axis = cfg.axis or "cycle_time"
-    values = cfg.values or [cfg.cycle_time if cfg.cycle_time else 250.0]
+    values = cfg.values or [DEFAULT_CYCLE_TIME if cfg.cycle_time is None
+                            else cfg.cycle_time]
     out = cfg.out or _default_out("compare")
     os.makedirs(out, exist_ok=True)
     lines = ["preset,value,status,total_work,power,efficiency,operational_mode,error"]
     for name in presets:
-        spec = get_preset(name, cycle_time=cfg.cycle_time or 250.0)
+        spec = replace(cfg, preset=name).build_spec()
         table = sweep(spec, axis, values, tol=cfg.tol, jobs=cfg.jobs)
         for r in table.rows:
             if r.ok:
@@ -210,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="one converged ledger per axis value")
     add_common(p, ("preset", "config", "cycle_time", "out", "tol", "jobs"))
-    p.add_argument("--axis", choices=["cycle_time", "dephasing",
-                                      "compression_ratio"], default=None)
+    p.add_argument("--axis", choices=SWEEP_AXES, default=None)
     p.add_argument("--values", default=None,
                    help="comma-separated axis values")
     p.set_defaults(func=_cmd_sweep)
@@ -220,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", required=True,
                    help=f"comma-separated names from: {', '.join(PRESET_NAMES)}")
     add_common(p, ("config", "cycle_time", "out", "tol", "jobs"))
-    p.add_argument("--axis", choices=["cycle_time", "dephasing",
-                                      "compression_ratio"], default=None)
+    p.add_argument("--axis", choices=SWEEP_AXES, default=None)
     p.add_argument("--values", default=None)
     p.set_defaults(func=_cmd_compare)
 

@@ -11,13 +11,9 @@ import yaml
 
 from .core import CycleKind, CycleSpec
 from .errors import ConfigError
-from .presets import get_preset
+from .presets import DEFAULT_CYCLE_TIME, get_preset
 
-_SPEC_KEYS = {
-    "kind", "omega1", "omega2", "omega3", "omega4", "t_hot_bath", "t_cold_bath",
-    "coupling", "open_stroke_duration", "adiabat_duration", "mu_magnitude",
-    "t_hot_internal", "t_cold_internal", "gamma_dephasing", "name",
-}
+_SPEC_KEYS = {f.name for f in fields(CycleSpec)}
 _REQUIRED_SPEC_KEYS = [f.name for f in fields(CycleSpec) if f.default is MISSING]
 _TOP_KEYS = {
     "preset", "cycle_time", "spec", "axis", "values", "out", "jobs", "tol",
@@ -39,7 +35,8 @@ class RunConfig:
 
     def build_spec(self) -> CycleSpec:
         if self.preset is not None:
-            tau = self.cycle_time if self.cycle_time is not None else 250.0
+            tau = DEFAULT_CYCLE_TIME if self.cycle_time is None \
+                else self.cycle_time
             return get_preset(self.preset, cycle_time=tau, **self.spec_overrides)
         missing = [k for k in _REQUIRED_SPEC_KEYS if k not in self.spec_overrides]
         if missing:
@@ -75,7 +72,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
         if key == "kind":
             v = _convert(CycleKind, v, "spec.kind",
                          f"one of {[k.value for k in CycleKind]}")
-        elif key != "name" and not isinstance(v, (int, float)):
+        elif key != "name" and (isinstance(v, bool)
+                                or not isinstance(v, (int, float))):
             # YAML leaves exponent forms such as 1e-3 as strings
             v = _convert(float, v, f"spec.{key}", "a number")
         spec[key] = v
@@ -103,10 +101,15 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
 
 def _convert(kind, v, label, what):
+    """``kind(v)``, refusing booleans and the fractions int() would drop."""
+    bad = ConfigError(f"{label} must be {what}, got {v!r}")
+    if isinstance(v, bool) or (kind is int and isinstance(v, float)
+                               and not v.is_integer()):
+        raise bad
     try:
         return kind(v)
     except (TypeError, ValueError):
-        raise ConfigError(f"{label} must be {what}, got {v!r}") from None
+        raise bad from None
 
 
 def read_config(path: str) -> dict:

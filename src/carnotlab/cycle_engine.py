@@ -1,13 +1,16 @@
 """Cycle assembly and the limit cycle.
 
-A cycle is four stroke descriptors; every stroke map is affine on the moment
-vector (the identity component carries the affine part), so each stroke is
-summarized by a 5x5 transfer matrix that also accumulates the stroke work.
-Each stroke is integrated once, as a sampled propagator: its last sample is
-the transfer matrix, and the same samples applied to the limit-cycle corner
-state give the trajectories used for analysis and export.  The limit cycle
-is the fixed point of the composed map, reached by iteration at the rate
-rho(A), the spectral radius of the map's (h, l, c) block A.
+Every cycle kind is one table of four legs in cycle order (hot open stroke,
+adiabat, cold open stroke, adiabat), each from one corner frequency to the
+next; the kind picks the protocol builder of each leg, and a failure names
+its leg.  Every stroke map is affine on the moment vector (the identity
+component carries the affine part), so each stroke is summarized by a 5x5
+transfer matrix that also accumulates the stroke work.  Each stroke is
+integrated once, as a sampled propagator: its last sample is the transfer
+matrix, and the same samples applied to the limit-cycle corner state give
+the trajectories used for analysis and export.  The limit cycle is the
+fixed point of the composed map, reached by iteration at the rate rho(A),
+the spectral radius of the map's (h, l, c) block A.
 """
 
 from __future__ import annotations
@@ -91,10 +94,16 @@ def endo_global_corner_frequencies(base: CornerGeometry, t_cold_g: float,
 @dataclass(frozen=True)
 class StrokeDescriptor:
     label: str
-    kind: str  # "open" | "unitary" | "dephasing"
     protocol: FrequencyProtocol
     bath: Optional[BathSpec] = None
     gamma_d: float = 0.0
+
+    @property
+    def kind(self) -> str:
+        """"open" with a bath, otherwise "dephasing" or "unitary"."""
+        if self.bath is not None:
+            return "open"
+        return "dephasing" if self.gamma_d > 0 else "unitary"
 
     @property
     def omega_start(self) -> float:
@@ -115,72 +124,40 @@ def _rewrap(err: CarnotLabError, label: str) -> CarnotLabError:
 def assemble_cycle(spec: CycleSpec) -> List[StrokeDescriptor]:
     """Build the four stroke descriptors of a cycle specification.
 
-    Shortcut kinds pair two open equilibration ramps with two transitionless
-    adiabats; the global kind drives all four strokes at constant |mu| with
-    signs following the frequency ordering.  Builder failures are re-raised
-    with the stroke identity attached.
+    Every kind runs the same four legs in cycle order, leg i from corner i to
+    corner i + 1: hot open stroke, adiabat, cold open stroke, adiabat.  The
+    global kind drives each leg at constant |mu| with the sign of its
+    frequency change; the shortcut kinds run equilibration ramps on the open
+    legs (between internal-temperature Gibbs states for endo-shortcut) and
+    transitionless ramps on the adiabats.  Every leg without a bath dephases
+    at ``gamma_dephasing``.  A builder failure is re-raised naming its leg.
     """
     hot = BathSpec(spec.t_hot_bath, spec.coupling)
     cold = BathSpec(spec.t_cold_bath, spec.coupling)
+    corners = (spec.omega1, spec.omega2, spec.omega3, spec.omega4, spec.omega1)
+    legs = (("open-expansion", hot, spec.t_hot_internal),
+            ("adiabatic-expansion", None, None),
+            ("open-compression", cold, spec.t_cold_internal),
+            ("adiabatic-compression", None, None))
     strokes: List[StrokeDescriptor] = []
-
-    if spec.kind is CycleKind.ENDO_GLOBAL:
-        mu = spec.mu_magnitude
-        legs = [("open-expansion", spec.omega1, spec.omega2, "open", hot),
-                ("adiabatic-expansion", spec.omega2, spec.omega3, "unitary", None),
-                ("open-compression", spec.omega3, spec.omega4, "open", cold),
-                ("adiabatic-compression", spec.omega4, spec.omega1, "unitary", None)]
-        for label, wi, wf, kind, bath in legs:
-            sign = 1.0 if wf > wi else -1.0
-            try:
-                protocol = build_constant_mu_protocol(wi, wf, sign * mu)
-            except CarnotLabError as err:
-                raise _rewrap(err, label) from err
-            if kind == "unitary" and spec.gamma_dephasing > 0:
-                strokes.append(StrokeDescriptor(label, "dephasing", protocol,
-                                                None, spec.gamma_dephasing))
-            else:
-                strokes.append(StrokeDescriptor(label, kind, protocol, bath))
-        return strokes
-
-    t_open = spec.open_stroke_duration
-    t_adia = spec.adiabat_duration
-    if spec.kind is CycleKind.ENDO_SHORTCUT:
-        builders = [
-            ("open-expansion", lambda: build_ste_nonthermal_protocol(
-                spec.omega1, spec.omega2, t_open, spec.t_hot_internal, hot)[0], hot),
-            ("open-compression", lambda: build_ste_nonthermal_protocol(
-                spec.omega3, spec.omega4, t_open, spec.t_cold_internal, cold)[0], cold),
-        ]
-    else:
-        builders = [
-            ("open-expansion", lambda: build_ste_protocol(
-                spec.omega1, spec.omega2, t_open, hot)[0], hot),
-            ("open-compression", lambda: build_ste_protocol(
-                spec.omega3, spec.omega4, t_open, cold)[0], cold),
-        ]
-    open_strokes = {}
-    for label, make, bath in builders:
+    for (label, bath, t_internal), wi, wf in zip(legs, corners, corners[1:]):
         try:
-            open_strokes[label] = StrokeDescriptor(label, "open", make(), bath)
+            if spec.kind is CycleKind.ENDO_GLOBAL:
+                mu = spec.mu_magnitude if wf > wi else -spec.mu_magnitude
+                protocol = build_constant_mu_protocol(wi, wf, mu)
+            elif bath is None:
+                protocol = build_sta_protocol(wi, wf, spec.adiabat_duration)[0]
+            elif spec.kind is CycleKind.ENDO_SHORTCUT:
+                protocol = build_ste_nonthermal_protocol(
+                    wi, wf, spec.open_stroke_duration, t_internal, bath)[0]
+            else:
+                protocol = build_ste_protocol(
+                    wi, wf, spec.open_stroke_duration, bath)[0]
         except CarnotLabError as err:
             raise _rewrap(err, label) from err
-    try:
-        sta_expand = build_sta_protocol(spec.omega2, spec.omega3, t_adia)[0]
-        sta_compress = build_sta_protocol(spec.omega4, spec.omega1, t_adia)[0]
-    except CarnotLabError as err:
-        raise _rewrap(err, "adiabat") from err
-
-    def unitary(label, protocol):
-        if spec.gamma_dephasing > 0:
-            return StrokeDescriptor(label, "dephasing", protocol, None,
-                                    spec.gamma_dephasing)
-        return StrokeDescriptor(label, "unitary", protocol)
-
-    return [open_strokes["open-expansion"],
-            unitary("adiabatic-expansion", sta_expand),
-            open_strokes["open-compression"],
-            unitary("adiabatic-compression", sta_compress)]
+        gamma_d = spec.gamma_dephasing if bath is None else 0.0
+        strokes.append(StrokeDescriptor(label, protocol, bath, gamma_d))
+    return strokes
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +197,19 @@ class CycleResult:
     spec: CycleSpec
     strokes: List[StrokeDescriptor]
     trajectories: List[Trajectory]
-    corner_vectors: List[ObservableVector]
-    corner_omegas: List[float]
     iterations: int
     contraction: float
     magnus_steps: List[int]
     magnus_errors: List[float]
+
+    @property
+    def corner_vectors(self) -> List[ObservableVector]:
+        """Corner states, the first vector of each stroke's trajectory."""
+        return [t.initial_vector for t in self.trajectories]
+
+    @property
+    def corner_omegas(self) -> List[float]:
+        return [s.omega_start for s in self.strokes]
 
     @property
     def cycle_time_atomic(self) -> float:
@@ -288,18 +272,12 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
             f"cycles (tol {tol}); contraction rho(A) = {contraction:.6g}")
 
     trajectories: List[Trajectory] = []
-    corner_vectors: List[ObservableVector] = []
-    corner_omegas: List[float] = []
     vec = ObservableVector.from_array(y[:4])
     for stroke, p in zip(strokes, propagators):
-        corner_vectors.append(vec)
-        corner_omegas.append(stroke.omega_start)
-        traj = trajectory(vec, stroke.protocol, p, stroke.kind)
-        trajectories.append(traj)
-        vec = traj.final_vector
+        trajectories.append(trajectory(vec, stroke.protocol, p))
+        vec = trajectories[-1].final_vector
 
     return CycleResult(spec=spec, strokes=strokes, trajectories=trajectories,
-                       corner_vectors=corner_vectors, corner_omegas=corner_omegas,
                        iterations=iterations, contraction=contraction,
                        magnus_steps=[p.steps for p in propagators],
                        magnus_errors=[p.error for p in propagators])

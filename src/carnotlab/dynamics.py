@@ -35,7 +35,7 @@ sampling grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -154,10 +154,8 @@ class Trajectory:
     vectors: np.ndarray          # (n, 4)
     omegas: np.ndarray
     omega_dots: np.ndarray
-    provenance: str
     work: float
     heat: float
-    work_trace: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) < 0):
@@ -404,7 +402,7 @@ def stroke_propagators(protocol: FrequencyProtocol,
 
 
 def trajectory(v0: ObservableVector, protocol: FrequencyProtocol,
-               propagators: Propagators, provenance: str) -> Trajectory:
+               propagators: Propagators) -> Trajectory:
     """Trajectory from v0 through the sampled propagators of one stroke."""
     times = propagators.times
     ys = propagators.maps @ np.append(v0.as_array(), 0.0)
@@ -413,22 +411,21 @@ def trajectory(v0: ObservableVector, protocol: FrequencyProtocol,
     return Trajectory(times=times, vectors=ys[:, :4],
                       omegas=np.atleast_1d(protocol.omega(times)),
                       omega_dots=np.atleast_1d(protocol.omega_dot(times)),
-                      provenance=provenance, work=work, heat=heat,
-                      work_trace=ys[:, 4])
+                      work=work, heat=heat)
 
 
 def propagate_unitary(v0: ObservableVector, protocol: FrequencyProtocol,
                       n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Closed-system stroke along an arbitrary protocol."""
     return trajectory(v0, protocol, stroke_propagators(
-        protocol, n_samples=n_samples), "unitary")
+        protocol, n_samples=n_samples))
 
 
 def propagate_open(v0: ObservableVector, protocol: FrequencyProtocol,
                    bath: BathSpec, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Thermal-contact stroke along an arbitrary protocol."""
     return trajectory(v0, protocol, stroke_propagators(
-        protocol, bath, n_samples=n_samples), "open")
+        protocol, bath, n_samples=n_samples))
 
 
 def propagate_dephasing(v0: ObservableVector, protocol: FrequencyProtocol,
@@ -438,7 +435,7 @@ def propagate_dephasing(v0: ObservableVector, protocol: FrequencyProtocol,
     if gamma_d < 0:
         raise DomainError("dephasing strength must be non-negative")
     return trajectory(v0, protocol, stroke_propagators(
-        protocol, bath, gamma_d, n_samples), "dephasing")
+        protocol, bath, gamma_d, n_samples))
 
 
 def propagate_ste_beta(beta0: float, ste: SteSolution, bath: BathSpec,

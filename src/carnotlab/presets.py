@@ -21,7 +21,7 @@ ADIABAT_DURATION = 5.0
 #: Dipole coupling constant shared by every preset.
 COUPLING = 0.05
 
-_DEFAULT_CYCLE_TIME = 250.0  # 2*pi/omega_min units
+DEFAULT_CYCLE_TIME = 250.0  # 2*pi/omega_min units
 
 
 def _spec(name, **kw):
@@ -77,7 +77,7 @@ PRESET_DESCRIPTIONS = {
 }
 
 
-def get_preset(name: str, cycle_time: float = _DEFAULT_CYCLE_TIME,
+def get_preset(name: str, cycle_time: float = DEFAULT_CYCLE_TIME,
                **overrides) -> CycleSpec:
     """Build a preset, retimed to ``cycle_time`` (2*pi/omega_min units).
 

@@ -61,17 +61,15 @@ def _smoothstep(y0, y1):
 
 
 class _PolyEval:
-    """d^order/dt^order of a polynomial in s = t/t_f, or its log (picklable)."""
+    """d^order/dt^order of a polynomial in s = t/t_f (picklable)."""
 
-    def __init__(self, poly, t_f, order=0, log=False):
+    def __init__(self, poly, t_f, order=0):
         self.poly = poly.deriv(order) if order else poly
         self.t_f = t_f
         self.scale = t_f ** (-order) if order else 1.0
-        self.log = log
 
     def __call__(self, t):
-        v = self.poly(np.asarray(t, dtype=float) / self.t_f) * self.scale
-        return np.log(v) if self.log else v
+        return self.poly(np.asarray(t, dtype=float) / self.t_f) * self.scale
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +82,7 @@ class ErmakovSolution:
 
     rho: Callable
     rho_dot: Callable
-    rho_ddot: Callable
     t_f: float
-    omega_initial: float
-    omega_final: float
     omega: Callable = field(default=None, repr=False)
 
 
@@ -147,9 +142,8 @@ def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float):
         meta={"family": "sta", "omega_initial": omega_initial,
               "omega_final": omega_final, "t_f": t_f})
     ermakov = ErmakovSolution(
-        rho=_PolyEval(poly, t_f, 0), rho_dot=_PolyEval(poly, t_f, 1),
-        rho_ddot=_PolyEval(poly, t_f, 2), t_f=t_f,
-        omega_initial=omega_initial, omega_final=omega_final, omega=omega_fn)
+        rho=_PolyEval(poly, t_f, 0), rho_dot=_PolyEval(poly, t_f, 1), t_f=t_f,
+        omega=omega_fn)
     return protocol, ermakov
 
 
@@ -232,13 +226,10 @@ class SteSolution:
     modified frequency, and the synthesized protocol."""
 
     y: Callable
-    beta: Callable
     beta_dot: Callable
     alpha_grid: np.ndarray
     times: np.ndarray
     protocol: FrequencyProtocol
-    coefficients: np.ndarray
-    bath: BathSpec
     target_initial: float  # beta(0)
     target_final: float    # beta(t_f)
 
@@ -414,9 +405,8 @@ def _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1, dy0, dy1,
               "bath_temperature": bath.temperature, "coupling": bath.coupling,
               **(extra_meta or {})})
     solution = SteSolution(
-        y=_PolyEval(poly, t_f), beta=_PolyEval(poly, t_f, log=True),
-        beta_dot=_BetaDot(poly, t_f), alpha_grid=alpha, times=times,
-        protocol=protocol, coefficients=poly.coef.copy(), bath=bath,
+        y=_PolyEval(poly, t_f), beta_dot=_BetaDot(poly, t_f),
+        alpha_grid=alpha, times=times, protocol=protocol,
         target_initial=beta0, target_final=beta1)
     return protocol, solution
 

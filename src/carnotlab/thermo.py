@@ -137,7 +137,7 @@ def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> Cycl
     q_hot = q_cold = 0.0
     unitary_heat = 0.0
     for stroke, traj in zip(result.strokes, result.trajectories):
-        if stroke.kind == "open" and stroke.bath is not None:
+        if stroke.bath is not None:
             # assemble_cycle gives the hot bath to open-expansion in every kind
             if stroke.label == "open-expansion":
                 q_hot += traj.heat

@@ -67,3 +67,20 @@ def test_traced_oracle_counts_rhs_evals():
     assert layers["fock_oracle.rhs_evals"] > 0
     assert layers["fock_oracle.lindblad_s.driven_open"] > 0
     assert layers["fock_oracle.lindblad_s.driven_dephasing"] > 0
+
+
+def test_traced_transfer_matrix_tags_each_stroke_kind():
+    # the tracer files stroke_transfer_matrix under StrokeDescriptor.kind
+    plain = cycle_engine.assemble_cycle(get_preset("endo-global", cycle_time=12.0))
+    dephased = cycle_engine.assemble_cycle(
+        get_preset("endo-global", cycle_time=12.0, gamma_dephasing=0.01))
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        for stroke in (plain[0], plain[1], dephased[1]):
+            cycle_engine.stroke_transfer_matrix(stroke)
+    finally:
+        tracer.uninstall()
+    layers = tracer.per_layer(1, 0.0)
+    for kind in ("open", "unitary", "dephasing"):
+        assert layers[f"cycle_engine.transfer_matrix_s.{kind}"] > 0

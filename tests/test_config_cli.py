@@ -52,7 +52,10 @@ class TestConfig:
         ("spec: {kind: otto}\n", "spec.kind"),
         ("spec: {kind: carnot-shortcut, omega1: 10.0}\n", "omega2"),
         ("preset: carnot-shortcut\nspec: {coupling: strong}\n", "spec.coupling"),
-    ], ids=["jobs", "tol", "values", "kind", "partial-spec", "coupling"])
+        ("preset: carnot-shortcut\njobs: 2.5\n", "jobs"),
+        ("preset: carnot-shortcut\nspec: {coupling: true}\n", "spec.coupling"),
+    ], ids=["jobs", "tol", "values", "kind", "partial-spec", "coupling",
+            "fractional-jobs", "boolean-coupling"])
     def test_malformed_value_names_key(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
@@ -206,6 +209,22 @@ class TestCli:
         assert len(lines) == 3
         assert lines[1].startswith("carnot-shortcut,40")
         assert lines[2].startswith("endo-global,40")
+
+    def test_compare_honours_config_spec(self, tmp_path):
+        cfg = tmp_path / "hot.yaml"
+        cfg.write_text("spec: {t_hot_bath: 9.0}\n")
+        args = ["--config", str(cfg), "--axis", "cycle_time", "--values", "40"]
+        assert main(["compare", "--presets", "carnot-shortcut", *args,
+                     "--out", str(tmp_path / "cmp")]) == 0
+        assert main(["sweep", "--preset", "carnot-shortcut", *args,
+                     "--out", str(tmp_path / "sw")]) == 0
+        compare = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+        swept = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        header = swept[0].split(",")
+        row = dict(zip(header, swept[1].split(",")))
+        assert compare[1] == ",".join(
+            ["carnot-shortcut", row["value"], row["status"], row["total_work"],
+             row["power"], row["efficiency"], row["operational_mode"], ""])
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CARNOTLAB_OUT", str(tmp_path))

@@ -214,6 +214,15 @@ class TestLimitCycle:
         with pytest.raises(NumericalError, match="^adiabatic-expansion: "):
             stroke_transfer_matrix(assemble_cycle(spec)[1])
 
+    def test_adiabat_failure_names_its_stroke(self):
+        # the STA ramp 8 -> 5 cannot be done in 0.05 with a confining trap
+        spec = get_preset("carnot-shortcut", cycle_time=40.0,
+                          adiabat_duration=0.05)
+        with pytest.raises(InvalidProtocol) as err:
+            assemble_cycle(spec)
+        assert str(err.value).startswith("adiabatic-expansion: ")
+        assert 0.0 < err.value.time < 0.05
+
     def test_rewrap_keeps_attributes(self):
         from carnotlab.cycle_engine import _rewrap
 

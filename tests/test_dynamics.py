@@ -305,7 +305,7 @@ class TestStrokePropagators:
     def test_steps_are_sixth_order(self):
         # doubling the steps of a smooth stroke cuts the error 2^6-fold
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
-        ref = _dop853_transfer_matrix(StrokeDescriptor("sta", "unitary", prot))
+        ref = _dop853_transfer_matrix(StrokeDescriptor("sta", prot))
         err = [np.max(np.abs(dynamics._interval_maps(prot, n, 1, None, 0.0)[0]
                              - ref)) for n in (80, 160)]
         assert err[0] / err[1] > 40.0

@@ -234,6 +234,17 @@ class TestAnalyzeAndSweep:
         assert meta["axis"] == "cycle_time"
         assert "config_hash" in meta
 
+    def test_process_pool_sweep_matches_serial(self, tmp_path):
+        from carnotlab.thermo import export_sweep
+
+        spec = get_preset("endo-global")
+        for jobs in (1, 2):
+            export_sweep(sweep(spec, "cycle_time", [10.0, 14.0], jobs=jobs),
+                         tmp_path / f"jobs{jobs}.csv")
+        serial = (tmp_path / "jobs1.csv").read_bytes()
+        assert serial.count(b",ok,") == 2
+        assert (tmp_path / "jobs2.csv").read_bytes() == serial
+
     def test_reference_efficiencies(self):
         assert carnot_efficiency(5.0, 8.0) == pytest.approx(0.375, rel=1e-15)
         assert curzon_ahlborn_efficiency(5.0, 8.0) == pytest.approx(
