@@ -134,6 +134,8 @@ def _cmd_compare(args) -> int:
     if not presets:
         raise ConfigError("compare needs --presets")
     axis = cfg.axis or "cycle_time"
+    if not cfg.values and axis != "cycle_time":
+        raise ConfigError(f"compare along {axis} needs --values")
     values = cfg.values or [DEFAULT_CYCLE_TIME if cfg.cycle_time is None
                             else cfg.cycle_time]
     out = cfg.out or _default_out("compare")

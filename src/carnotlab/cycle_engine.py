@@ -11,6 +11,12 @@ matrix, and the same samples applied to the limit-cycle corner state give
 the trajectories used for analysis and export.  The limit cycle is the
 fixed point of the composed map, reached by iteration at the rate rho(A),
 the spectral radius of the map's (h, l, c) block A.
+
+A leg is fixed by its inputs (label, kind, corners, builder parameter,
+bath, internal temperature, dephasing strength), so a sweep hands
+``run_to_limit_cycle`` a leg memo: a leg whose inputs match the last leg
+built under its label reuses that leg's stroke and propagators instead of
+building and propagating them again.
 """
 
 from __future__ import annotations
@@ -19,14 +25,14 @@ import copy
 import json
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
                    ObservableVector, thermal_observable_vector)
-from .dynamics import (DEFAULT_SAMPLES, Trajectory, stroke_propagators,
-                       trajectory)
+from .dynamics import (DEFAULT_SAMPLES, Propagators, Trajectory,
+                       stroke_propagators, trajectory)
 from .errors import CarnotLabError, ConfigError, NonConvergence
 from .protocols import (build_constant_mu_protocol, build_sta_protocol,
                         build_ste_nonthermal_protocol, build_ste_protocol)
@@ -121,6 +127,63 @@ def _rewrap(err: CarnotLabError, label: str) -> CarnotLabError:
     return new
 
 
+class _Leg(NamedTuple):
+    """Every input of one leg: its label, the cycle kind (which with the bath
+    picks the protocol builder), its corners, the builder's own parameter
+    (mu, ``adiabat_duration`` or ``open_stroke_duration``), the bath, the
+    internal temperature and the dephasing strength."""
+
+    label: str
+    kind: CycleKind
+    omega_initial: float
+    omega_final: float
+    parameter: float
+    bath: Optional[BathSpec]
+    t_internal: Optional[float]
+    gamma_d: float
+
+
+def _cycle_legs(spec: CycleSpec) -> List[_Leg]:
+    """The four legs of a cycle in cycle order, leg i from corner i to i + 1."""
+    hot = BathSpec(spec.t_hot_bath, spec.coupling)
+    cold = BathSpec(spec.t_cold_bath, spec.coupling)
+    corners = (spec.omega1, spec.omega2, spec.omega3, spec.omega4, spec.omega1)
+    table = (("open-expansion", hot, spec.t_hot_internal),
+             ("adiabatic-expansion", None, None),
+             ("open-compression", cold, spec.t_cold_internal),
+             ("adiabatic-compression", None, None))
+    legs = []
+    for (label, bath, t_internal), wi, wf in zip(table, corners, corners[1:]):
+        if spec.kind is CycleKind.ENDO_GLOBAL:
+            parameter = spec.mu_magnitude if wf > wi else -spec.mu_magnitude
+        elif bath is None:
+            parameter = spec.adiabat_duration
+        else:
+            parameter = spec.open_stroke_duration
+        gamma_d = spec.gamma_dephasing if bath is None else 0.0
+        legs.append(_Leg(label, spec.kind, wi, wf, parameter, bath, t_internal,
+                         gamma_d))
+    return legs
+
+
+def _build(leg: _Leg) -> StrokeDescriptor:
+    """The stroke of one leg; a builder failure is re-raised naming the leg."""
+    label, kind, wi, wf, parameter, bath, t_internal, gamma_d = leg
+    try:
+        if kind is CycleKind.ENDO_GLOBAL:
+            protocol = build_constant_mu_protocol(wi, wf, parameter)
+        elif bath is None:
+            protocol = build_sta_protocol(wi, wf, parameter)[0]
+        elif kind is CycleKind.ENDO_SHORTCUT:
+            protocol = build_ste_nonthermal_protocol(
+                wi, wf, parameter, t_internal, bath)[0]
+        else:
+            protocol = build_ste_protocol(wi, wf, parameter, bath)[0]
+    except CarnotLabError as err:
+        raise _rewrap(err, label) from err
+    return StrokeDescriptor(label, protocol, bath, gamma_d)
+
+
 def assemble_cycle(spec: CycleSpec) -> List[StrokeDescriptor]:
     """Build the four stroke descriptors of a cycle specification.
 
@@ -132,32 +195,7 @@ def assemble_cycle(spec: CycleSpec) -> List[StrokeDescriptor]:
     transitionless ramps on the adiabats.  Every leg without a bath dephases
     at ``gamma_dephasing``.  A builder failure is re-raised naming its leg.
     """
-    hot = BathSpec(spec.t_hot_bath, spec.coupling)
-    cold = BathSpec(spec.t_cold_bath, spec.coupling)
-    corners = (spec.omega1, spec.omega2, spec.omega3, spec.omega4, spec.omega1)
-    legs = (("open-expansion", hot, spec.t_hot_internal),
-            ("adiabatic-expansion", None, None),
-            ("open-compression", cold, spec.t_cold_internal),
-            ("adiabatic-compression", None, None))
-    strokes: List[StrokeDescriptor] = []
-    for (label, bath, t_internal), wi, wf in zip(legs, corners, corners[1:]):
-        try:
-            if spec.kind is CycleKind.ENDO_GLOBAL:
-                mu = spec.mu_magnitude if wf > wi else -spec.mu_magnitude
-                protocol = build_constant_mu_protocol(wi, wf, mu)
-            elif bath is None:
-                protocol = build_sta_protocol(wi, wf, spec.adiabat_duration)[0]
-            elif spec.kind is CycleKind.ENDO_SHORTCUT:
-                protocol = build_ste_nonthermal_protocol(
-                    wi, wf, spec.open_stroke_duration, t_internal, bath)[0]
-            else:
-                protocol = build_ste_protocol(
-                    wi, wf, spec.open_stroke_duration, bath)[0]
-        except CarnotLabError as err:
-            raise _rewrap(err, label) from err
-        gamma_d = spec.gamma_dephasing if bath is None else 0.0
-        strokes.append(StrokeDescriptor(label, protocol, bath, gamma_d))
-    return strokes
+    return [_build(leg) for leg in _cycle_legs(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +273,36 @@ def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
     return thermal_observable_vector(spec.omega1, t_hot)
 
 
-def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
+#: Per leg label, the inputs and sample count of the last leg built and
+#: propagated under that label, with its stroke and propagators.
+LegMemo = Dict[str, Tuple[_Leg, int, StrokeDescriptor, Propagators]]
+
+
+def _strokes_and_propagators(spec: CycleSpec, memo: LegMemo):
+    """The four strokes of a cycle and their sampled propagators.
+
+    A leg whose inputs and sample count equal those held under its label in
+    ``memo`` reuses the held stroke and propagators; every other leg is built
+    (all builds first, in cycle order) and then propagated.  Each leg that
+    succeeds replaces its label's entry.
+    """
+    legs = _cycle_legs(spec)
+    held = []
+    for leg in legs:
+        entry = memo.get(leg.label)
+        same = entry is not None and entry[:2] == (leg, DEFAULT_SAMPLES)
+        held.append(entry if same else None)
+    strokes = [e[2] if e else _build(leg) for leg, e in zip(legs, held)]
+    propagators = []
+    for leg, stroke, entry in zip(legs, strokes, held):
+        p = entry[3] if entry else _propagate(stroke, DEFAULT_SAMPLES)
+        memo[leg.label] = (leg, DEFAULT_SAMPLES, stroke, p)
+        propagators.append(p)
+    return strokes, propagators
+
+
+def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9, *,
+                       leg_memo: Optional[LegMemo] = None) -> CycleResult:
     """Iterate the four-stroke map from the designed corner-1 state to its
     fixed point.
 
@@ -245,11 +312,16 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9) -> CycleResult:
     components; so the returned cycle closes within ``tol`` by construction.
     ``iterations`` is k.  Raises NonConvergence, naming the contraction
     rho(A), if ``MAX_CYCLES`` cycles do not get there.
+
+    ``leg_memo`` carries legs from one call to the next: a leg whose inputs
+    are those of the last leg built under its label reuses that leg's stroke
+    and propagators, which are the ones it would compute again.  The memo
+    holds at most the four legs of one cycle.
     """
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
-    strokes = assemble_cycle(spec)
-    propagators = [_propagate(s, DEFAULT_SAMPLES) for s in strokes]
+    strokes, propagators = _strokes_and_propagators(
+        spec, {} if leg_memo is None else leg_memo)
     cycle_map = np.eye(5)
     for p in propagators:
         cycle_map = p.maps[-1] @ cycle_map

@@ -60,6 +60,10 @@ _PILOT_STEPS = (400, 800)
 _LOCATE_STEPS = 8000
 #: Largest step count a stroke may need before it fails.
 _MAX_STEPS = 100 * _PILOT_STEPS[1]
+#: Every step of a product keeps h max|G|_1 over its nodes below this, inside
+#: pi, the convergence radius of the Magnus series.  Past it the stiff
+#: dephasing of (l, c) can make both pilots agree on a wrong map.
+_STEP_NORM_BOUND = 3.0
 #: Steps per batched exponential (768 generator evaluations): bounds the
 #: memory of a block.
 _MAGNUS_BLOCK = 256
@@ -227,9 +231,9 @@ def _expm_stack(x: np.ndarray) -> np.ndarray:
 
 
 def _magnus_steps(protocol: FrequencyProtocol, starts: np.ndarray, h: float,
-                  bath: Optional[BathSpec], gamma_d: float) -> np.ndarray:
+                  bath: Optional[BathSpec], gamma_d: float):
     """exp(Omega) of the 6th-order Magnus steps of size h that begin at
-    ``starts * h``.
+    ``starts * h``, and the largest h |A|_1 over their nodes.
 
     With A1, A2, A3 the generator at the three Gauss nodes,
     a1 = h A2, a2 = (sqrt15 / 3) h (A3 - A1), a3 = (10 / 3) h (A3 - 2 A2 + A1),
@@ -262,7 +266,8 @@ def _magnus_steps(protocol: FrequencyProtocol, starts: np.ndarray, h: float,
     omega += a1
     omega += a3 / 12.0
     try:
-        return _expm_stack(omega)
+        norm = float(np.einsum("...ij->...j", np.abs(g)).max())
+        return _expm_stack(omega), h * norm
     except NumericalError as err:
         bad = ~np.isfinite(g).all(axis=(-2, -1))
         t = float(nodes[bad].min() if bad.any()
@@ -300,9 +305,10 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
 
 
 def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
-                   bath: Optional[BathSpec], gamma_d: float) -> np.ndarray:
+                   bath: Optional[BathSpec], gamma_d: float):
     """Products of the steps in each of ``intervals`` equal parts of a uniform
-    ``n_steps``-step grid, shape (intervals, 5, 5).
+    ``n_steps``-step grid, shape (intervals, 5, 5), and the largest h |G|_1
+    over the nodes of all steps.
 
     Steps are exponentiated in chronological chunks of at most
     ``_MAGNUS_BLOCK``, over blocks of as many whole intervals as fit in one
@@ -314,15 +320,17 @@ def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
     per_interval = n_steps // intervals
     per_block = max(1, _MAGNUS_BLOCK // per_interval)
     maps = np.empty((intervals, 5, 5))
+    step_norm = 0.0
     try:
         for j0 in range(0, intervals, per_block):
             j1 = min(j0 + per_block, intervals)
             starts = np.arange(j0 * per_interval, j1 * per_interval)
-            steps = np.concatenate([
+            steps, norms = zip(*(
                 _magnus_steps(protocol, chunk, h, bath, gamma_d) for chunk in
-                np.array_split(starts, -(-starts.size // _MAGNUS_BLOCK))])
+                np.array_split(starts, -(-starts.size // _MAGNUS_BLOCK))))
+            step_norm = max(step_norm, *norms)
             maps[j0:j1] = _interval_products(
-                steps.reshape(j1 - j0, per_interval, 5, 5))
+                np.concatenate(steps).reshape(j1 - j0, per_interval, 5, 5))
     except (DomainError, NumericalError):
         if n_steps >= _LOCATE_STEPS:
             raise
@@ -331,7 +339,7 @@ def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
         except (DomainError, NumericalError) as err:
             raise err from None
         raise
-    return maps
+    return maps, step_norm
 
 
 @dataclass(frozen=True)
@@ -356,8 +364,10 @@ def stroke_propagators(protocol: FrequencyProtocol,
     800 steps, estimate the error of the finer as |M800 - M400| / 15; N is
     the smallest multiple of the sample intervals, at least 800, whose error
     under the N^-4 rate set by the protocols' spline knots meets
-    ``MAGNUS_TARGET`` * max|M|.  When N is 800 the pilot's steps are reused.
-    The interval maps are accumulated by a log-depth prefix scan.
+    ``MAGNUS_TARGET`` * max|M|, and whose every step has h |G|_1 below
+    ``_STEP_NORM_BOUND`` at all three nodes; N is raised until it does.  When
+    N is 800 the pilot's steps are reused.  The interval maps are accumulated
+    by a log-depth prefix scan.
 
     Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
     ``maps[-1]`` is the stroke's transfer matrix
@@ -373,25 +383,38 @@ def stroke_propagators(protocol: FrequencyProtocol,
         return Propagators(np.zeros(1), np.eye(5)[None], 0, 0.0)
     intervals = n_samples - 1
     coarse_steps, fine_steps = _PILOT_STEPS
-    coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0]
-    pilot = _prefix_products(_interval_maps(
-        protocol, fine_steps, math.gcd(fine_steps, intervals), bath, gamma_d))
+    coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
+    pilot, step_norm = _interval_maps(
+        protocol, fine_steps, math.gcd(fine_steps, intervals), bath, gamma_d)
+    pilot = _prefix_products(pilot)
     scale = float(np.max(np.abs(pilot[-1])))
     # the pilots' difference is 15 times the finer one's error under N^-4
     error = float(np.max(np.abs(pilot[-1] - coarse))) / 15.0 / scale
     if not math.isfinite(error):
         raise NumericalError("stroke propagator is not finite",
                              diagnostics={"duration": protocol.duration})
-    needed = fine_steps * (error / MAGNUS_TARGET) ** 0.25
-    if needed > _MAX_STEPS:
-        raise NumericalError(
-            f"stroke needs {needed:.4g} Magnus steps, more than {_MAX_STEPS}",
-            diagnostics={"steps": needed, "error": error,
-                         "duration": protocol.duration})
-    n_steps = intervals * math.ceil(max(needed, fine_steps) / intervals)
-    if n_steps != fine_steps:
-        pilot = _prefix_products(_interval_maps(protocol, n_steps, intervals,
-                                                bath, gamma_d))
+    # a step's h |G|_1 shrinks in proportion to h
+    needed = max(fine_steps * (error / MAGNUS_TARGET) ** 0.25,
+                 fine_steps * step_norm / _STEP_NORM_BOUND)
+    n_steps = fine_steps
+    while True:
+        if needed > _MAX_STEPS:
+            where = f" at gamma_d = {gamma_d:.6g}" if gamma_d else ""
+            raise NumericalError(
+                f"stroke needs {needed:.4g} Magnus steps{where}, more than "
+                f"{_MAX_STEPS}",
+                diagnostics={"steps": needed, "error": error,
+                             "step_norm": step_norm,
+                             "duration": protocol.duration})
+        n_next = intervals * math.ceil(max(needed, fine_steps) / intervals)
+        if n_next != n_steps:
+            n_steps = n_next
+            pilot, step_norm = _interval_maps(protocol, n_steps, intervals,
+                                              bath, gamma_d)
+            pilot = _prefix_products(pilot)
+        if step_norm < _STEP_NORM_BOUND:
+            break
+        needed = max(n_steps * step_norm / _STEP_NORM_BOUND, n_steps + 1)
     maps = np.concatenate((np.eye(5)[None], pilot))
     if not np.all(np.isfinite(maps)):
         raise NumericalError("stroke propagator is not finite",

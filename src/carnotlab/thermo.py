@@ -127,8 +127,18 @@ class CycleLedger:
         return d
 
 
+#: Largest bath entropy decrease a ledger may show, relative to the entropy
+#: the heat flows carry: far above the error of the stroke maps.
+SECOND_LAW_RTOL = 1e-9
+
+
 def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> CycleLedger:
-    """Fill the thermodynamic ledger for a limit cycle."""
+    """Fill the thermodynamic ledger for a limit cycle.
+
+    Raises UnphysicalState when the bath entropy production is below
+    -``SECOND_LAW_RTOL`` times |q_hot| / T_hot + |q_cold| / T_cold: no
+    periodic cycle between two baths can lower their entropy.
+    """
     spec = spec or result.spec
     works = tuple(t.work for t in result.trajectories)
     heats = tuple(t.heat for t in result.trajectories)
@@ -156,6 +166,11 @@ def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> Cycl
     else:
         mode = "Other"
     sigma = -(q_hot / spec.t_hot_bath + q_cold / spec.t_cold_bath)
+    scale = abs(q_hot) / spec.t_hot_bath + abs(q_cold) / spec.t_cold_bath
+    if sigma < -SECOND_LAW_RTOL * scale:
+        raise UnphysicalState(
+            f"bath entropy production {sigma:.6g} is negative: the ledger "
+            f"breaks the second law")
     closure = abs(sum(t.energy_change for t in result.trajectories))
     return CycleLedger(
         work_per_stroke=works, heat_per_stroke=heats, total_work=total_work,
@@ -259,14 +274,20 @@ def _dict_hash(d: dict) -> str:
     return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _sweep_point(args):
-    template, axis, value, tol = args
+def _sweep_point(template, axis, value, tol, leg_memo) -> SweepRow:
     try:
         spec = spec_for_sweep_value(template, axis, value)
-        result = run_to_limit_cycle(spec, tol=tol)
+        result = run_to_limit_cycle(spec, tol=tol, leg_memo=leg_memo)
         return SweepRow(value=value, ledger=analyze_cycle(result, spec))
     except CarnotLabError as err:
         return SweepRow(value=value, error=f"{type(err).__name__}: {err}")
+
+
+def _sweep_run(args) -> List[SweepRow]:
+    """Rows of a run of consecutive points, which share one leg memo."""
+    template, axis, values, tol = args
+    leg_memo = {}
+    return [_sweep_point(template, axis, v, tol, leg_memo) for v in values]
 
 
 def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
@@ -274,21 +295,31 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
     """Run one limit cycle per axis value.
 
     Failures are recorded per point without aborting the sweep; rows come
-    back in input order regardless of execution order.
+    back in input order regardless of execution order.  A leg that an axis
+    leaves unchanged from one point to the next (both STA adiabats along
+    ``cycle_time`` on the shortcut kinds, both open legs along ``dephasing``,
+    ``adiabatic-expansion`` along ``compression_ratio``) is built and
+    propagated once and reused, so each row is bit-identical to a fresh
+    cycle.  Only the legs of the last cycle are kept, and only for this call.
+    With ``jobs`` > 1 the values are split into ``jobs`` contiguous runs, one
+    per worker process, each with its own legs.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    args = [(spec_template, axis, v, tol) for v in values]
-    if jobs > 1:
+    runs = min(max(jobs, 1), len(values))
+    bounds = [len(values) * i // runs for i in range(runs + 1)]
+    args = [(spec_template, axis, values[a:b], tol)
+            for a, b in zip(bounds, bounds[1:])]
+    if runs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_sweep_point, args))
+        with ProcessPoolExecutor(max_workers=runs) as ex:
+            rows = [row for part in ex.map(_sweep_run, args) for row in part]
     else:
-        rows = [_sweep_point(a) for a in args]
+        rows = _sweep_run(args[0])
     return SweepTable(axis=axis, rows=rows, template=spec_template)
 
 

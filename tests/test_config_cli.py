@@ -226,6 +226,15 @@ class TestCli:
             ["carnot-shortcut", row["value"], row["status"], row["total_work"],
              row["power"], row["efficiency"], row["operational_mode"], ""])
 
+    def test_compare_off_cycle_time_needs_values(self, tmp_path, capsys):
+        # the cycle time is no value of another axis
+        out = tmp_path / "cmp"
+        assert main(["compare", "--presets", "endo-global", "--axis",
+                     "dephasing", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and "--values" in err
+        assert not out.exists()
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CARNOTLAB_OUT", str(tmp_path))
         rc = main(["protocol", "constmu", "6", "5", "--mu", "-0.1"])

@@ -231,6 +231,17 @@ class TestLimitCycle:
         err = _rewrap(InvalidProtocol("x", time=2.5), "lab")
         assert (type(err), str(err), err.time) == (InvalidProtocol, "lab: x", 2.5)
 
+    @pytest.mark.parametrize("gamma_d", [100.0, 250.0])
+    def test_strongly_dephased_adiabat_fails_typed(self, gamma_d):
+        # an 800-step Magnus step would span h |G|_1 in the thousands, where
+        # both pilots agree on a wrong map whose ledger breaks the second law
+        spec = get_preset("endo-global", cycle_time=250.0,
+                          gamma_dephasing=gamma_d)
+        with pytest.raises(NumericalError, match=(
+                f"^adiabatic-expansion: .* at gamma_d = {gamma_d:g}")) as err:
+            run_to_limit_cycle(spec)
+        assert err.value.diagnostics["step_norm"] > 1000.0
+
     def test_nonconvergence_raises(self):
         # a nearly uncoupled bath barely contracts: rho(A) = 0.99998
         spec = get_preset("endo-global", cycle_time=12.0, coupling=1e-6)

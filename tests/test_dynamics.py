@@ -306,7 +306,7 @@ class TestStrokePropagators:
         # doubling the steps of a smooth stroke cuts the error 2^6-fold
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
         ref = _dop853_transfer_matrix(StrokeDescriptor("sta", prot))
-        err = [np.max(np.abs(dynamics._interval_maps(prot, n, 1, None, 0.0)[0]
+        err = [np.max(np.abs(dynamics._interval_maps(prot, n, 1, None, 0.0)[0][0]
                              - ref)) for n in (80, 160)]
         assert err[0] / err[1] > 40.0
 
@@ -336,7 +336,7 @@ class TestStrokePropagators:
             prop = stroke_propagators(s.protocol, s.bath, s.gamma_d, 2)
             m = prop.maps[-1]
             finer = dynamics._interval_products(dynamics._interval_maps(
-                s.protocol, 4 * prop.steps, 1, s.bath, s.gamma_d)[None])[0]
+                s.protocol, 4 * prop.steps, 1, s.bath, s.gamma_d)[0][None])[0]
             assert np.max(np.abs(m - finer)) <= \
                 2.0 * MAGNUS_TARGET * np.max(np.abs(m)), s.label
             assert prop.error <= MAGNUS_TARGET
@@ -363,7 +363,7 @@ class TestStrokePropagators:
     def test_scan_equals_sequential_product(self):
         s = assemble_cycle(get_preset("carnot-shortcut", cycle_time=250.0))[0]
         steps = stroke_propagators(s.protocol, s.bath).steps
-        intervals = dynamics._interval_maps(s.protocol, steps, 800, s.bath, 0.0)
+        intervals = dynamics._interval_maps(s.protocol, steps, 800, s.bath, 0.0)[0]
         scan = dynamics._prefix_products(intervals)
         phi = np.eye(5)
         sequential = []

@@ -10,7 +10,8 @@ from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
 from carnotlab.cycle_engine import CornerGeometry, run_to_limit_cycle
 from carnotlab.dynamics import (Trajectory, free_propagator, propagate_open,
                                 propagate_unitary)
-from carnotlab.errors import ConfigError, DomainError, UnphysicalState
+from carnotlab.errors import (CarnotLabError, ConfigError, DomainError,
+                              UnphysicalState)
 from carnotlab.presets import get_preset
 from carnotlab.protocols import build_sta_protocol
 from carnotlab.thermo import (analyze_cycle, carnot_efficiency, coherence,
@@ -245,7 +246,89 @@ class TestAnalyzeAndSweep:
         assert serial.count(b",ok,") == 2
         assert (tmp_path / "jobs2.csv").read_bytes() == serial
 
+    def test_process_pool_sweep_reuses_legs_per_worker(self, tmp_path):
+        # each worker runs a contiguous run of points with its own legs
+        from carnotlab.thermo import export_sweep
+
+        spec = get_preset("endo-global", cycle_time=8.0)
+        for jobs in (1, 2):
+            export_sweep(sweep(spec, "dephasing", [0.0, 3e-4, 3e-2], jobs=jobs),
+                         tmp_path / f"jobs{jobs}.csv")
+        serial = (tmp_path / "jobs1.csv").read_bytes()
+        assert serial.count(b",ok,") == 3
+        assert (tmp_path / "jobs2.csv").read_bytes() == serial
+
+    def test_negative_entropy_production_raises(self):
+        # booked against baths 8 and 7.9, the cycle's heat lowers their entropy
+        spec = get_preset("carnot-shortcut", cycle_time=40.0)
+        res = run_to_limit_cycle(spec)
+        with pytest.raises(UnphysicalState, match="second law"):
+            analyze_cycle(res, replace(spec, t_cold_bath=7.9))
+
     def test_reference_efficiencies(self):
         assert carnot_efficiency(5.0, 8.0) == pytest.approx(0.375, rel=1e-15)
         assert curzon_ahlborn_efficiency(5.0, 8.0) == pytest.approx(
             1.0 - math.sqrt(0.625), rel=1e-15)
+
+
+class TestSweepLegMemo:
+    """A sweep reuses each leg its axis leaves unchanged between points."""
+
+    @staticmethod
+    def _fresh_row(template, axis, value):
+        try:
+            spec = spec_for_sweep_value(template, axis, value)
+            return analyze_cycle(run_to_limit_cycle(spec), spec).as_dict()
+        except CarnotLabError as err:
+            return f"{type(err).__name__}: {err}"
+
+    @pytest.mark.parametrize("name, tau, axis, values", [
+        ("carnot-shortcut", 250.0, "cycle_time", [14.0, 16.0, 44.0, 30.0]),
+        ("carnot-shortcut", 250.0, "compression_ratio", [1.8, 2.5, 2.0]),
+        ("endo-shortcut", 250.0, "cycle_time", [30.0, 18.0]),
+        ("endo-shortcut", 30.0, "dephasing", [0.0, 1e-2, 1e-3]),
+        ("endo-global", 8.0, "dephasing", [3e-2, 0.0, 3e-5])])
+    def test_rows_equal_fresh_cycles(self, name, tau, axis, values):
+        template = get_preset(name, cycle_time=tau)
+        table = sweep(template, axis, values)
+        assert any(r.ok for r in table.rows)
+        for row in table.rows:
+            got = row.ledger.as_dict() if row.ok else row.error
+            assert got == self._fresh_row(template, axis, row.value), row.value
+
+    @staticmethod
+    def _count(monkeypatch, name, key=lambda *a, **k: True):
+        from carnotlab import cycle_engine
+
+        calls = []
+        original = getattr(cycle_engine, name)
+
+        def counted(*args, **kwargs):
+            if key(*args, **kwargs):
+                calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cycle_engine, name, counted)
+        return calls
+
+    def test_cycle_time_sweep_builds_each_adiabat_once(self, monkeypatch):
+        builds = self._count(monkeypatch, "build_sta_protocol")
+        table = sweep(get_preset("carnot-shortcut"), "cycle_time",
+                      [16.0, 30.0, 44.0])
+        assert all(r.ok for r in table.rows)
+        assert len(builds) == 2
+
+    def test_dephasing_sweep_propagates_each_open_leg_once(self, monkeypatch):
+        open_legs = self._count(
+            monkeypatch, "stroke_propagators",
+            key=lambda protocol, bath=None, *a, **k: bath is not None)
+        table = sweep(get_preset("endo-global", cycle_time=8.0), "dephasing",
+                      [0.0, 3e-4, 3e-2])
+        assert all(r.ok for r in table.rows)
+        assert len(open_legs) == 2
+
+    def test_legs_do_not_outlive_a_sweep(self, monkeypatch):
+        builds = self._count(monkeypatch, "build_sta_protocol")
+        for expected in (2, 4):
+            sweep(get_preset("carnot-shortcut"), "cycle_time", [16.0, 30.0])
+            assert len(builds) == expected
