@@ -273,30 +273,29 @@ def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
     return thermal_observable_vector(spec.omega1, t_hot)
 
 
-#: Per leg label, the inputs and sample count of the last leg built and
-#: propagated under that label, with its stroke and propagators.
-LegMemo = Dict[str, Tuple[_Leg, int, StrokeDescriptor, Propagators]]
+#: Per leg label, the inputs of the last leg built and propagated under that
+#: label, with its stroke and propagators.
+LegMemo = Dict[str, Tuple[_Leg, StrokeDescriptor, Propagators]]
 
 
 def _strokes_and_propagators(spec: CycleSpec, memo: LegMemo):
     """The four strokes of a cycle and their sampled propagators.
 
-    A leg whose inputs and sample count equal those held under its label in
-    ``memo`` reuses the held stroke and propagators; every other leg is built
-    (all builds first, in cycle order) and then propagated.  Each leg that
-    succeeds replaces its label's entry.
+    A leg whose inputs equal those held under its label in ``memo`` reuses
+    the held stroke and propagators; every other leg is built (all builds
+    first, in cycle order) and then propagated.  Each leg that succeeds
+    replaces its label's entry.
     """
     legs = _cycle_legs(spec)
     held = []
     for leg in legs:
         entry = memo.get(leg.label)
-        same = entry is not None and entry[:2] == (leg, DEFAULT_SAMPLES)
-        held.append(entry if same else None)
-    strokes = [e[2] if e else _build(leg) for leg, e in zip(legs, held)]
+        held.append(entry if entry is not None and entry[0] == leg else None)
+    strokes = [e[1] if e else _build(leg) for leg, e in zip(legs, held)]
     propagators = []
     for leg, stroke, entry in zip(legs, strokes, held):
-        p = entry[3] if entry else _propagate(stroke, DEFAULT_SAMPLES)
-        memo[leg.label] = (leg, DEFAULT_SAMPLES, stroke, p)
+        p = entry[2] if entry else _propagate(stroke, DEFAULT_SAMPLES)
+        memo[leg.label] = (leg, stroke, p)
         propagators.append(p)
     return strokes, propagators
 

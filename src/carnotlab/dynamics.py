@@ -60,9 +60,10 @@ _PILOT_STEPS = (400, 800)
 _LOCATE_STEPS = 8000
 #: Largest step count a stroke may need before it fails.
 _MAX_STEPS = 100 * _PILOT_STEPS[1]
-#: Every step of a product keeps h max|G|_1 over its nodes below this, inside
-#: pi, the convergence radius of the Magnus series.  Past it the stiff
-#: dephasing of (l, c) can make both pilots agree on a wrong map.
+#: A pilot estimate stands only if the steps it asks for keep h max|G|_1
+#: over their nodes below this, inside pi, the convergence radius of the
+#: Magnus series.  Past it the stiff dephasing of (l, c) can make both pilots
+#: agree on a wrong map.
 _STEP_NORM_BOUND = 3.0
 #: Steps per batched exponential (768 generator evaluations): bounds the
 #: memory of a block.
@@ -342,6 +343,17 @@ def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
     return maps, step_norm
 
 
+def _too_many_steps(needed: float, protocol: FrequencyProtocol,
+                    gamma_d: float, **diagnostics) -> NumericalError:
+    """The error of a stroke that needs more than ``_MAX_STEPS`` steps."""
+    where = f" at gamma_d = {gamma_d:.6g}" if gamma_d else ""
+    return NumericalError(
+        f"stroke needs {needed:.4g} Magnus steps{where}, more than "
+        f"{_MAX_STEPS}",
+        diagnostics={"steps": needed, "duration": protocol.duration,
+                     **diagnostics})
+
+
 @dataclass(frozen=True)
 class Propagators:
     """Sampled maps of one stroke with the resolution that made them:
@@ -364,10 +376,13 @@ def stroke_propagators(protocol: FrequencyProtocol,
     800 steps, estimate the error of the finer as |M800 - M400| / 15; N is
     the smallest multiple of the sample intervals, at least 800, whose error
     under the N^-4 rate set by the protocols' spline knots meets
-    ``MAGNUS_TARGET`` * max|M|, and whose every step has h |G|_1 below
-    ``_STEP_NORM_BOUND`` at all three nodes; N is raised until it does.  When
-    N is 800 the pilot's steps are reused.  The interval maps are accumulated
-    by a log-depth prefix scan.
+    ``MAGNUS_TARGET`` * max|M|.  The estimate stands only if N's steps,
+    scaled from the finer pilot's, keep h |G|_1 below ``_STEP_NORM_BOUND`` at
+    all three nodes.  Otherwise the pilots are taken again, the coarser on
+    the fewest steps (a multiple of the sample intervals) that the scaling
+    puts under the bound and the finer on twice as many, which then stand
+    for 400 and 800.  When N equals the finer pilot's steps they are reused.
+    The interval maps are accumulated by a log-depth prefix scan.
 
     Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
     ``maps[-1]`` is the stroke's transfer matrix
@@ -384,37 +399,35 @@ def stroke_propagators(protocol: FrequencyProtocol,
     intervals = n_samples - 1
     coarse_steps, fine_steps = _PILOT_STEPS
     coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
-    pilot, step_norm = _interval_maps(
-        protocol, fine_steps, math.gcd(fine_steps, intervals), bath, gamma_d)
-    pilot = _prefix_products(pilot)
-    scale = float(np.max(np.abs(pilot[-1])))
-    # the pilots' difference is 15 times the finer one's error under N^-4
-    error = float(np.max(np.abs(pilot[-1] - coarse))) / 15.0 / scale
-    if not math.isfinite(error):
-        raise NumericalError("stroke propagator is not finite",
-                             diagnostics={"duration": protocol.duration})
-    # a step's h |G|_1 shrinks in proportion to h
-    needed = max(fine_steps * (error / MAGNUS_TARGET) ** 0.25,
-                 fine_steps * step_norm / _STEP_NORM_BOUND)
-    n_steps = fine_steps
     while True:
-        if needed > _MAX_STEPS:
-            where = f" at gamma_d = {gamma_d:.6g}" if gamma_d else ""
-            raise NumericalError(
-                f"stroke needs {needed:.4g} Magnus steps{where}, more than "
-                f"{_MAX_STEPS}",
-                diagnostics={"steps": needed, "error": error,
-                             "step_norm": step_norm,
-                             "duration": protocol.duration})
-        n_next = intervals * math.ceil(max(needed, fine_steps) / intervals)
-        if n_next != n_steps:
-            n_steps = n_next
-            pilot, step_norm = _interval_maps(protocol, n_steps, intervals,
-                                              bath, gamma_d)
-            pilot = _prefix_products(pilot)
-        if step_norm < _STEP_NORM_BOUND:
+        pilot, step_norm = _interval_maps(
+            protocol, fine_steps, math.gcd(fine_steps, intervals), bath,
+            gamma_d)
+        pilot = _prefix_products(pilot)
+        scale = float(np.max(np.abs(pilot[-1])))
+        # the pilots' difference is 15 times the finer one's error under N^-4
+        error = float(np.max(np.abs(pilot[-1] - coarse))) / 15.0 / scale
+        if not math.isfinite(error):
+            raise NumericalError("stroke propagator is not finite",
+                                 diagnostics={"duration": protocol.duration})
+        needed = fine_steps * (error / MAGNUS_TARGET) ** 0.25
+        n_steps = intervals * math.ceil(max(needed, fine_steps) / intervals)
+        # a step's h |G|_1 shrinks in proportion to h
+        in_radius = intervals * math.ceil(
+            fine_steps * step_norm / _STEP_NORM_BOUND / intervals)
+        if in_radius <= n_steps:
             break
-        needed = max(n_steps * step_norm / _STEP_NORM_BOUND, n_steps + 1)
+        # steps past the radius, where both pilots can agree on a wrong map
+        coarse_steps, fine_steps = in_radius, 2 * in_radius
+        if fine_steps > _MAX_STEPS:
+            raise _too_many_steps(fine_steps, protocol, gamma_d,
+                                  step_norm=step_norm)
+        coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
+    if needed > _MAX_STEPS:
+        raise _too_many_steps(needed, protocol, gamma_d, error=error)
+    if n_steps != fine_steps:
+        pilot = _prefix_products(_interval_maps(protocol, n_steps, intervals,
+                                                bath, gamma_d)[0])
     maps = np.concatenate((np.eye(5)[None], pilot))
     if not np.all(np.isfinite(maps)):
         raise NumericalError("stroke propagator is not finite",

@@ -329,17 +329,30 @@ class TestStrokePropagators:
         t_bad = float(str(err.value).rsplit("at t = ", 1)[1])
         assert 0.5 <= t_bad <= 0.5 + 2.0 * 0.9 / 8000
 
+    @staticmethod
+    def _assert_error_estimate_is_honest(s):
+        # the chosen product is within twice the target of one 4x finer
+        prop = stroke_propagators(s.protocol, s.bath, s.gamma_d, 2)
+        m = prop.maps[-1]
+        finer = dynamics._interval_products(dynamics._interval_maps(
+            s.protocol, 4 * prop.steps, 1, s.bath, s.gamma_d)[0][None])[0]
+        assert np.max(np.abs(m - finer)) <= \
+            2.0 * MAGNUS_TARGET * np.max(np.abs(m)), s.label
+        assert prop.error <= MAGNUS_TARGET
+
     @pytest.mark.parametrize("preset,tau", DOP853_PRESETS)
     def test_error_estimate_is_honest(self, preset, tau):
-        # the chosen product is within twice the target of one 4x finer
         for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
-            prop = stroke_propagators(s.protocol, s.bath, s.gamma_d, 2)
-            m = prop.maps[-1]
-            finer = dynamics._interval_products(dynamics._interval_maps(
-                s.protocol, 4 * prop.steps, 1, s.bath, s.gamma_d)[0][None])[0]
-            assert np.max(np.abs(m - finer)) <= \
-                2.0 * MAGNUS_TARGET * np.max(np.abs(m)), s.label
-            assert prop.error <= MAGNUS_TARGET
+            self._assert_error_estimate_is_honest(s)
+
+    def test_error_estimate_is_honest_past_the_radius(self):
+        # the 800-step pilot's dephased adiabat steps are past the Magnus
+        # radius, so the estimate comes from pilots whose steps are inside it
+        spec = get_preset("endo-global", cycle_time=250.0, gamma_dephasing=3.0)
+        for s in assemble_cycle(spec)[1::2]:
+            assert dynamics._interval_maps(s.protocol, 800, 1, None,
+                                           s.gamma_d)[1] > 50.0
+            self._assert_error_estimate_is_honest(s)
 
     def test_short_strokes_take_the_least_steps(self):
         # endo-global@8 strokes are at roundoff on the finer pilot's grid
