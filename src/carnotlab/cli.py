@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import RunConfig, parse_config_dict, read_config
-from .core import BathSpec
+from .core import BathSpec, write_csv, write_json
 from .cycle_engine import export_cycle_result, run_to_limit_cycle
 from .errors import CarnotLabError, ConfigError
 from .presets import DEFAULT_CYCLE_TIME, PRESET_NAMES
@@ -38,10 +38,8 @@ def _default_out(sub: str) -> str:
 
 def _write_manifest(outdir: str, payload: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
-    payload = {"code_version": __version__, **payload}
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "manifest.json"),
+               {"code_version": __version__, **payload})
 
 
 def _config_from_args(args) -> RunConfig:
@@ -140,22 +138,20 @@ def _cmd_compare(args) -> int:
                             else cfg.cycle_time]
     out = cfg.out or _default_out("compare")
     os.makedirs(out, exist_ok=True)
-    lines = ["preset,value,status,total_work,power,efficiency,operational_mode,error"]
+    rows = []
     for name in presets:
         spec = replace(cfg, preset=name).build_spec()
         table = sweep(spec, axis, values, tol=cfg.tol, jobs=cfg.jobs)
         for r in table.rows:
+            led = r.ledger
             if r.ok:
-                lines.append(
-                    f"{name},{r.value:.17g},ok,{r.ledger.total_work:.17g},"
-                    f"{r.ledger.power:.17g},{r.ledger.efficiency:.17g},"
-                    f"{r.ledger.operational_mode},")
+                rows.append([name, r.value, "ok", led.total_work, led.power,
+                             led.efficiency, led.operational_mode, ""])
             else:
-                err = r.error.replace(",", ";")
-                lines.append(f"{name},{r.value:.17g},error,,,,,{err}")
+                rows.append([name, r.value, "error", "", "", "", "", r.error])
     csv_path = os.path.join(out, "compare.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(csv_path, ("preset", "value", "status", "total_work", "power",
+                         "efficiency", "operational_mode", "error"), rows)
     _write_manifest(out, {"command": "compare", "presets": presets,
                           "axis": axis, "values": values,
                           "tolerances": {"tol": cfg.tol}})

@@ -1,4 +1,4 @@
-"""Units, domain types, and thermal-state helpers.
+"""Units, domain types, thermal-state helpers and the output format.
 
 Everything in the package works in atomic-style units with hbar = k_B = 1
 and unit mass.  The Gaussian state of the oscillator is carried around as
@@ -11,10 +11,18 @@ where H is the instantaneous Hamiltonian, L the Lagrangian
 correlation (w/2)(QP + PQ) and I the identity.  All stroke generators are
 linear on this vector, so states are plain 4-vectors; a stroke map is a 5x5
 matrix that also accumulates the stroke work in a fifth component.
+
+Every file the package writes goes through :func:`write_csv` and
+:func:`write_json`, and every configuration hash is :func:`content_hash`, so
+the output format is set here alone: numbers to 17 significant digits (they
+read back bit-exactly), text cells with ``,`` as ``;`` and newlines as
+spaces, sorted two-space JSON ending in a newline, and a 16-hex-digit
+SHA-256 of the sorted-key JSON.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -429,7 +437,36 @@ class CycleSpec:
         return d
 
     def config_hash(self) -> str:
-        import hashlib
+        return content_hash(self.to_dict())
 
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: one line of column names, then one line per row.
+
+    A str cell is text, with ``,`` written as ``;`` and a newline as a space
+    so that it stays one cell on one line; any other cell is a number,
+    written as ``"%.17g" % x`` so that ``float()`` reads it back bit-exactly.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([
+            x.replace(",", ";").replace("\n", " ") if isinstance(x, str)
+            else "%.17g" % x for x in row]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as sorted two-space-indented JSON with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def content_hash(obj) -> str:
+    """First 16 hex digits of the SHA-256 of ``obj`` as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]

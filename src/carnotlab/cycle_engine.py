@@ -22,7 +22,6 @@ building and propagating them again.
 from __future__ import annotations
 
 import copy
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -30,7 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
-                   ObservableVector, thermal_observable_vector)
+                   ObservableVector, thermal_observable_vector, write_json)
 from .dynamics import (DEFAULT_SAMPLES, Propagators, Trajectory,
                        stroke_propagators, trajectory)
 from .errors import CarnotLabError, ConfigError, NonConvergence
@@ -372,6 +371,4 @@ def export_cycle_result(result: CycleResult, outdir,
     }
     if manifest_extra:
         summary.update(manifest_extra)
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "summary.json"), summary)

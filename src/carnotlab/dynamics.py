@@ -42,7 +42,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
-                   dressed_rates)
+                   dressed_rates, write_csv)
 from .errors import DomainError, NumericalError
 from .protocols import SteSolution
 
@@ -158,7 +158,6 @@ class Trajectory:
     times: np.ndarray
     vectors: np.ndarray          # (n, 4)
     omegas: np.ndarray
-    omega_dots: np.ndarray
     work: float
     heat: float
 
@@ -187,14 +186,9 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Deterministic CSV export: t, omega, h, l, c, coherence."""
-        coh = self.coherences()
-        lines = ["t,omega,h,l,c,coherence"]
-        for i in range(len(self.times)):
-            row = (self.times[i], self.omegas[i], self.vectors[i, 0],
-                   self.vectors[i, 1], self.vectors[i, 2], coh[i])
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, ("t", "omega", "h", "l", "c", "coherence"),
+                  np.column_stack((self.times, self.omegas, self.vectors[:, :3],
+                                   self.coherences())).tolist())
 
 
 def _expm_stack(x: np.ndarray) -> np.ndarray:
@@ -446,7 +440,6 @@ def trajectory(v0: ObservableVector, protocol: FrequencyProtocol,
     heat = float(ys[-1, 0] - ys[0, 0]) - work
     return Trajectory(times=times, vectors=ys[:, :4],
                       omegas=np.atleast_1d(protocol.omega(times)),
-                      omega_dots=np.atleast_1d(protocol.omega_dot(times)),
                       work=work, heat=heat)
 
 

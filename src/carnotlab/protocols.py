@@ -30,7 +30,8 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .core import HBAR, KB, BathSpec, FrequencyProtocol, dressed_rates
+from .core import (HBAR, KB, BathSpec, FrequencyProtocol, dressed_rates,
+                   write_csv, write_json)
 from .errors import (DomainError, InfeasibleStroke, InvalidProtocol,
                      ProtocolInversionFailure)
 
@@ -462,10 +463,10 @@ def build_ste_nonthermal_protocol(omega_initial: float, omega_final: float,
 # serialization
 # ---------------------------------------------------------------------------
 
-def save_protocol(protocol: FrequencyProtocol, csv_path, json_path=None,
-                  n: int = DEFAULT_GRID_POINTS) -> None:
+def save_protocol(protocol: FrequencyProtocol, csv_path, json_path=None) -> None:
     """Write the protocol as a CSV table (t, omega, omega_dot, mu) plus a JSON
-    header with the builder metadata.  Doubles round-trip bit-exactly."""
+    header with the builder metadata.  Doubles round-trip bit-exactly; a
+    closed-form protocol is sampled at ``DEFAULT_GRID_POINTS``."""
     if protocol.grid_times is not None:
         t, w, wd = protocol.grid_times, protocol.grid_omega, protocol.grid_omega_dot
     elif protocol.duration == 0.0:
@@ -473,19 +474,14 @@ def save_protocol(protocol: FrequencyProtocol, csv_path, json_path=None,
         w = np.atleast_1d(protocol.omega(0.0))
         wd = np.atleast_1d(protocol.omega_dot(0.0))
     else:
-        t, w, wd, _ = protocol.sample(n)
+        t, w, wd, _ = protocol.sample(DEFAULT_GRID_POINTS)
     mu = np.where(w > 0, wd / w**2, 0.0)
-    lines = ["t,omega,omega_dot,mu"]
-    for row in zip(t, w, wd, mu):
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    header = {"kind": protocol.kind, "duration": protocol.duration,
-              "meta": dict(protocol.meta), "samples": int(len(t))}
+    write_csv(csv_path, ("t", "omega", "omega_dot", "mu"),
+              np.column_stack((t, w, wd, mu)).tolist())
     if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump(header, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(json_path, {"kind": protocol.kind,
+                               "duration": protocol.duration,
+                               "meta": dict(protocol.meta), "samples": len(t)})
 
 
 def load_protocol(csv_path, json_path=None) -> FrequencyProtocol:

@@ -7,18 +7,17 @@ working medium, so an engine has total_work < 0 and q_hot > 0, the power
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .core import (HBAR, KB, CycleKind, CycleSpec, ObservableVector,
-                   cycle_time_from_atomic, thermal_population)
+                   content_hash, cycle_time_from_atomic, thermal_population,
+                   write_csv, write_json)
 from .cycle_engine import (CornerGeometry, CycleResult, carnot_corner_frequencies,
                            run_to_limit_cycle)
 from .errors import CarnotLabError, ConfigError, DomainError, UnphysicalState
@@ -195,18 +194,12 @@ def spec_for_sweep_value(template: CycleSpec, axis: str, value: float) -> CycleS
     if axis == "cycle_time":
         return template.with_cycle_time(value)
     if axis == "dephasing":
-        if value < 0:
-            raise ConfigError("dephasing strength must be non-negative")
-        from dataclasses import replace
-
         return replace(template, gamma_dephasing=value)
     if axis == "compression_ratio":
         if template.kind is not CycleKind.CARNOT_SHORTCUT:
             raise ConfigError("compression-ratio sweeps apply to the carnot-shortcut kind")
         geom = carnot_corner_frequencies(template.omega3, value,
                                          template.t_cold_bath, template.t_hot_bath)
-        from dataclasses import replace
-
         return replace(template, omega1=geom.omega1, omega2=geom.omega2,
                        omega4=geom.omega4)
     raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
@@ -229,49 +222,27 @@ class SweepTable:
     rows: List[SweepRow]
     template: CycleSpec
 
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.rows])
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r.ledger, name) if r.ok else np.nan
-                         for r in self.rows])
-
-    def ok_rows(self) -> List[SweepRow]:
-        return [r for r in self.rows if r.ok]
-
     def to_csv(self, path) -> None:
-        cols = ["value", "status", "cycle_time", "cycle_time_units", "total_work",
-                "q_hot", "q_cold", "power", "efficiency", "operational_mode",
-                "bath_entropy_production", "max_corner_coherence", "error"]
-        lines = [",".join(cols)]
+        rows = []
         for r in self.rows:
+            led = r.ledger
             if r.ok:
-                led = r.ledger
-                vals = [f"{r.value:.17g}", "ok", f"{led.cycle_time:.17g}",
-                        f"{led.cycle_time_units:.17g}", f"{led.total_work:.17g}",
-                        f"{led.q_hot:.17g}", f"{led.q_cold:.17g}",
-                        f"{led.power:.17g}", f"{led.efficiency:.17g}",
-                        led.operational_mode,
-                        f"{led.bath_entropy_production:.17g}",
-                        f"{max(led.corner_coherences):.17g}", ""]
+                rows.append([r.value, "ok", led.cycle_time, led.cycle_time_units,
+                             led.total_work, led.q_hot, led.q_cold, led.power,
+                             led.efficiency, led.operational_mode,
+                             led.bath_entropy_production,
+                             max(led.corner_coherences), ""])
             else:
-                vals = [f"{r.value:.17g}", "error"] + [""] * 10 + \
-                    [r.error.replace(",", ";").replace("\n", " ")]
-            lines.append(",".join(vals))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+                rows.append([r.value, "error"] + [""] * 10 + [r.error])
+        write_csv(path, ("value", "status", "cycle_time", "cycle_time_units",
+                         "total_work", "q_hot", "q_cold", "power", "efficiency",
+                         "operational_mode", "bath_entropy_production",
+                         "max_corner_coherence", "error"), rows)
 
     def metadata(self) -> dict:
-        return {"axis": self.axis,
-                "values": [r.value for r in self.rows],
-                "template": self.template.to_dict(),
-                "config_hash": _dict_hash({"axis": self.axis,
-                                           "values": [r.value for r in self.rows],
-                                           "template": self.template.to_dict()})}
-
-
-def _dict_hash(d: dict) -> str:
-    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+        meta = {"axis": self.axis, "values": [r.value for r in self.rows],
+                "template": self.template.to_dict()}
+        return {**meta, "config_hash": content_hash(meta)}
 
 
 def _sweep_point(template, axis, value, tol, leg_memo) -> SweepRow:
@@ -327,6 +298,4 @@ def export_sweep(table: SweepTable, csv_path, meta_path=None) -> None:
     table.to_csv(csv_path)
     if meta_path is None:
         meta_path = os.path.splitext(csv_path)[0] + ".meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump(table.metadata(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, table.metadata())

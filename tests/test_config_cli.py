@@ -4,8 +4,9 @@ import pytest
 
 from carnotlab.cli import main
 from carnotlab.config import load_config, parse_config_dict
+from carnotlab import thermo
 from carnotlab.core import CycleKind
-from carnotlab.errors import ConfigError
+from carnotlab.errors import CarnotLabError, ConfigError
 from carnotlab.presets import PRESET_NAMES, get_preset
 
 
@@ -225,6 +226,25 @@ class TestCli:
         assert compare[1] == ",".join(
             ["carnot-shortcut", row["value"], row["status"], row["total_work"],
              row["power"], row["efficiency"], row["operational_mode"], ""])
+
+    def test_compare_error_row_is_one_line(self, tmp_path, monkeypatch):
+        run = thermo.run_to_limit_cycle
+
+        def fail_at_8(spec, **kwargs):
+            if spec.cycle_time_units == pytest.approx(8.0):
+                raise CarnotLabError("first part, second part\nnext line")
+            return run(spec, **kwargs)
+
+        monkeypatch.setattr(thermo, "run_to_limit_cycle", fail_at_8)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--presets", "endo-global", "--axis",
+                     "cycle_time", "--values", "8,10", "--jobs", "1",
+                     "--out", str(out)]) == 0
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1] == ("endo-global,8,error,,,,,CarnotLabError: "
+                            "first part; second part next line")
+        assert lines[2].startswith("endo-global,10,ok,")
 
     def test_compare_off_cycle_time_needs_values(self, tmp_path, capsys):
         # the cycle time is no value of another axis

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from carnotlab.core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
                             GeneralizedGibbsState, ObservableVector,
                             cycle_time_from_atomic, cycle_time_to_atomic,
-                            thermal_observable_vector, thermal_population)
+                            thermal_observable_vector, thermal_population,
+                            write_csv)
 from carnotlab.errors import ConfigError, DomainError, UnphysicalState
 
 
@@ -169,3 +171,35 @@ class TestCycleSpec:
             BathSpec(temperature=-1.0)
         with pytest.raises(DomainError):
             BathSpec(temperature=5.0, coupling=0.0)
+
+
+class TestOutputFormat:
+    def test_numbers_read_back_bit_exactly(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2,
+                  np.float64(1.0) / 3.0, 7]
+        path = tmp_path / "n.csv"
+        write_csv(path, ["x"], [[v] for v in values])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x" and len(lines) == len(values) + 1
+        for v, text in zip(values, lines[1:]):
+            back = float(text)
+            if math.isnan(v):
+                assert math.isnan(back)
+            else:
+                assert back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
+
+    def test_text_cell_stays_one_cell_on_one_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], [[1.5, "x, y\nz", ""]])
+        lines = path.read_text().splitlines()
+        assert lines == ["a,b,c", "1.5,x; y z,"]
+
+    def test_format_is_set_in_core_alone(self):
+        # every number, JSON file and hash format goes through core.write_csv,
+        # core.write_json and core.content_hash
+        src = Path(__file__).resolve().parents[1] / "src" / "carnotlab"
+        offenders = [f"{path.name}: {token}"
+                     for path in sorted(src.glob("*.py")) if path.name != "core.py"
+                     for token in ("json.dump(", ".17g", "hashlib")
+                     if token in path.read_text()]
+        assert offenders == []

@@ -20,10 +20,10 @@ from carnotlab.thermo import (analyze_cycle, carnot_efficiency, coherence,
                               von_neumann_entropy)
 
 
-def stroke_work_quadrature(traj: Trajectory) -> float:
+def stroke_work_quadrature(traj: Trajectory, protocol) -> float:
     """Simpson quadrature of the work integrand over the stored grid: a
     cross-check of the work the propagators accumulate."""
-    integrand = (traj.omega_dots / traj.omegas) * \
+    integrand = (protocol.omega_dot(traj.times) / traj.omegas) * \
         (traj.vectors[:, 0] - traj.vectors[:, 1])
     return float(simpson(integrand, x=traj.times))
 
@@ -50,7 +50,8 @@ class TestStrokeWorkHeat:
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
         v0 = thermal_observable_vector(5.0, 5.0)
         traj = propagate_unitary(v0, prot, n_samples=4001)
-        assert stroke_work_quadrature(traj) == pytest.approx(traj.work, rel=1e-7)
+        assert stroke_work_quadrature(traj, prot) == pytest.approx(traj.work,
+                                                                   rel=1e-7)
 
     def test_relaxation_heat_sign(self):
         bath = BathSpec(5.0, 0.05)
@@ -212,6 +213,8 @@ class TestAnalyzeAndSweep:
         spec = get_preset("carnot-shortcut")
         with pytest.raises(ConfigError):
             spec_for_sweep_value(spec, "nonsense", 1.0)
+        with pytest.raises(ConfigError, match="non-negative"):
+            spec_for_sweep_value(spec, "dephasing", -1.0)
 
     def test_compression_ratio_axis(self):
         spec = get_preset("carnot-shortcut")
