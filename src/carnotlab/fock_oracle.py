@@ -13,7 +13,9 @@ integrates only what its master equation couples:
 * Dephasing strokes (no bath).  The Schrodinger-picture density matrix obeys
   -(i/hbar)[H, rho] - gamma_d [H, [H, rho]], the dephasing double commutator
   of the interaction picture moved back by U, and is integrated directly
-  with no propagator; gamma_d = 0 is the closed system.
+  with no propagator; gamma_d = 0 is the closed system.  On a static stroke
+  (omega constant, omega_dot = 0) the equation is diagonal in the energy
+  eigenbasis and is solved there exactly, with no solve at all.
 
 Every solve is DOP853 with its step bounded by the method's stability region.
 """
@@ -44,9 +46,9 @@ ORACLE_ATOL = 1e-10
 #: region reaches -6.39 on the real axis and +-5.96 on the imaginary one).  A
 #: solve steps at most C / r, where r bounds the spectral radius of its
 #: right-hand side, so that modes which have decayed below the error estimate
-#: cannot grow again.  Without the bound long static strokes drift, by 1e-5
-#: of max <H> (open, T = 2.26) to 1e-3 (dephasing a thermal state,
-#: gamma_d = 0.02, T = 1).
+#: cannot grow again.  Without the bound a long static open stroke drifts by
+#: 1e-5 of max <H> (T = 2.26), and a static dephasing stroke, when it was
+#: still integrated, drifted by 1e-3 (a thermal state, gamma_d = 0.02, T = 1).
 #:
 #: C for the dissipator of rho_int, with r = 2 |b|^2 max(k_down + k_up).  It
 #: stays well inside the region because a short stroke then takes one or two
@@ -71,12 +73,15 @@ def position_momentum(dimension: int, omega: float):
     return q, p
 
 
+def _quadratures(dimension: int, omega_ref: float):
+    """P^2, Q^2 and QP + PQ on the basis of reference frequency omega_ref."""
+    q, p = position_momentum(dimension, omega_ref)
+    return p @ p, q @ q, q @ p + p @ q
+
+
 def basis_operators(dimension: int, omega_ref: float):
     """Callables H(w), L(w), C(w) built on a fixed reference basis."""
-    q, p = position_momentum(dimension, omega_ref)
-    q2 = q @ q
-    p2 = p @ p
-    qp = q @ p + p @ q
+    p2, q2, qp = _quadratures(dimension, omega_ref)
 
     def ham(w):
         return p2 / 2.0 + 0.5 * w**2 * q2
@@ -189,10 +194,24 @@ def _max_step(radius: float, rate: float) -> float:
 
 def _solve(rhs, duration: float, y0: np.ndarray, times: np.ndarray,
            max_step: float) -> np.ndarray:
-    """DOP853 solution of y' = rhs(t, y) at ``times``, shape (len(y0), n)."""
-    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
-                    rtol=ORACLE_RTOL, atol=ORACLE_ATOL, t_eval=times,
-                    max_step=max_step)
+    """DOP853 solution of y' = rhs(t, y) at ``times``, shape (len(y0), n).
+
+    solve_ivp leaves its OdeSolver in a reference cycle (the solver's ``fun``
+    closes over the solver), and the solver holds the DOP853 stages of the
+    whole state.  The cyclic collector is held off during the solve, so that
+    it cannot promote the cycle to the oldest generation; a collection of the
+    young generations then frees it without walking the whole heap.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
+                        rtol=ORACLE_RTOL, atol=ORACLE_ATOL, t_eval=times,
+                        max_step=max_step)
+    finally:
+        if collecting:
+            gc.enable()
+    gc.collect(1)
     if not sol.success:
         raise NumericalError(f"density-matrix integration failed: {sol.message}")
     return sol.y
@@ -262,9 +281,20 @@ def _dephasing_states(rho0: np.ndarray, protocol: FrequencyProtocol,
     """Density matrices at ``times`` under -(i/hbar)[H, rho] - gamma_d [H, [H, rho]].
 
     This is the Schrodinger picture of rho_int' = -gamma_d [H_int, [H_int,
-    rho_int]] with H_int = U^dag H U, so no propagator is needed.
+    rho_int]] with H_int = U^dag H U, so no propagator is needed.  When the
+    stroke's samples show omega constant and omega_dot = 0, the equation is
+    diagonal in the eigenbasis (E, P) of H: rho_nm(t) = exp(-(i/hbar)(E_n -
+    E_m) t - gamma_d (E_n - E_m)^2 t) rho_nm(0), with no solve.
     """
     dim = rho0.shape[0]
+    _, w, w_dot, _ = protocol.sample()
+    if np.all(w == w[0]) and not np.any(w_dot):
+        energies, basis = np.linalg.eigh(ham(float(w[0])))
+        gap = energies[:, None] - energies
+        rate = (1j / HBAR) * gap + gamma_d * gap * gap
+        rho_e = basis.conj().T @ rho0 @ basis
+        return [basis @ (np.exp(-rate * t) * rho_e) @ basis.conj().T
+                for t in times]
 
     def rhs(t, y):
         h = ham(float(protocol.omega(t)))
@@ -278,7 +308,6 @@ def _dephasing_states(rho0: np.ndarray, protocol: FrequencyProtocol,
 
     # H(w) is positive semidefinite and grows with w^2 in the Loewner order, so
     # the commutator's eigenvalues E_n - E_m are bounded by |H(w_max)|
-    _, w, _, _ = protocol.sample()
     h_norm = float(np.linalg.eigvalsh(ham(float(np.max(w))))[-1])
     rate = h_norm / HBAR + gamma_d * h_norm * h_norm
     rho_s = _solve(rhs, protocol.duration, rho0.ravel(), times,
@@ -297,16 +326,22 @@ def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
     frozen at the stroke start) or dephasing (no bath; the pure-dephasing
     double commutator uses the instantaneous Hamiltonian, and ``gamma_d``
     None or 0 is the closed system).  Raises DomainError for fewer than 2
-    samples or for a bath together with dephasing, and TruncationError if
-    population leaks into the top tenth of the basis.
+    samples, for a negative or non-finite ``gamma_d`` or for a bath together
+    with dephasing, and TruncationError if population leaks into the top
+    tenth of the basis.
     """
-    if gamma_d is not None and gamma_d < 0:
-        raise DomainError("dephasing strength must be non-negative")
+    if gamma_d is not None and not 0.0 <= gamma_d < math.inf:
+        raise DomainError(
+            f"dephasing strength must be finite and non-negative, got {gamma_d}")
     if bath is not None and gamma_d:
         raise DomainError("the oracle integrates a bath or dephasing, not both")
     if n_samples < 2:
         raise DomainError(f"a stroke needs at least 2 samples, got {n_samples}")
-    ham, lag, corr = basis_operators(rho0.dimension, float(protocol.omega(0.0)))
+    p2, q2, qp = _quadratures(rho0.dimension, float(protocol.omega(0.0)))
+
+    def ham(w):
+        return p2 / 2.0 + 0.5 * w**2 * q2
+
     rho = rho0.matrix.astype(complex)
     times = np.linspace(0.0, protocol.duration,
                         n_samples if protocol.duration > 0.0 else 1)
@@ -317,17 +352,14 @@ def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
     else:
         states = _dephasing_states(rho, protocol, gamma_d or 0.0, ham, times)
 
-    moments = np.empty((3, len(times)))
-    for i, (t, rho_s) in enumerate(zip(times, states)):
-        w = float(protocol.omega(t))
-        # tr(rho X) = sum_ij rho_ij X_ji
-        moments[:, i] = [np.real(np.sum(rho_s * op(w).T))
-                         for op in (ham, lag, corr)]
-    # solve_ivp leaves each OdeSolver in a reference cycle (its ``fun`` closure
-    # refers back to the solver), and the solver holds the DOP853 stages of
-    # the whole state; collect them now rather than whenever the cyclic
-    # collector next runs.
-    gc.collect()
+    # tr(rho X) = sum_ij rho_ij X_ji for X = P^2, Q^2 and QP + PQ, one row each
+    quad = np.stack([p2.T, q2.T, qp.T]).reshape(3, -1)
+    traces = np.empty((3, len(times)))
+    for i, rho_s in enumerate(states):
+        traces[:, i] = np.real(quad @ rho_s.ravel())
     FockState(rho_s).validate(herm_tol=1e-8, trace_tol=1e-7, psd_tol=1e-7,
                               leakage_tol=1e-6)
-    return times, moments[0], moments[1], moments[2]
+    p2_m, q2_m, qp_m = traces
+    w = np.asarray(protocol.omega(times), dtype=float)
+    kinetic, potential = p2_m / 2.0, 0.5 * w**2 * q2_m
+    return times, kinetic + potential, kinetic - potential, 0.5 * w * qp_m

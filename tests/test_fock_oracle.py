@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
+from carnotlab import fock_oracle
 from carnotlab.core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                             dressed_rates, thermal_observable_vector)
-from carnotlab.dynamics import propagate_open
+from carnotlab.dynamics import propagate_dephasing, propagate_open
 from carnotlab.errors import DomainError
 from carnotlab.fock_oracle import (COHERENT_STEP_RADIUS, OPEN_STEP_RADIUS,
                                    FockState, basis_operators,
@@ -200,6 +201,88 @@ class TestIntegration:
             gc.enable()
         assert not left
 
+    @pytest.mark.parametrize("medium", [
+        {"bath": BathSpec(5.0, 0.05)},
+        {"gamma_d": 0.01},
+    ], ids=["open", "dephasing"])
+    def test_solver_freed_with_collector_running(self, medium):
+        # the same with the collector at its most eager threshold: generation
+        # 0 is collected at every net allocation and generation 1 at every
+        # 11th collection, which would carry a live solver into the oldest
+        # generation, out of reach of a young-generation collection.  A solve
+        # allocates almost nothing that outlives a step, so a longer stroke
+        # would not bring more collections; the threshold does.
+        rho0 = thermal_fock_state(5.0, 1.0, 8)
+        prot = build_constant_mu_protocol(5.0, 4.5, -0.3)
+        young = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 0:
+                young.append(info)
+
+        gc.collect()
+        threshold = gc.get_threshold()
+        gc.set_threshold(1)
+        gc.callbacks.append(count)
+        try:
+            integrate_lindblad(rho0, prot, n_samples=3, **medium)
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            left = [o for o in gc.get_objects() if isinstance(o, DOP853)]
+        finally:
+            gc.enable()
+        assert len(young) > 3
+        assert not left
+
+
+class TestStaticStrokes:
+    """Static dephasing and closed strokes are exact in the energy eigenbasis."""
+
+    @pytest.fixture
+    def no_solver(self, monkeypatch):
+        def solve_ivp(*args, **kwargs):
+            raise AssertionError("fock_oracle.solve_ivp was called")
+
+        monkeypatch.setattr(fock_oracle, "solve_ivp", solve_ivp)
+
+    @pytest.mark.parametrize("gamma_d", [0.02, None], ids=["dephasing", "closed"])
+    def test_static_stroke_takes_no_solve(self, no_solver, gamma_d):
+        rho0 = thermal_fock_state(5.0, 1.0, 8)
+        integrate_lindblad(rho0, FrequencyProtocol.constant(5.0, 1.0),
+                           gamma_d=gamma_d, n_samples=5)
+
+    def test_driven_stroke_still_solves(self, no_solver):
+        rho0 = thermal_fock_state(5.0, 1.0, 8)
+        with pytest.raises(AssertionError, match="solve_ivp was called"):
+            integrate_lindblad(rho0, build_constant_mu_protocol(5.0, 4.5, -0.3),
+                               gamma_d=0.02, n_samples=5)
+
+    def test_recognised_from_samples_not_family(self, no_solver):
+        # a constant omega given as plain callables has no "family" in meta
+        rho0 = gaussian_fock_state(ObservableVector(h=7.0, l=1.2, c=-0.8), 6.0, 40)
+        plain = FrequencyProtocol.from_callables(
+            2.0, lambda t: np.full_like(t, 6.0), lambda t: np.zeros_like(t))
+        ref = FrequencyProtocol.constant(6.0, 2.0)
+        got = integrate_lindblad(rho0, plain, gamma_d=0.01, n_samples=9)
+        want = integrate_lindblad(rho0, ref, gamma_d=0.01, n_samples=9)
+        assert np.array_equal(np.array(got), np.array(want))
+
+    @pytest.mark.parametrize("gamma_d", [0.0, 0.02], ids=["closed", "dephasing"])
+    def test_squeezed_stroke_matches_moment_propagation(self, no_solver, gamma_d):
+        # a squeezed state has energy-basis coherences, which rotate at the
+        # gaps and decay at gamma_d times their squares; a thermal state has
+        # none and would not see gamma_d at all
+        v0 = ObservableVector(h=7.0, l=1.2, c=-0.8)
+        prot = FrequencyProtocol.constant(6.0, 2.0)
+        rho0 = gaussian_fock_state(v0, 6.0, 60)
+        _, h, l, c = integrate_lindblad(rho0, prot, gamma_d=gamma_d, n_samples=41)
+        traj = propagate_dephasing(v0, prot, gamma_d, n_samples=41)
+        assert np.max(np.abs(traj.vectors[:, :3].T - [h, l, c])) < 1e-9 * np.max(h)
+
 
 class TestArguments:
     @pytest.mark.parametrize("bath", [None, BathSpec(5.0, 0.05)],
@@ -229,21 +312,25 @@ class TestArguments:
             integrate_lindblad(rho0, FrequencyProtocol.constant(5.0, 0.2),
                                bath=BathSpec(5.0, 0.05), gamma_d=0.01)
 
-    def test_negative_dephasing_rejected(self):
+    @pytest.mark.parametrize("gamma_d", [-0.01, float("nan"), float("inf")],
+                             ids=["negative", "nan", "inf"])
+    def test_negative_dephasing_rejected(self, gamma_d):
         rho0 = thermal_fock_state(5.0, 1.0, 8)
         with pytest.raises(DomainError, match="non-negative"):
             integrate_lindblad(rho0, FrequencyProtocol.constant(5.0, 0.2),
-                               gamma_d=-0.01)
+                               gamma_d=gamma_d)
 
 
 class TestReference:
     """The split solves against one joint (U, rho_int) solve."""
 
     @pytest.mark.parametrize("protocol, bath, gamma_d, squeezed", [
-        # Long static strokes: without the stability bound on the step these
-        # drift, the open one by about 3e-8 and the dephasing one (whose
-        # thermal state has no coherences for the error estimate to see)
-        # by about 1e-3.  The open one is as long as criterion 7's shortest.
+        # Long static strokes: without the stability bound on the step the
+        # open one drifts by about 3e-8.  The dephasing one is exact in the
+        # energy eigenbasis; integrated without the bound it drifted by about
+        # 1e-3, as its thermal state has no coherences for the error estimate
+        # to see (nor for gamma_d to act on: TestStaticStrokes checks those).
+        # The open one is as long as criterion 7's shortest.
         (FrequencyProtocol.constant(5.38, 2.26), BathSpec(6.0, 0.06), None, True),
         (build_constant_mu_protocol(9.4, 12.2, 0.6), BathSpec(4.0, 0.05), None,
          True),
