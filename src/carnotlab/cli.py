@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -29,6 +30,9 @@ from .protocols import (build_constant_mu_protocol, build_sta_protocol,
 from .thermo import SWEEP_AXES, analyze_cycle, export_sweep, sweep
 
 OUTPUT_ROOT_ENV = "CARNOTLAB_OUT"
+#: Ledger columns of ``compare.csv``, between ``preset, value, status`` and
+#: ``error``.
+COMPARE_COLUMNS = ("total_work", "power", "efficiency", "operational_mode")
 
 
 def _default_out(sub: str) -> str:
@@ -57,14 +61,18 @@ def _config_from_args(args) -> RunConfig:
 
 def _cmd_protocol(args) -> int:
     kind = args.kind
+    arguments = {k: getattr(args, k) for k in (
+        "omega_initial", "omega_final", "t_f", "mu", "bath_temperature",
+        "coupling", "internal_temperature")}
+    for key, v in arguments.items():
+        if v is not None and not math.isfinite(v):
+            raise ConfigError(f"{key} must be finite, got {v}")
+    if kind != "constmu" and args.t_f is None:
+        raise ConfigError(f"{kind} protocols need --t-f")
     if kind == "sta":
-        if args.t_f is None:
-            raise ConfigError("sta protocols need --t-f")
         protocol, _ = build_sta_protocol(args.omega_initial, args.omega_final,
                                          args.t_f)
     elif kind == "ste":
-        if args.t_f is None:
-            raise ConfigError("ste protocols need --t-f")
         bath = BathSpec(args.bath_temperature, args.coupling)
         if args.internal_temperature is not None:
             protocol, _ = build_ste_nonthermal_protocol(
@@ -85,10 +93,7 @@ def _cmd_protocol(args) -> int:
     csv_path = os.path.join(out, f"{kind}_protocol.csv")
     save_protocol(protocol, csv_path, os.path.join(out, f"{kind}_protocol.json"))
     _write_manifest(out, {"command": "protocol", "kind": kind,
-                          "arguments": {k: getattr(args, k) for k in
-                                        ("omega_initial", "omega_final", "t_f",
-                                         "mu", "bath_temperature", "coupling",
-                                         "internal_temperature")}})
+                          "arguments": arguments})
     print(csv_path)
     return 0
 
@@ -99,7 +104,7 @@ def _cmd_cycle(args) -> int:
     result = run_to_limit_cycle(spec, tol=cfg.tol)
     ledger = analyze_cycle(result, spec)
     out = cfg.out or _default_out("cycle")
-    export_cycle_result(result, out, manifest_extra={"ledger": ledger.as_dict()})
+    export_cycle_result(result, out, ledger)
     _write_manifest(out, {"command": "cycle", "config": cfg.to_dict(),
                           "spec": spec.to_dict(), "tolerances": {"tol": cfg.tol}})
     print(json.dumps(ledger.as_dict(), indent=2, sort_keys=True))
@@ -142,16 +147,10 @@ def _cmd_compare(args) -> int:
     for name in presets:
         spec = replace(cfg, preset=name).build_spec()
         table = sweep(spec, axis, values, tol=cfg.tol, jobs=cfg.jobs)
-        for r in table.rows:
-            led = r.ledger
-            if r.ok:
-                rows.append([name, r.value, "ok", led.total_work, led.power,
-                             led.efficiency, led.operational_mode, ""])
-            else:
-                rows.append([name, r.value, "error", "", "", "", "", r.error])
+        rows += [[name, r.value, *r.cells(COMPARE_COLUMNS)] for r in table.rows]
     csv_path = os.path.join(out, "compare.csv")
-    write_csv(csv_path, ("preset", "value", "status", "total_work", "power",
-                         "efficiency", "operational_mode", "error"), rows)
+    write_csv(csv_path, ("preset", "value", "status", *COMPARE_COLUMNS, "error"),
+              rows)
     _write_manifest(out, {"command": "compare", "presets": presets,
                           "axis": axis, "values": values,
                           "tolerances": {"tol": cfg.tol}})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 from typing import List, Optional
@@ -101,15 +102,19 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
 
 def _convert(kind, v, label, what):
-    """``kind(v)``, refusing booleans and the fractions int() would drop."""
+    """``kind(v)``, refusing booleans, the fractions int() would drop and
+    floats that are NaN or infinite."""
     bad = ConfigError(f"{label} must be {what}, got {v!r}")
     if isinstance(v, bool) or (kind is int and isinstance(v, float)
                                and not v.is_integer()):
         raise bad
     try:
-        return kind(v)
+        out = kind(v)
     except (TypeError, ValueError):
         raise bad from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{label} must be finite, got {v!r}")
+    return out
 
 
 def read_config(path: str) -> dict:

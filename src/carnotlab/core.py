@@ -13,11 +13,12 @@ linear on this vector, so states are plain 4-vectors; a stroke map is a 5x5
 matrix that also accumulates the stroke work in a fifth component.
 
 Every file the package writes goes through :func:`write_csv` and
-:func:`write_json`, and every configuration hash is :func:`content_hash`, so
-the output format is set here alone: numbers to 17 significant digits (they
-read back bit-exactly), text cells with ``,`` as ``;`` and newlines as
-spaces, sorted two-space JSON ending in a newline, and a 16-hex-digit
-SHA-256 of the sorted-key JSON.
+:func:`write_json`, every record is turned into JSON by :func:`record_dict`,
+and every configuration hash is :func:`content_hash`, so the output format is
+set here alone: numbers to 17 significant digits (they read back
+bit-exactly), text cells with ``,`` as ``;`` and newlines as spaces, sorted
+two-space JSON ending in a newline, and a 16-hex-digit SHA-256 of the
+sorted-key JSON.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigError, DomainError, UnphysicalState
+from .errors import ConfigError, DomainError, InvalidProtocol, UnphysicalState
 
 HBAR = 1.0
 KB = 1.0
@@ -40,6 +41,13 @@ KB = 1.0
 #: Reporting frequency floor: cycle times are quoted in units of 2*pi/OMEGA_MIN.
 OMEGA_MIN = 5.0
 TIME_UNIT = 2.0 * math.pi / OMEGA_MIN
+
+#: Relative slack of :meth:`ObservableVector.check_physical`.
+PHYSICAL_RTOL = 1e-9
+#: Largest |l| / max(|h|, 1) of a state diagonal in the dressed basis.
+DRESSED_DIAGONAL_ATOL = 1e-9
+#: Relative tolerance of :meth:`CycleSpec.geometry_warnings` on corner ratios.
+GEOMETRY_RTOL = 1e-12
 
 
 def cycle_time_to_atomic(tau_units: float) -> float:
@@ -115,12 +123,13 @@ class ObservableVector:
         """h^2 - l^2 - c^2; conserved (after /w^2 scaling) by unitary strokes."""
         return self.h**2 - self.l**2 - self.c**2
 
-    def check_physical(self, omega: Optional[float] = None, rtol: float = 1e-9) -> None:
+    def check_physical(self, omega: Optional[float] = None) -> None:
         """Raise UnphysicalState unless h >= sqrt(l^2+c^2) and, when a
-        frequency is given, h^2 - l^2 - c^2 >= (hbar*w/2)^2."""
-        if abs(self.id - 1.0) > rtol:
+        frequency is given, h^2 - l^2 - c^2 >= (hbar*w/2)^2, each to within
+        ``PHYSICAL_RTOL``."""
+        if abs(self.id - 1.0) > PHYSICAL_RTOL:
             raise UnphysicalState(f"identity component must be 1, got {self.id}")
-        slack = rtol * max(abs(self.h), 1.0)
+        slack = PHYSICAL_RTOL * max(abs(self.h), 1.0)
         if self.h + slack < math.hypot(self.l, self.c):
             raise UnphysicalState(
                 f"h={self.h} below coherence magnitude {math.hypot(self.l, self.c)}"
@@ -147,6 +156,9 @@ class BathSpec:
     coupling: float = 0.05
 
     def __post_init__(self):
+        for key, value in record_dict(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"bath {key} must be finite, got {value}")
         if self.temperature <= 0:
             raise DomainError(f"bath temperature must be positive, got {self.temperature}")
         if self.coupling <= 0:
@@ -154,7 +166,7 @@ class BathSpec:
 
 
 class _ConstantFn:
-    """Picklable constant callable (protocols must survive process pools)."""
+    """Constant function of time: ``value`` in the shape of ``t``."""
 
     def __init__(self, value):
         self.value = value
@@ -237,8 +249,6 @@ class FrequencyProtocol:
         InvalidProtocol beyond ``rtol``.  Grid protocols are checked on their
         native grid, closed forms on ``n`` uniform samples.
         """
-        from .errors import InvalidProtocol
-
         if self.duration == 0.0:
             return 0.0
         if self.grid_times is not None:
@@ -286,9 +296,9 @@ class GeneralizedGibbsState:
         return ObservableVector(h=amp, l=0.0, c=-0.5 * self.mu * amp)
 
     @classmethod
-    def from_observable_vector(cls, v: ObservableVector, omega: float,
-                               atol: float = 1e-9) -> "GeneralizedGibbsState":
-        if abs(v.l) > atol * max(abs(v.h), 1.0):
+    def from_observable_vector(cls, v: ObservableVector,
+                               omega: float) -> "GeneralizedGibbsState":
+        if abs(v.l) > DRESSED_DIAGONAL_ATOL * max(abs(v.h), 1.0):
             raise DomainError("state is not diagonal in the dressed basis (l != 0)")
         mu = -2.0 * v.c / v.h
         kappa = math.sqrt(4.0 - mu**2)
@@ -331,6 +341,9 @@ class CycleSpec:
     name: str = ""
 
     def __post_init__(self):
+        for key, value in self.to_dict().items():
+            if key not in ("kind", "name") and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         for label, w in (("omega1", self.omega1), ("omega2", self.omega2),
                          ("omega3", self.omega3), ("omega4", self.omega4)):
             if w <= 0:
@@ -384,6 +397,8 @@ class CycleSpec:
 
     def with_cycle_time(self, tau_units: float) -> "CycleSpec":
         """Return a copy retimed to the given total cycle time (2*pi/w_min units)."""
+        if not math.isfinite(tau_units):
+            raise ConfigError(f"cycle_time must be finite, got {tau_units}")
         tau = cycle_time_to_atomic(tau_units)
         if self.kind is CycleKind.ENDO_GLOBAL:
             if tau <= 0:
@@ -399,19 +414,19 @@ class CycleSpec:
 
     # -- geometry ----------------------------------------------------------
 
-    def geometry_warnings(self, tol: float = 1e-12) -> list[str]:
+    def geometry_warnings(self) -> list[str]:
         """Consistency report for the corner construction (used by `validate`)."""
         out = []
         tc, th = self.t_cold_bath, self.t_hot_bath
         if self.kind is CycleKind.ENDO_SHORTCUT:
             tc, th = self.t_cold_internal, self.t_hot_internal
         r = tc / th
-        if abs(self.omega3 / self.omega2 - r) > tol * max(1.0, r):
+        if abs(self.omega3 / self.omega2 - r) > GEOMETRY_RTOL * max(1.0, r):
             out.append(
                 f"omega3/omega2 = {self.omega3 / self.omega2:.6g} differs from "
                 f"T_cold/T_hot = {r:.6g}: adiabats will not match populations"
             )
-        if abs(self.omega4 / self.omega1 - r) > tol * max(1.0, r):
+        if abs(self.omega4 / self.omega1 - r) > GEOMETRY_RTOL * max(1.0, r):
             out.append(
                 f"omega4/omega1 = {self.omega4 / self.omega1:.6g} differs from "
                 f"T_cold/T_hot = {r:.6g}: adiabats will not match populations"
@@ -424,17 +439,7 @@ class CycleSpec:
         return out
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind.value, "omega1": self.omega1, "omega2": self.omega2,
-             "omega3": self.omega3, "omega4": self.omega4,
-             "t_hot_bath": self.t_hot_bath, "t_cold_bath": self.t_cold_bath,
-             "coupling": self.coupling, "gamma_dephasing": self.gamma_dephasing,
-             "name": self.name}
-        for k in ("open_stroke_duration", "adiabat_duration", "mu_magnitude",
-                  "t_hot_internal", "t_cold_internal"):
-            v = getattr(self, k)
-            if v is not None:
-                d[k] = v
-        return d
+        return record_dict(self)
 
     def config_hash(self) -> str:
         return content_hash(self.to_dict())
@@ -443,6 +448,21 @@ class CycleSpec:
 # ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
+
+def record_dict(record) -> dict:
+    """The fields of a dataclass record by name, ready for JSON: an enum as
+    its value, a tuple as a list, and a field that is None left out."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            out[f.name] = value
+    return out
+
 
 def write_csv(path, header, rows) -> None:
     """Write a CSV table: one line of column names, then one line per row.

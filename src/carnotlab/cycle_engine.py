@@ -22,6 +22,7 @@ building and propagating them again.
 from __future__ import annotations
 
 import copy
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -67,6 +68,9 @@ def carnot_corner_frequencies(omega3: float, compression_ratio: float,
     w2 = w3 T_h/T_c and w4 = w1 T_c/T_h; a working geometry additionally
     needs the compression ratio to exceed T_h/T_c strictly.
     """
+    if not math.isfinite(compression_ratio):
+        raise ConfigError(
+            f"compression ratio must be finite, got {compression_ratio}")
     if omega3 <= 0 or t_cold <= 0 or t_hot <= 0:
         raise ConfigError("frequencies and temperatures must be positive")
     if compression_ratio <= t_hot / t_cold:
@@ -142,12 +146,16 @@ class _Leg(NamedTuple):
     gamma_d: float
 
 
+#: Label of the leg that meets the hot bath, the first in every kind.
+HOT_LEG = "open-expansion"
+
+
 def _cycle_legs(spec: CycleSpec) -> List[_Leg]:
     """The four legs of a cycle in cycle order, leg i from corner i to i + 1."""
     hot = BathSpec(spec.t_hot_bath, spec.coupling)
     cold = BathSpec(spec.t_cold_bath, spec.coupling)
     corners = (spec.omega1, spec.omega2, spec.omega3, spec.omega4, spec.omega1)
-    table = (("open-expansion", hot, spec.t_hot_internal),
+    table = ((HOT_LEG, hot, spec.t_hot_internal),
              ("adiabatic-expansion", None, None),
              ("open-compression", cold, spec.t_cold_internal),
              ("adiabatic-compression", None, None))
@@ -316,8 +324,8 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9, *,
     and propagators, which are the ones it would compute again.  The memo
     holds at most the four legs of one cycle.
     """
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
     strokes, propagators = _strokes_and_propagators(
         spec, {} if leg_memo is None else leg_memo)
     cycle_map = np.eye(5)
@@ -353,9 +361,9 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9, *,
                        magnus_errors=[p.error for p in propagators])
 
 
-def export_cycle_result(result: CycleResult, outdir,
-                        manifest_extra: Optional[dict] = None) -> None:
-    """Write per-stroke trajectory CSVs plus a JSON summary into a directory."""
+def export_cycle_result(result: CycleResult, outdir, ledger=None) -> None:
+    """Write per-stroke trajectory CSVs plus a JSON summary into a directory;
+    the summary holds ``ledger`` (a ``thermo.CycleLedger``) when one is given."""
     os.makedirs(outdir, exist_ok=True)
     for i, (stroke, traj) in enumerate(zip(result.strokes, result.trajectories)):
         traj.to_csv(os.path.join(outdir, f"stroke{i + 1}_{stroke.label}.csv"))
@@ -369,6 +377,6 @@ def export_cycle_result(result: CycleResult, outdir,
         "corners": [[v.h, v.l, v.c, v.id] for v in result.corner_vectors],
         "periodicity_residual": result.periodicity_residual(),
     }
-    if manifest_extra:
-        summary.update(manifest_extra)
+    if ledger is not None:
+        summary["ledger"] = ledger.as_dict()
     write_json(os.path.join(outdir, "summary.json"), summary)

@@ -44,7 +44,6 @@ from scipy.integrate import solve_ivp
 from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                    dressed_rates, write_csv)
 from .errors import DomainError, NumericalError
-from .protocols import SteSolution
 
 DEFAULT_SAMPLES = 801
 #: Tolerances of the reduced beta integration in :func:`propagate_ste_beta`.
@@ -78,6 +77,12 @@ _MAGNUS_C2 = math.sqrt(15.0) / 3.0
 _MAGNUS_C3 = 10.0 / 3.0
 
 
+def _check_gamma_d(gamma_d: float) -> None:
+    if not 0.0 <= gamma_d < math.inf:
+        raise DomainError(
+            f"dephasing strength must be finite and non-negative, got {gamma_d}")
+
+
 def generator(omega, omega_dot, bath: Optional[BathSpec] = None,
               gamma_d: float = 0.0) -> np.ndarray:
     """5x5 generator of (h, l, c, 1, accumulated work), shape (..., 5, 5).
@@ -89,10 +94,10 @@ def generator(omega, omega_dot, bath: Optional[BathSpec] = None,
     toward the dressed-mode stationary state.  Pure dephasing adds
     -4 gamma_d w^2 on l and c only.  The identity row stays zero, so the
     trace component is preserved exactly; the last row is the work integrand
-    (w_dot / w)(h - l).
+    (w_dot / w)(h - l).  Raises DomainError for a negative or non-finite
+    ``gamma_d``.
     """
-    if gamma_d < 0:
-        raise DomainError("dephasing strength must be non-negative")
+    _check_gamma_d(gamma_d)
     omega, omega_dot = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                            np.asarray(omega_dot, dtype=float))
     g = np.zeros(omega.shape + (5, 5))
@@ -461,29 +466,26 @@ def propagate_dephasing(v0: ObservableVector, protocol: FrequencyProtocol,
                         gamma_d: float, bath: Optional[BathSpec] = None,
                         n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Stroke with pure energy-basis dephasing (optionally plus a bath)."""
-    if gamma_d < 0:
-        raise DomainError("dephasing strength must be non-negative")
+    _check_gamma_d(gamma_d)
     return trajectory(v0, protocol, stroke_propagators(
         protocol, bath, gamma_d, n_samples))
 
 
-def propagate_ste_beta(beta0: float, ste: SteSolution, bath: BathSpec,
-                       n_samples: int = DEFAULT_SAMPLES):
+def propagate_ste_beta(beta0: float, protocol: FrequencyProtocol, bath: BathSpec):
     """Reduced exponential-state dynamics along an open stroke.
 
     Integrates beta_dot = k_down (e^beta - 1) + k_up (e^-beta - 1) with the
     instantaneous rates of the stroke protocol; for a designed stroke this
-    reproduces ln y(t).  Returns (times, beta_values).
+    reproduces ln y(t).  Returns (times, beta_values) at ``DEFAULT_SAMPLES``
+    uniform times.
     """
-    protocol = ste.protocol
-
     def rhs(t, y):
         w = float(protocol.omega(t))
         k_down, k_up, _ = dressed_rates(w, float(protocol.omega_dot(t)) / w**2,
                                         bath)
         return [k_down * math.expm1(y[0]) + k_up * math.expm1(-y[0])]
 
-    times = np.linspace(0.0, protocol.duration, n_samples)
+    times = np.linspace(0.0, protocol.duration, DEFAULT_SAMPLES)
     sol = solve_ivp(rhs, (0.0, protocol.duration), [beta0], method="DOP853",
                     rtol=BETA_RTOL, atol=BETA_ATOL, t_eval=times)
     if not sol.success:

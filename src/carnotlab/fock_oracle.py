@@ -165,25 +165,20 @@ def gaussian_fock_state(v: ObservableVector, omega: float,
     n_eff = x - 0.5
     if n_eff < 1e-14:
         n_eff = 0.0
-    coh = math.hypot(v.l, v.c)
-    if coh < 1e-14 * max(abs(v.h), 1.0):
-        if n_eff == 0.0:
-            m = np.zeros((dimension, dimension), dtype=complex)
-            m[0, 0] = 1.0
-            return FockState(m)
-        return thermal_fock_state(omega, HBAR * omega / math.log1p(1.0 / n_eff),
-                                  dimension)
-    r = 0.5 * math.atanh(coh / v.h)
-    phase = complex(v.l, -v.c) / coh
-    xi = r * phase
-    a = ladder(dimension)
-    squeeze = expm(0.5 * (np.conj(xi) * a @ a - xi * a.conj().T @ a.conj().T))
     if n_eff == 0.0:
         base = np.zeros((dimension, dimension), dtype=complex)
         base[0, 0] = 1.0
     else:
         base = thermal_fock_state(
             omega, HBAR * omega / math.log1p(1.0 / n_eff), dimension).matrix
+    coh = math.hypot(v.l, v.c)
+    if coh < 1e-14 * max(abs(v.h), 1.0):
+        return FockState(base)
+    r = 0.5 * math.atanh(coh / v.h)
+    phase = complex(v.l, -v.c) / coh
+    xi = r * phase
+    a = ladder(dimension)
+    squeeze = expm(0.5 * (np.conj(xi) * a @ a - xi * a.conj().T @ a.conj().T))
     return FockState(squeeze @ base @ squeeze.conj().T)
 
 

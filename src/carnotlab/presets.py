@@ -6,7 +6,8 @@ inner frequencies do not match populations across the adiabats and is shipped
 for comparison runs.  ``endo-shortcut`` keeps the matched geometry but holds
 the corners at internal temperatures against shifted baths; ``endo-global``
 drives a rescaled geometry at constant adiabatic speed between the same
-baths as the carnot-shortcut cycle.
+baths as the carnot-shortcut cycle.  Every preset has the default dipole
+coupling of :class:`CycleSpec`.
 """
 
 from __future__ import annotations
@@ -16,65 +17,34 @@ from dataclasses import replace
 from .core import CycleKind, CycleSpec
 from .errors import ConfigError
 
-#: Fixed adiabat duration (atomic units) for the shortcut kinds.
-ADIABAT_DURATION = 5.0
-#: Dipole coupling constant shared by every preset.
-COUPLING = 0.05
-
 DEFAULT_CYCLE_TIME = 250.0  # 2*pi/omega_min units
 
+#: The base of the other shortcut presets; its adiabat duration (atomic
+#: units) is the one the shortcut kinds keep at every cycle time.
+_CARNOT_SHORTCUT = CycleSpec(
+    name="carnot-shortcut", kind=CycleKind.CARNOT_SHORTCUT,
+    omega1=10.0, omega2=8.0, omega3=5.0, omega4=6.25,
+    t_hot_bath=8.0, t_cold_bath=5.0,
+    open_stroke_duration=1.0, adiabat_duration=5.0)
 
-def _spec(name, **kw):
-    return CycleSpec(coupling=COUPLING, name=name, **kw)
-
-
-def _carnot_shortcut():
-    return _spec("carnot-shortcut", kind=CycleKind.CARNOT_SHORTCUT,
-                 omega1=10.0, omega2=8.0, omega3=5.0, omega4=6.25,
-                 t_hot_bath=8.0, t_cold_bath=5.0,
-                 open_stroke_duration=1.0, adiabat_duration=ADIABAT_DURATION)
-
-
-def _table1_literal():
-    return _spec("table1-literal", kind=CycleKind.CARNOT_SHORTCUT,
-                 omega1=10.0, omega2=6.25, omega3=5.0, omega4=7.5,
-                 t_hot_bath=8.0, t_cold_bath=5.0,
-                 open_stroke_duration=1.0, adiabat_duration=ADIABAT_DURATION)
-
-
-def _endo_shortcut():
-    return _spec("endo-shortcut", kind=CycleKind.ENDO_SHORTCUT,
-                 omega1=10.0, omega2=8.0, omega3=5.0, omega4=6.25,
-                 t_hot_bath=7.75, t_cold_bath=5.25,
-                 t_hot_internal=8.0, t_cold_internal=5.0,
-                 open_stroke_duration=1.0, adiabat_duration=ADIABAT_DURATION)
-
-
-def _endo_global():
-    return _spec("endo-global", kind=CycleKind.ENDO_GLOBAL,
-                 omega1=9.6875, omega2=7.75, omega3=5.25, omega4=6.5625,
-                 t_hot_bath=8.0, t_cold_bath=5.0, mu_magnitude=1e-3)
-
-
-_FACTORIES = {
-    "carnot-shortcut": _carnot_shortcut,
-    "eq6-consistent": _carnot_shortcut,
-    "table1-literal": _table1_literal,
-    "endo-shortcut": _endo_shortcut,
-    "endo-global": _endo_global,
+#: Every preset by name.  :func:`get_preset` replaces the open-stroke
+#: duration or the |mu| of each.
+PRESETS = {
+    "carnot-shortcut": _CARNOT_SHORTCUT,
+    "eq6-consistent": _CARNOT_SHORTCUT,
+    "table1-literal": replace(_CARNOT_SHORTCUT, name="table1-literal",
+                              omega2=6.25, omega4=7.5),
+    "endo-shortcut": replace(
+        _CARNOT_SHORTCUT, name="endo-shortcut", kind=CycleKind.ENDO_SHORTCUT,
+        t_hot_bath=7.75, t_cold_bath=5.25,
+        t_hot_internal=8.0, t_cold_internal=5.0),
+    "endo-global": CycleSpec(
+        name="endo-global", kind=CycleKind.ENDO_GLOBAL,
+        omega1=9.6875, omega2=7.75, omega3=5.25, omega4=6.5625,
+        t_hot_bath=8.0, t_cold_bath=5.0, mu_magnitude=1e-3),
 }
 
-PRESET_NAMES = tuple(_FACTORIES)
-
-PRESET_DESCRIPTIONS = {
-    "carnot-shortcut": "population-matched corners (10, 8, 5, 6.25), baths (5, 8)",
-    "eq6-consistent": "alias of carnot-shortcut",
-    "table1-literal": "alternative corners (10, 6.25, 5, 7.5); adiabats do not "
-                      "match populations (kept for comparison)",
-    "endo-shortcut": "matched corners at internal (5, 8) against baths (5.25, 7.75)",
-    "endo-global": "constant-|mu| cycle on corners (9.6875, 7.75, 5.25, 6.5625), "
-                   "baths (5, 8)",
-}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def get_preset(name: str, cycle_time: float = DEFAULT_CYCLE_TIME,
@@ -84,11 +54,11 @@ def get_preset(name: str, cycle_time: float = DEFAULT_CYCLE_TIME,
     Keyword overrides are applied to the spec fields after retiming.
     """
     try:
-        factory = _FACTORIES[name]
+        spec = PRESETS[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}") from None
-    spec = factory().with_cycle_time(cycle_time)
+    spec = spec.with_cycle_time(cycle_time)
     if overrides:
         spec = replace(spec, **overrides)
     return spec

@@ -30,12 +30,16 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .core import (HBAR, KB, BathSpec, FrequencyProtocol, dressed_rates,
-                   write_csv, write_json)
+from .core import (HBAR, KB, BathSpec, FrequencyProtocol, ObservableVector,
+                   dressed_rates, write_csv, write_json)
 from .errors import (DomainError, InfeasibleStroke, InvalidProtocol,
                      ProtocolInversionFailure)
 
 DEFAULT_GRID_POINTS = 4001
+#: Iteration budget of the open-stroke frequency inversion, and the change of
+#: the drive, relative to the larger endpoint frequency, below which it stops.
+INVERSION_MAX_ITER = 80
+INVERSION_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +66,7 @@ def _smoothstep(y0, y1):
 
 
 class _PolyEval:
-    """d^order/dt^order of a polynomial in s = t/t_f (picklable)."""
+    """d^order/dt^order of a polynomial in s = t/t_f, as a function of t."""
 
     def __init__(self, poly, t_f, order=0):
         self.poly = poly.deriv(order) if order else poly
@@ -155,8 +159,6 @@ def sta_expectation_values(ermakov: ErmakovSolution, omega_start: float,
     Valid for 0 <= t <= t_f; returns an ObservableVector (scalar t) or the
     stacked (n, 4) array for array input.
     """
-    from .core import ObservableVector
-
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < -1e-12) or np.any(t_arr > ermakov.t_f * (1 + 1e-12)):
         raise DomainError("t outside the stroke")
@@ -254,8 +256,7 @@ def _static_beta_dot(omega: float, beta: float, bath: BathSpec,
     return slope
 
 
-def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final,
-                      max_iter=80, tol=1e-12):
+def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
     """Solve for the drive w(t) whose rate equation reproduces (beta, beta_dot).
 
     Fixed-point iteration on the adiabatic-speed profile: given mu(t) from the
@@ -307,7 +308,7 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final,
     mu = np.zeros_like(omega)
     t_f = times[-1]
 
-    for it in range(max_iter):
+    for it in range(INVERSION_MAX_ITER):
         ck = np.sqrt(np.maximum(1.0 - 0.25 * mu**2, 0.0))
         if np.any(ck == 0.0):
             t_bad = float(times[np.argmax(ck == 0.0)])
@@ -327,7 +328,7 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final,
         # the construction imposes stationary drive endpoints
         mu[0] = 0.0
         mu[-1] = 0.0
-        if change < tol:
+        if change < INVERSION_TOL:
             break
     else:
         raise ProtocolInversionFailure(

@@ -16,10 +16,10 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from .core import (HBAR, KB, CycleKind, CycleSpec, ObservableVector,
-                   content_hash, cycle_time_from_atomic, thermal_population,
-                   write_csv, write_json)
-from .cycle_engine import (CornerGeometry, CycleResult, carnot_corner_frequencies,
-                           run_to_limit_cycle)
+                   content_hash, cycle_time_from_atomic, record_dict,
+                   thermal_population, write_csv, write_json)
+from .cycle_engine import (HOT_LEG, CornerGeometry, CycleResult,
+                           carnot_corner_frequencies, run_to_limit_cycle)
 from .errors import CarnotLabError, ConfigError, DomainError, UnphysicalState
 
 
@@ -116,14 +116,11 @@ class CycleLedger:
     corner_coherences: tuple
 
     def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "total_work", "q_hot", "q_cold", "power", "efficiency",
-            "cycle_time", "cycle_time_units", "operational_mode", "eta_carnot",
-            "bath_entropy_production", "energy_closure", "unitary_heat_residual")}
-        d["work_per_stroke"] = list(self.work_per_stroke)
-        d["heat_per_stroke"] = list(self.heat_per_stroke)
-        d["corner_coherences"] = list(self.corner_coherences)
-        return d
+        return record_dict(self)
+
+    @property
+    def max_corner_coherence(self) -> float:
+        return max(self.corner_coherences)
 
 
 #: Largest bath entropy decrease a ledger may show, relative to the entropy
@@ -147,8 +144,7 @@ def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> Cycl
     unitary_heat = 0.0
     for stroke, traj in zip(result.strokes, result.trajectories):
         if stroke.bath is not None:
-            # assemble_cycle gives the hot bath to open-expansion in every kind
-            if stroke.label == "open-expansion":
+            if stroke.label == HOT_LEG:
                 q_hot += traj.heat
             else:
                 q_cold += traj.heat
@@ -215,6 +211,19 @@ class SweepRow:
     def ok(self) -> bool:
         return self.ledger is not None
 
+    def cells(self, columns: Sequence[str]) -> list:
+        """CSV cells ``status``, the ledger attribute of each of ``columns``
+        (blank on an error row) and ``error`` (blank when ok)."""
+        if self.ok:
+            return ["ok", *(getattr(self.ledger, c) for c in columns), ""]
+        return ["error", *[""] * len(columns), self.error]
+
+
+#: Ledger columns of ``sweep.csv``, between ``value, status`` and ``error``.
+SWEEP_COLUMNS = ("cycle_time", "cycle_time_units", "total_work", "q_hot",
+                 "q_cold", "power", "efficiency", "operational_mode",
+                 "bath_entropy_production", "max_corner_coherence")
+
 
 @dataclass
 class SweepTable:
@@ -223,21 +232,8 @@ class SweepTable:
     template: CycleSpec
 
     def to_csv(self, path) -> None:
-        rows = []
-        for r in self.rows:
-            led = r.ledger
-            if r.ok:
-                rows.append([r.value, "ok", led.cycle_time, led.cycle_time_units,
-                             led.total_work, led.q_hot, led.q_cold, led.power,
-                             led.efficiency, led.operational_mode,
-                             led.bath_entropy_production,
-                             max(led.corner_coherences), ""])
-            else:
-                rows.append([r.value, "error"] + [""] * 10 + [r.error])
-        write_csv(path, ("value", "status", "cycle_time", "cycle_time_units",
-                         "total_work", "q_hot", "q_cold", "power", "efficiency",
-                         "operational_mode", "bath_entropy_production",
-                         "max_corner_coherence", "error"), rows)
+        write_csv(path, ("value", "status", *SWEEP_COLUMNS, "error"),
+                  [[r.value, *r.cells(SWEEP_COLUMNS)] for r in self.rows])
 
     def metadata(self) -> dict:
         meta = {"axis": self.axis, "values": [r.value for r in self.rows],

@@ -260,3 +260,50 @@ class TestCli:
         rc = main(["protocol", "constmu", "6", "5", "--mu", "-0.1"])
         assert rc == 0
         assert (tmp_path / "carnotlab-protocol" / "constmu_protocol.csv").exists()
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("argv,key", [
+        (["cycle", "--preset", "endo-global", "--cycle-time", "8",
+          "--tol", "nan"], "tol"),
+        (["cycle", "--preset", "carnot-shortcut", "--cycle-time", "nan"],
+         "cycle_time"),
+        (["cycle", "--preset", "carnot-shortcut", "--cycle-time", "inf"],
+         "cycle_time"),
+        (["sweep", "--preset", "carnot-shortcut", "--axis", "cycle_time",
+          "--values", "30,nan"], "values"),
+        (["protocol", "ste", "10", "8", "5", "--bath-temperature", "nan"],
+         "bath_temperature"),
+        (["protocol", "sta", "10", "8", "inf"], "t_f"),
+    ], ids=["tol", "cycle-time-nan", "cycle-time-inf", "values", "bath",
+            "t-f"])
+    def test_flag_exit_code_2(self, tmp_path, capsys, argv, key):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text,key", [
+        ("preset: endo-global\ntol: .nan\n", "tol"),
+        ("preset: carnot-shortcut\ncycle_time: .inf\n", "cycle_time"),
+        ("preset: carnot-shortcut\nvalues: [30, .nan]\n", "values"),
+        ("preset: carnot-shortcut\nspec: {coupling: .nan}\n", "coupling"),
+    ], ids=["tol", "cycle-time", "values", "coupling"])
+    def test_config_value_names_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and key in err
+
+
+class TestCompareTable:
+    def test_every_compare_row_fills_the_header(self, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--presets", "carnot-shortcut,endo-global",
+                     "--values", "14,30", "--out", str(out)]) == 0
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert lines[0].startswith("preset,value,status,")
+        assert [line.split(",")[2] for line in lines[1:]] == \
+            ["error", "ok", "ok", "ok"]
+        assert {len(line.split(",")) for line in lines} == {8}

@@ -1,4 +1,6 @@
+import ast
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,10 @@ from carnotlab.core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
                             thermal_observable_vector, thermal_population,
                             write_csv)
 from carnotlab.errors import ConfigError, DomainError, UnphysicalState
+from carnotlab.presets import PRESET_NAMES, get_preset
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "carnotlab"
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestThermalPopulation:
@@ -203,3 +209,64 @@ class TestOutputFormat:
                      for token in ("json.dump(", ".17g", "hashlib")
                      if token in path.read_text()]
         assert offenders == []
+
+
+class TestModuleBoundaries:
+    def test_dynamics_imports_no_cycle_layer(self):
+        # dynamics propagates protocols; it needs neither their synthesis
+        # nor the cycles built from them
+        tree = ast.parse((SRC / "dynamics.py").read_text())
+        imported = {a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert not {m.rsplit(".", 1)[-1] for m in imported} \
+            & {"protocols", "cycle_engine"}
+
+
+class TestSpecRecord:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_to_dict_holds_every_set_field(self, name):
+        spec = get_preset(name, cycle_time=40.0, gamma_dephasing=0.01)
+        d = spec.to_dict()
+        assert set(d) == {f.name for f in fields(spec)
+                          if getattr(spec, f.name) is not None}
+        assert d["kind"] == spec.kind.value
+        assert all(d[k] == getattr(spec, k) for k in d if k != "kind")
+
+    def test_every_field_changes_the_hash(self):
+        base = get_preset("endo-shortcut", cycle_time=40.0)
+        hashes = {base.config_hash()}
+        for f in fields(CycleSpec):
+            v = getattr(base, f.name)
+            if f.name == "kind":
+                v = CycleKind.CARNOT_SHORTCUT
+            elif f.name == "name":
+                v = "other"
+            else:  # a number, zero or unset
+                v = v * (1.0 + 1e-12) if v else 1e-3
+            hashes.add(replace(base, **{f.name: v}).config_hash())
+        assert len(hashes) == len(fields(CycleSpec)) + 1
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("preset,field", [
+        ("endo-shortcut", f.name) for f in fields(CycleSpec)
+        if f.name not in ("kind", "name", "mu_magnitude")]
+        + [("endo-global", "mu_magnitude")])
+    def test_spec_field_named(self, preset, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            get_preset(preset, cycle_time=30.0, **{field: value})
+
+    @pytest.mark.parametrize("preset", ["carnot-shortcut", "endo-global"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_cycle_time_named(self, preset, value):
+        with pytest.raises(ConfigError, match="^cycle_time must be finite"):
+            get_preset(preset, cycle_time=value)
+
+    @pytest.mark.parametrize("field", ["temperature", "coupling"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_bath_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"^bath {field} must be finite"):
+            BathSpec(**{"temperature": 5.0, field: value})

@@ -278,3 +278,15 @@ class TestLimitCycle:
         files = sorted(p.name for p in out.iterdir())
         assert "summary.json" in files
         assert sum(1 for f in files if f.endswith(".csv")) == 4
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_compression_ratio_named(self, ratio):
+        with pytest.raises(ConfigError, match="compression ratio must be finite"):
+            carnot_corner_frequencies(5.0, ratio, 5.0, 8.0)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ConfigError, match="^tol must be positive"):
+            run_to_limit_cycle(get_preset("endo-global", cycle_time=8.0),
+                               tol=math.nan)

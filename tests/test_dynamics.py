@@ -441,12 +441,12 @@ class TestPropagateOpen:
 class TestPropagateSteBeta:
     def test_fixed_point(self, hot_bath):
         prot, sol = build_ste_protocol(8.0, 8.0, 10.0, hot_bath)
-        times, beta = propagate_ste_beta(-1.0, sol, hot_bath)
+        times, beta = propagate_ste_beta(-1.0, sol.protocol, hot_bath)
         assert np.max(np.abs(beta + 1.0)) < 1e-12
 
     def test_tracks_designed_polynomial(self, hot_bath):
         _, sol = build_ste_protocol(10.0, 8.0, 15.0, hot_bath)
-        times, beta = propagate_ste_beta(sol.target_initial, sol, hot_bath)
+        times, beta = propagate_ste_beta(sol.target_initial, sol.protocol, hot_bath)
         assert np.max(np.abs(np.exp(beta) - sol.y(times))) < 1e-6
         assert beta[-1] == pytest.approx(sol.target_final, abs=1e-6)
 
@@ -499,3 +499,16 @@ class TestTrajectoryExport:
         path2 = tmp_path / "traj2.csv"
         traj.to_csv(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+class TestNonFiniteDephasing:
+    @pytest.mark.parametrize("gamma_d", [math.nan, math.inf])
+    def test_generator_rejects(self, gamma_d):
+        with pytest.raises(DomainError, match="finite"):
+            generator(5.0, 0.0, None, gamma_d)
+
+    @pytest.mark.parametrize("gamma_d", [math.nan, math.inf])
+    def test_propagate_dephasing_rejects(self, gamma_d):
+        with pytest.raises(DomainError, match="finite"):
+            propagate_dephasing(thermal_observable_vector(5.0, 5.0),
+                                FrequencyProtocol.constant(5.0, 1.0), gamma_d)

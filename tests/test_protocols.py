@@ -135,13 +135,13 @@ class TestSteBuilder:
         # must reproduce the designed polynomial
         for wi, wf, bath in ((10.0, 8.0, hot_bath), (5.0, 6.25, cold_bath)):
             prot, sol = build_ste_protocol(wi, wf, 10.0, bath)
-            times, beta = propagate_ste_beta(sol.target_initial, sol, bath)
+            times, beta = propagate_ste_beta(sol.target_initial, sol.protocol, bath)
             y_err = np.max(np.abs(np.exp(beta) - sol.y(times)))
             assert y_err < 1e-6
 
     def test_endpoint_thermal_target(self, hot_bath):
         prot, sol = build_ste_protocol(10.0, 8.0, 20.0, hot_bath)
-        times, beta = propagate_ste_beta(sol.target_initial, sol, hot_bath)
+        times, beta = propagate_ste_beta(sol.target_initial, sol.protocol, hot_bath)
         assert beta[-1] == pytest.approx(-8.0 / 8.0, abs=1e-7)
 
     def test_total_mu_increases_for_shorter_strokes(self, hot_bath):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from carnotlab.errors import (CarnotLabError, ConfigError, DomainError,
                               UnphysicalState)
 from carnotlab.presets import get_preset
 from carnotlab.protocols import build_sta_protocol
-from carnotlab.thermo import (analyze_cycle, carnot_efficiency, coherence,
+from carnotlab.thermo import (CycleLedger, analyze_cycle, carnot_efficiency,
+                              coherence,
                               curzon_ahlborn_efficiency, friction_action_fit,
                               ideal_carnot_work, spec_for_sweep_value, sweep,
                               von_neumann_entropy)
@@ -335,3 +336,27 @@ class TestSweepLegMemo:
         for expected in (2, 4):
             sweep(get_preset("carnot-shortcut"), "cycle_time", [16.0, 30.0])
             assert len(builds) == expected
+
+
+class TestRecordsAndColumns:
+    def test_ledger_dict_keys_are_its_fields(self):
+        spec = get_preset("carnot-shortcut", cycle_time=40.0)
+        d = analyze_cycle(run_to_limit_cycle(spec), spec).as_dict()
+        assert set(d) == {f.name for f in fields(CycleLedger)}
+        assert all(type(d[k]) is list for k in (
+            "work_per_stroke", "heat_per_stroke", "corner_coherences"))
+
+    def test_every_sweep_row_fills_the_header(self, tmp_path):
+        table = sweep(get_preset("carnot-shortcut"), "cycle_time", [14.0, 30.0])
+        assert [r.ok for r in table.rows] == [False, True]
+        table.to_csv(tmp_path / "s.csv")
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert {len(line.split(",")) for line in lines} == {13}
+
+    @pytest.mark.parametrize("preset", ["carnot-shortcut", "endo-global"])
+    def test_non_finite_cycle_time_is_a_config_error_row(self, preset):
+        table = sweep(get_preset(preset), "cycle_time", [math.nan, 30.0])
+        assert table.rows[0].error.startswith(
+            "ConfigError: cycle_time must be finite")
+        assert table.rows[1].ok
