@@ -46,6 +46,15 @@ def _write_manifest(outdir: str, payload: dict) -> None:
                {"code_version": __version__, **payload})
 
 
+def _write_run_manifest(outdir: str, command: str, cfg: RunConfig,
+                        spec) -> None:
+    """The manifest of a command that runs one spec: its config, the spec
+    and the tolerance."""
+    _write_manifest(outdir, {"command": command, "config": cfg.to_dict(),
+                             "spec": spec.to_dict(),
+                             "tolerances": {"tol": cfg.tol}})
+
+
 def _config_from_args(args) -> RunConfig:
     """The config file, if any, with the given flags laid over its keys and
     validated as one mapping."""
@@ -105,8 +114,7 @@ def _cmd_cycle(args) -> int:
     ledger = analyze_cycle(result, spec)
     out = cfg.out or _default_out("cycle")
     export_cycle_result(result, out, ledger)
-    _write_manifest(out, {"command": "cycle", "config": cfg.to_dict(),
-                          "spec": spec.to_dict(), "tolerances": {"tol": cfg.tol}})
+    _write_run_manifest(out, "cycle", cfg, spec)
     print(json.dumps(ledger.as_dict(), indent=2, sort_keys=True))
     print(out)
     return 0
@@ -122,8 +130,7 @@ def _cmd_sweep(args) -> int:
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "sweep.csv")
     export_sweep(table, csv_path, os.path.join(out, "sweep.meta.json"))
-    _write_manifest(out, {"command": "sweep", "config": cfg.to_dict(),
-                          "spec": spec.to_dict(), "tolerances": {"tol": cfg.tol}})
+    _write_run_manifest(out, "sweep", cfg, spec)
     n_bad = sum(1 for r in table.rows if not r.ok)
     print(csv_path)
     if n_bad:

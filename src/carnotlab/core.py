@@ -31,7 +31,6 @@ from enum import Enum
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DomainError, InvalidProtocol, UnphysicalState
 
@@ -48,6 +47,9 @@ PHYSICAL_RTOL = 1e-9
 DRESSED_DIAGONAL_ATOL = 1e-9
 #: Relative tolerance of :meth:`CycleSpec.geometry_warnings` on corner ratios.
 GEOMETRY_RTOL = 1e-12
+#: Largest deviation of a grid protocol's time step from the uniform one,
+#: relative to it.
+GRID_RTOL = 1e-9
 
 
 def cycle_time_to_atomic(tau_units: float) -> float:
@@ -165,6 +167,67 @@ class BathSpec:
             raise DomainError(f"bath coupling must be positive, got {self.coupling}")
 
 
+#: Pole of the (1, 4, 1) rows of a cubic spline on a uniform grid, its powers
+#: up to the first below the unit roundoff, and the taps rho^|k| / sqrt(12)
+#: of the rows' inverse filter (Unser, Aldroubi & Eden, IEEE Trans. Signal
+#: Process. 41, 821 (1993)).
+_SPLINE_POLE = math.sqrt(3.0) - 2.0
+_SPLINE_POWERS = _SPLINE_POLE ** np.arange(33)
+_SPLINE_TAPS = np.concatenate((_SPLINE_POWERS[:0:-1], _SPLINE_POWERS)) \
+    / math.sqrt(12.0)
+
+
+def spline_slopes(y: np.ndarray, h: float) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline through ``y`` on a uniform
+    grid of spacing ``h`` (at least 4 knots).
+
+    The interior rows s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / h are
+    met by the inverse filter of the zero-padded right-hand side, plus
+    a rho^i + b rho^(n-1-i), which leaves them unchanged; the two end rows,
+    s[0] + 2 s[1] = (5 d[0] + d[1]) / 2 and its mirror image with d the
+    divided differences, fix a and b.  Powers of rho below the unit roundoff
+    are left out.
+    """
+    n = len(y)
+    d = np.diff(y) / h
+    rhs = np.zeros(n)
+    rhs[1:-1] = 3.0 * (d[:-1] + d[1:])
+    m = len(_SPLINE_POWERS)
+    s = np.convolve(rhs, _SPLINE_TAPS)[m - 1:m - 1 + n]
+    # the end rows applied to rho^i and to rho^(n-1-i)
+    near = 1.0 + 2.0 * _SPLINE_POLE
+    far = _SPLINE_POLE ** (n - 2) * (_SPLINE_POLE + 2.0)
+    r0 = 0.5 * (5.0 * d[0] + d[1]) - s[0] - 2.0 * s[1]
+    r1 = 0.5 * (d[-2] + 5.0 * d[-1]) - 2.0 * s[-2] - s[-1]
+    det = near * near - far * far
+    edge = _SPLINE_POWERS[:n]
+    s[:len(edge)] += (near * r0 - far * r1) / det * edge
+    s[n - len(edge):] += (near * r1 - far * r0) / det * edge[::-1]
+    return s
+
+
+class _GridSpline:
+    """The not-a-knot cubic spline through ``y`` on a uniform grid starting at
+    ``t0`` with spacing ``h``: each t is placed on its interval by index
+    arithmetic and its cubic summed by Horner's rule."""
+
+    def __init__(self, t0: float, h: float, y: np.ndarray):
+        s = spline_slopes(y, h)
+        d = np.diff(y) / h
+        self.t0, self.h = t0, h
+        self.coef = np.stack((y[:-1], s[:-1], (3.0 * d - 2.0 * s[:-1] - s[1:]) / h,
+                              (s[:-1] + s[1:] - 2.0 * d) / (h * h)))
+
+    def __call__(self, t):
+        x = (np.asarray(t, dtype=float) - self.t0) / self.h
+        # a NaN time takes interval 0 and evaluates to NaN
+        i = np.nan_to_num(np.clip(np.floor(x), 0, self.coef.shape[1] - 1)) \
+            .astype(np.intp)
+        x = (x - i) * self.h
+        c0, c1, c2, c3 = self.coef[:, i]
+        return c0 + x * (c1 + x * (c2 + x * c3))
+
+
 class _ConstantFn:
     """Constant function of time: ``value`` in the shape of ``t``."""
 
@@ -179,8 +242,9 @@ class _ConstantFn:
 class FrequencyProtocol:
     """The control omega(t) and its derivative over one stroke.
 
-    Holds either closed-form callables or a dense grid with cubic
-    interpolation.  Instances are immutable; callables must be pure.
+    Holds either closed-form callables or a dense uniform grid, with omega
+    and omega_dot each interpolated by a not-a-knot cubic spline.  Instances
+    are immutable; callables must be pure.
     """
 
     duration: float
@@ -207,14 +271,15 @@ class FrequencyProtocol:
         omega_dot = np.asarray(omega_dot, dtype=float)
         if times.ndim != 1 or len(times) < 4:
             raise DomainError("grid protocol needs at least 4 samples")
-        if np.any(np.diff(times) <= 0):
-            raise DomainError("grid times must be strictly increasing")
+        h = (times[-1] - times[0]) / (len(times) - 1)
+        if not h > 0 or np.any(np.abs(np.diff(times) - h) > GRID_RTOL * h):
+            raise DomainError("grid times must be increasing and uniformly spaced")
         if np.any(omega <= 0):
             raise DomainError("omega must stay positive along the protocol")
-        w_spl = CubicSpline(times, omega)
-        wd_spl = CubicSpline(times, omega_dot)
         return cls(duration=float(times[-1] - times[0]), kind="grid",
-                   meta=dict(meta or {}), _omega_fn=w_spl, _omega_dot_fn=wd_spl,
+                   meta=dict(meta or {}),
+                   _omega_fn=_GridSpline(times[0], h, omega),
+                   _omega_dot_fn=_GridSpline(times[0], h, omega_dot),
                    grid_times=times, grid_omega=omega, grid_omega_dot=omega_dot)
 
     @classmethod

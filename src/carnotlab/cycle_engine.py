@@ -38,9 +38,8 @@ from .protocols import (build_constant_mu_protocol, build_sta_protocol,
                         build_ste_nonthermal_protocol, build_ste_protocol)
 
 # Unused here, but bench/tracing.py patches these names on this module.
-from scipy.integrate import solve_ivp  # noqa: F401
 from .dynamics import (propagate_dephasing, propagate_open,  # noqa: F401
-                       propagate_unitary)
+                       propagate_unitary, solve_ivp)
 
 
 @dataclass(frozen=True)

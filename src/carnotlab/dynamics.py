@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                    dressed_rates, write_csv)
@@ -75,6 +74,15 @@ _UNIT_ROUNDOFF = 2.0**-53
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 _MAGNUS_C2 = math.sqrt(15.0) / 3.0
 _MAGNUS_C3 = 10.0 / 3.0
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """``scipy.integrate.solve_ivp``, imported on the first call: the moment
+    propagators need no ODE solver, so importing carnotlab loads no scipy.
+    Each module that integrates looks the solver up under this name."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
 def _check_gamma_d(gamma_d: float) -> None:
@@ -304,6 +312,18 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
     return maps
 
 
+def _product(maps: np.ndarray) -> np.ndarray:
+    """maps[-1] @ ... @ maps[0] of an (n, 5, 5) stack, grouped as the last
+    map of :func:`_prefix_products` is, so that the two agree to the bit:
+    adjacent pairs are multiplied from the latest down, the earliest map
+    left over when their number is odd."""
+    maps = maps[::-1]
+    while len(maps) > 1:
+        p = len(maps) - len(maps) % 2
+        maps = np.concatenate((maps[0:p:2] @ maps[1:p:2], maps[p:]))
+    return maps[0]
+
+
 def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
                    bath: Optional[BathSpec], gamma_d: float):
     """Products of the steps in each of ``intervals`` equal parts of a uniform
@@ -380,8 +400,9 @@ def stroke_propagators(protocol: FrequencyProtocol,
     all three nodes.  Otherwise the pilots are taken again, the coarser on
     the fewest steps (a multiple of the sample intervals) that the scaling
     puts under the bound and the finer on twice as many, which then stand
-    for 400 and 800.  When N equals the finer pilot's steps they are reused.
-    The interval maps are accumulated by a log-depth prefix scan.
+    for 400 and 800.  When N equals the finer pilot's steps, the finer
+    pilot's interval maps are reused.  The interval maps of the N-step
+    product are accumulated by a log-depth prefix scan.
 
     Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
     ``maps[-1]`` is the stroke's transfer matrix
@@ -402,10 +423,10 @@ def stroke_propagators(protocol: FrequencyProtocol,
         pilot, step_norm = _interval_maps(
             protocol, fine_steps, math.gcd(fine_steps, intervals), bath,
             gamma_d)
-        pilot = _prefix_products(pilot)
-        scale = float(np.max(np.abs(pilot[-1])))
+        fine = _product(pilot)
+        scale = float(np.max(np.abs(fine)))
         # the pilots' difference is 15 times the finer one's error under N^-4
-        error = float(np.max(np.abs(pilot[-1] - coarse))) / 15.0 / scale
+        error = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
         if not math.isfinite(error):
             raise NumericalError("stroke propagator is not finite",
                                  diagnostics={"duration": protocol.duration})
@@ -425,9 +446,8 @@ def stroke_propagators(protocol: FrequencyProtocol,
     if needed > _MAX_STEPS:
         raise _too_many_steps(needed, protocol, gamma_d, error=error)
     if n_steps != fine_steps:
-        pilot = _prefix_products(_interval_maps(protocol, n_steps, intervals,
-                                                bath, gamma_d)[0])
-    maps = np.concatenate((np.eye(5)[None], pilot))
+        pilot = _interval_maps(protocol, n_steps, intervals, bath, gamma_d)[0]
+    maps = np.concatenate((np.eye(5)[None], _prefix_products(pilot)))
     if not np.all(np.isfinite(maps)):
         raise NumericalError("stroke propagator is not finite",
                              diagnostics={"duration": protocol.duration})

@@ -27,11 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                    dressed_rates, thermal_population)
+from .dynamics import solve_ivp
 from .errors import DomainError, NumericalError, TruncationError, UnphysicalState
 
 DEFAULT_DIMENSION = 60
@@ -160,6 +159,8 @@ def thermal_fock_state(omega: float, temperature: float,
 def gaussian_fock_state(v: ObservableVector, omega: float,
                         dimension: int = DEFAULT_DIMENSION) -> FockState:
     """Squeezed thermal state realizing a physical moment vector."""
+    from scipy.linalg import expm
+
     v.check_physical(omega)
     x = math.sqrt(max(v.casimir(), 0.0)) / (HBAR * omega)
     n_eff = x - 0.5

@@ -27,11 +27,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .core import (HBAR, KB, BathSpec, FrequencyProtocol, ObservableVector,
-                   dressed_rates, write_csv, write_json)
+                   dressed_rates, spline_slopes, write_csv, write_json)
 from .errors import (DomainError, InfeasibleStroke, InvalidProtocol,
                      ProtocolInversionFailure)
 
@@ -40,6 +38,13 @@ DEFAULT_GRID_POINTS = 4001
 #: the drive, relative to the larger endpoint frequency, below which it stops.
 INVERSION_MAX_ITER = 80
 INVERSION_TOL = 1e-12
+
+
+def _require_finite(**arguments) -> None:
+    """Raise DomainError naming the first argument that is NaN or infinite."""
+    for name, value in arguments.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +127,8 @@ def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float):
     anywhere (the trap would have to become repulsive) the ramp is refused
     with ``InvalidProtocol`` carrying the first violating time.
     """
+    _require_finite(omega_initial=omega_initial, omega_final=omega_final,
+                    t_f=t_f)
     if omega_initial <= 0 or omega_final <= 0:
         raise DomainError("frequencies must be positive")
     if t_f <= 0:
@@ -197,6 +204,7 @@ def constant_mu_duration(omega_initial: float, omega_final: float, mu: float) ->
 def build_constant_mu_protocol(omega_initial: float, omega_final: float,
                                mu: float) -> FrequencyProtocol:
     """Closed-form drive w(t) = w_i/(1 - mu w_i t) ending exactly at w_f."""
+    _require_finite(omega_initial=omega_initial, omega_final=omega_final, mu=mu)
     if omega_initial <= 0 or omega_final <= 0:
         raise DomainError("frequencies must be positive")
     if omega_initial == omega_final:
@@ -303,6 +311,7 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
         return w
 
     scale = max(omega_initial, omega_final)
+    h = (times[-1] - times[0]) / (len(times) - 1)
     omega = -beta * KB * temp / HBAR  # quasi-static initial guess
     omega = np.clip(omega, 1e-3 * scale, 50.0 * scale)
     mu = np.zeros_like(omega)
@@ -323,7 +332,7 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
                                         scale, times[i])
         change = np.max(np.abs(omega_new - omega) / scale)
         omega = omega_new if it < 10 else 0.5 * (omega + omega_new)
-        omega_dot = CubicSpline(times, omega)(times, 1)
+        omega_dot = spline_slopes(omega, h)
         mu = omega_dot / omega**2
         # the construction imposes stationary drive endpoints
         mu[0] = 0.0
@@ -346,7 +355,9 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
 
 
 def _scalar_root(ck, n_eq, dcoef, temp, w_prev, scale, t):
-    """Bracketed fallback for grid points where Newton stalls."""
+    """Bracketed fallback for grid points where Newton stalls: a bisection
+    of the sign change nearest ``w_prev`` on a geometric grid, to within
+    1e-14 + 1e-15 |w|."""
 
     def f(w):
         nstar = n_eq + dcoef / w
@@ -366,15 +377,49 @@ def _scalar_root(ck, n_eq, dcoef, temp, w_prev, scale, t):
     gf = grid[finite]
     # prefer the branch nearest the previous iterate (continuity)
     idx = sign_change[np.argmin(np.abs(gf[sign_change] - w_prev))]
-    return brentq(f, gf[idx], gf[idx + 1], xtol=1e-14, rtol=1e-15)
+    lo, hi = gf[idx], gf[idx + 1]
+    lo_positive = f(lo) > 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-14 + 1e-15 * abs(mid):
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
 
 
-def _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1, dy0, dy1,
-               family, extra_meta=None):
+def _build_ste(omega_initial, omega_final, t_f, bath, internal_temperature=None):
+    """The open stroke between Gibbs states at ``internal_temperature``, or
+    at the bath's temperature when it is None."""
+    _require_finite(omega_initial=omega_initial, omega_final=omega_final,
+                    t_f=t_f)
+    if internal_temperature is not None:
+        _require_finite(internal_temperature=internal_temperature)
+        if internal_temperature <= 0:
+            raise DomainError("internal temperature must be positive")
     if omega_initial <= 0 or omega_final <= 0:
         raise DomainError("frequencies must be positive")
     if t_f <= 0:
         raise DomainError("stroke duration must be positive")
+
+    temp = bath.temperature if internal_temperature is None \
+        else internal_temperature
+    beta0 = -HBAR * omega_initial / (KB * temp)
+    beta1 = -HBAR * omega_final / (KB * temp)
+    meta = {"family": "ste", "omega_initial": omega_initial,
+            "omega_final": omega_final, "t_f": t_f,
+            "bath_temperature": bath.temperature, "coupling": bath.coupling}
+    dy0 = dy1 = 0.0
+    if internal_temperature is not None:
+        # non-stationary endpoints: the static rate equation against the bath
+        dy0 = _static_beta_dot(omega_initial, beta0, bath, 0.0) * math.exp(beta0)
+        dy1 = _static_beta_dot(omega_final, beta1, bath, t_f) * math.exp(beta1)
+        meta.update(family="ste-nonthermal",
+                    internal_temperature=internal_temperature)
 
     y0, y1 = math.exp(beta0), math.exp(beta1)
     poly = _quintic(y0, y1, dy0 * t_f, dy1 * t_f, 0.0, 0.0)
@@ -400,12 +445,7 @@ def _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1, dy0, dy1,
         omega, omega_dot, alpha = _invert_frequency(
             times, beta, beta_dot, bath, omega_initial, omega_final)
 
-    protocol = FrequencyProtocol.from_grid(
-        times, omega, omega_dot,
-        meta={"family": family, "omega_initial": omega_initial,
-              "omega_final": omega_final, "t_f": t_f,
-              "bath_temperature": bath.temperature, "coupling": bath.coupling,
-              **(extra_meta or {})})
+    protocol = FrequencyProtocol.from_grid(times, omega, omega_dot, meta=meta)
     solution = SteSolution(
         y=_PolyEval(poly, t_f), beta_dot=_BetaDot(poly, t_f),
         alpha_grid=alpha, times=times, protocol=protocol,
@@ -430,11 +470,7 @@ def build_ste_protocol(omega_initial: float, omega_final: float, t_f: float,
     endpoints; the drive frequency is recovered by inverting the rate
     equation.  Returns ``(FrequencyProtocol, SteSolution)``.
     """
-    temp = bath.temperature
-    beta0 = -HBAR * omega_initial / (KB * temp)
-    beta1 = -HBAR * omega_final / (KB * temp)
-    return _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1,
-                      0.0, 0.0, "ste")
+    return _build_ste(omega_initial, omega_final, t_f, bath)
 
 
 def build_ste_nonthermal_protocol(omega_initial: float, omega_final: float,
@@ -447,17 +483,8 @@ def build_ste_nonthermal_protocol(omega_initial: float, omega_final: float,
     y = exp(beta) are fixed by the static rate equation evaluated at the
     endpoint frequencies against the actual bath.
     """
-    if internal_temperature <= 0:
-        raise DomainError("internal temperature must be positive")
-    beta0 = -HBAR * omega_initial / (KB * internal_temperature)
-    beta1 = -HBAR * omega_final / (KB * internal_temperature)
-    bd0 = _static_beta_dot(omega_initial, beta0, bath, 0.0)
-    bd1 = _static_beta_dot(omega_final, beta1, bath, t_f)
-    dy0 = bd0 * math.exp(beta0)
-    dy1 = bd1 * math.exp(beta1)
-    return _build_ste(omega_initial, omega_final, t_f, bath, beta0, beta1,
-                      dy0, dy1, "ste-nonthermal",
-                      extra_meta={"internal_temperature": internal_temperature})
+    return _build_ste(omega_initial, omega_final, t_f, bath,
+                      internal_temperature)
 
 
 # ---------------------------------------------------------------------------

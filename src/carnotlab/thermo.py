@@ -185,20 +185,25 @@ def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> Cycl
 SWEEP_AXES = ("cycle_time", "dephasing", "compression_ratio")
 
 
+def _check_axis(axis: str) -> None:
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+
+
 def spec_for_sweep_value(template: CycleSpec, axis: str, value: float) -> CycleSpec:
     """Instantiate the template at one sweep-axis value."""
+    _check_axis(axis)
     if axis == "cycle_time":
         return template.with_cycle_time(value)
     if axis == "dephasing":
         return replace(template, gamma_dephasing=value)
-    if axis == "compression_ratio":
-        if template.kind is not CycleKind.CARNOT_SHORTCUT:
-            raise ConfigError("compression-ratio sweeps apply to the carnot-shortcut kind")
-        geom = carnot_corner_frequencies(template.omega3, value,
-                                         template.t_cold_bath, template.t_hot_bath)
-        return replace(template, omega1=geom.omega1, omega2=geom.omega2,
-                       omega4=geom.omega4)
-    raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+    # compression_ratio
+    if template.kind is not CycleKind.CARNOT_SHORTCUT:
+        raise ConfigError("compression-ratio sweeps apply to the carnot-shortcut kind")
+    geom = carnot_corner_frequencies(template.omega3, value,
+                                     template.t_cold_bath, template.t_hot_bath)
+    return replace(template, omega1=geom.omega1, omega2=geom.omega2,
+                   omega4=geom.omega4)
 
 
 @dataclass
@@ -271,8 +276,7 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
     With ``jobs`` > 1 the values are split into ``jobs`` contiguous runs, one
     per worker process, each with its own legs.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+    _check_axis(axis)
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -125,6 +128,17 @@ class TestFrequencyProtocol:
         with pytest.raises(InvalidProtocol):
             p.check_consistency(rtol=1e-6)
 
+    def test_grid_at_nan_time_is_nan(self):
+        t = np.linspace(0.0, 2.0, 50)
+        p = FrequencyProtocol.from_grid(t, 5.0 + np.sin(t), np.cos(t))
+        assert np.isnan(p.omega(math.nan)) and np.isnan(p.omega_dot(math.nan))
+        assert np.isnan(p.omega(np.array([1.0, math.nan]))[1])
+
+    def test_uniform_grid_required(self):
+        t = np.linspace(0.0, 1.0, 50) ** 2
+        with pytest.raises(DomainError, match="uniformly spaced"):
+            FrequencyProtocol.from_grid(t, 5.0 + t, np.ones(50))
+
     def test_positive_omega_required(self):
         t = np.linspace(0.0, 1.0, 50)
         with pytest.raises(DomainError):
@@ -222,6 +236,24 @@ class TestModuleBoundaries:
                      if isinstance(node, ast.ImportFrom)}
         assert not {m.rsplit(".", 1)[-1] for m in imported} \
             & {"protocols", "cycle_engine"}
+
+    def test_cycles_load_no_scipy(self):
+        # scipy serves the oracle's solves and the tests, not the cycle path
+        code = (
+            "import sys, carnotlab.cli, carnotlab.fock_oracle\n"
+            "from carnotlab.cycle_engine import run_to_limit_cycle\n"
+            "from carnotlab.presets import get_preset\n"
+            "from carnotlab.thermo import sweep\n"
+            "for name in ('carnot-shortcut', 'endo-shortcut', 'endo-global'):\n"
+            "    run_to_limit_cycle(get_preset(name, cycle_time=40.0))\n"
+            "sweep(get_preset('endo-global'), 'cycle_time', [8.0])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        path = os.pathsep.join(p for p in (str(SRC.parent),
+                                           os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]"
 
 
 class TestSpecRecord:

@@ -3,14 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from carnotlab.core import BathSpec, thermal_observable_vector
+from carnotlab.core import BathSpec, spline_slopes, thermal_observable_vector
+from carnotlab.cycle_engine import assemble_cycle
 from carnotlab.dynamics import propagate_open, propagate_ste_beta, propagate_unitary
 from carnotlab.errors import DomainError, InfeasibleStroke, InvalidProtocol
-from carnotlab.protocols import (build_constant_mu_protocol, build_sta_protocol,
+from carnotlab.presets import get_preset
+from carnotlab.protocols import (_scalar_root, build_constant_mu_protocol,
+                                 build_sta_protocol,
                                  build_ste_nonthermal_protocol,
                                  build_ste_protocol, constant_mu_duration,
                                  load_protocol, save_protocol,
                                  sta_expectation_values)
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+#: Each builder with valid arguments.
+VALID_BUILDS = {
+    "sta": (build_sta_protocol,
+            dict(omega_initial=10.0, omega_final=8.0, t_f=5.0)),
+    "constmu": (build_constant_mu_protocol,
+                dict(omega_initial=10.0, omega_final=8.0, mu=-0.1)),
+    "ste": (build_ste_protocol,
+            dict(omega_initial=10.0, omega_final=8.0, t_f=12.0,
+                 bath=BathSpec(8.0, 0.05))),
+    "ste-nonthermal": (build_ste_nonthermal_protocol,
+                       dict(omega_initial=10.0, omega_final=8.0, t_f=12.0,
+                            internal_temperature=8.0,
+                            bath=BathSpec(7.75, 0.05))),
+}
 
 
 class TestStaBuilder:
@@ -224,3 +243,57 @@ class TestSerialization:
         loaded = load_protocol(p_csv, tmp_path / "sta.json")
         t = np.linspace(0, 5.0, 97)
         assert np.max(np.abs(loaded.omega(t) - prot.omega(t))) < 1e-9
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("builder,argument", [
+        (name, arg) for name, (_, kwargs) in VALID_BUILDS.items()
+        for arg in kwargs if arg != "bath"])
+    def test_domain_error_names_the_argument(self, builder, argument, value):
+        build, kwargs = VALID_BUILDS[builder]
+        build(**kwargs)
+        with pytest.raises(DomainError, match=f"^{argument} must be finite"):
+            build(**{**kwargs, argument: value})
+
+
+class TestGridSpline:
+    @pytest.mark.parametrize("preset,tau", [("carnot-shortcut", 16.0),
+                                            ("carnot-shortcut", 250.0),
+                                            ("endo-shortcut", 40.0)])
+    def test_matches_scipy_not_a_knot(self, preset, tau):
+        from scipy.interpolate import CubicSpline
+
+        grids = [s.protocol for s in assemble_cycle(get_preset(preset,
+                                                               cycle_time=tau))
+                 if s.protocol.grid_times is not None]
+        assert len(grids) == 2
+        for p in grids:
+            t = p.grid_times
+            t_fine = np.linspace(0.0, p.duration, 20011)
+            for y, interpolant in ((p.grid_omega, p.omega),
+                                   (p.grid_omega_dot, p.omega_dot)):
+                ref = CubicSpline(t, y)(t_fine)
+                assert np.max(np.abs(interpolant(t_fine) - ref)) \
+                    <= 1e-14 * np.max(np.abs(y))
+            slopes = spline_slopes(p.grid_omega, (t[-1] - t[0]) / (len(t) - 1))
+            ref = CubicSpline(t, p.grid_omega)(t, 1)
+            assert np.max(np.abs(slopes - ref)) \
+                <= 1e-10 * np.max(np.abs(p.grid_omega_dot))
+
+
+def test_bisection_fallback_matches_brentq():
+    from scipy.optimize import brentq
+
+    # (ck, n_eq, dcoef, temperature, previous iterate, scale, t) of a grid
+    # point where the vectorized Newton iteration stalls, from a drawn cycle
+    # of the property test
+    ck, n_eq, dcoef, temp = 1.0, 0.006136777097072167, -0.04215528700154528, 1.0
+    w = _scalar_root(ck, n_eq, dcoef, temp, 5.099573601154482, 7.5,
+                     0.9481657426553423)
+
+    def f(x):
+        return x * ck - temp * math.log1p(1.0 / (n_eq + dcoef / x))
+
+    ref = brentq(f, 0.99 * w, 1.01 * w, xtol=1e-14, rtol=1e-15)
+    assert abs(w - ref) <= 1e-14 * ref
