@@ -209,16 +209,25 @@ def spline_slopes(y: np.ndarray, h: float) -> np.ndarray:
 class _GridSpline:
     """The not-a-knot cubic spline through ``y`` on a uniform grid starting at
     ``t0`` with spacing ``h``: each t is placed on its interval by index
-    arithmetic and its cubic summed by Horner's rule."""
+    arithmetic and its cubic summed by Horner's rule.  A float time takes a
+    scalar path with the same arithmetic, so both paths agree to the bit."""
 
     def __init__(self, t0: float, h: float, y: np.ndarray):
         s = spline_slopes(y, h)
         d = np.diff(y) / h
-        self.t0, self.h = t0, h
+        self.t0, self.h = float(t0), float(h)
         self.coef = np.stack((y[:-1], s[:-1], (3.0 * d - 2.0 * s[:-1] - s[1:]) / h,
                               (s[:-1] + s[1:] - 2.0 * d) / (h * h)))
 
     def __call__(self, t):
+        if isinstance(t, float):
+            x = (t - self.t0) / self.h
+            last = self.coef.shape[1] - 1
+            # a NaN time fails both tests, takes interval 0 and gives NaN
+            i = last if x >= last else math.floor(x) if x >= 0.0 else 0
+            x = (x - i) * self.h
+            c0, c1, c2, c3 = self.coef[:, i].tolist()
+            return c0 + x * (c1 + x * (c2 + x * c3))
         x = (np.asarray(t, dtype=float) - self.t0) / self.h
         # a NaN time takes interval 0 and evaluates to NaN
         i = np.nan_to_num(np.clip(np.floor(x), 0, self.coef.shape[1] - 1)) \
@@ -288,6 +297,9 @@ class FrequencyProtocol:
                                   meta={"family": "constant", **(meta or {})})
 
     def _clamp(self, t):
+        if isinstance(t, float):
+            # max and min keep their first argument when it is NaN, as np.clip
+            return min(max(t, 0.0), self.duration)
         return np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
 
     def omega(self, t):

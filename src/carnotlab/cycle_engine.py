@@ -284,13 +284,14 @@ def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
 LegMemo = Dict[str, Tuple[_Leg, StrokeDescriptor, Propagators]]
 
 
-def _strokes_and_propagators(spec: CycleSpec, memo: LegMemo):
-    """The four strokes of a cycle and their sampled propagators.
+def _strokes_and_propagators(spec: CycleSpec, memo: LegMemo, *,
+                             n_samples: int = DEFAULT_SAMPLES):
+    """The four strokes of a cycle and their propagators at ``n_samples``.
 
     A leg whose inputs equal those held under its label in ``memo`` reuses
     the held stroke and propagators; every other leg is built (all builds
     first, in cycle order) and then propagated.  Each leg that succeeds
-    replaces its label's entry.
+    replaces its label's entry.  A memo serves one sample count.
     """
     legs = _cycle_legs(spec)
     held = []
@@ -300,14 +301,15 @@ def _strokes_and_propagators(spec: CycleSpec, memo: LegMemo):
     strokes = [e[1] if e else _build(leg) for leg, e in zip(legs, held)]
     propagators = []
     for leg, stroke, entry in zip(legs, strokes, held):
-        p = entry[2] if entry else _propagate(stroke, DEFAULT_SAMPLES)
+        p = entry[2] if entry else _propagate(stroke, n_samples)
         memo[leg.label] = (leg, stroke, p)
         propagators.append(p)
     return strokes, propagators
 
 
 def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9, *,
-                       leg_memo: Optional[LegMemo] = None) -> CycleResult:
+                       leg_memo: Optional[LegMemo] = None,
+                       n_samples: int = DEFAULT_SAMPLES) -> CycleResult:
     """Iterate the four-stroke map from the designed corner-1 state to its
     fixed point.
 
@@ -321,12 +323,17 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9, *,
     ``leg_memo`` carries legs from one call to the next: a leg whose inputs
     are those of the last leg built under its label reuses that leg's stroke
     and propagators, which are the ones it would compute again.  The memo
-    holds at most the four legs of one cycle.
+    holds at most the four legs of one cycle, and serves one ``n_samples``.
+
+    ``n_samples`` is the number of trajectory samples per stroke.  At 2 the
+    trajectories hold only the corner states, which is all a ledger reads,
+    and each stroke's Magnus steps come from the two-sample rule of
+    ``stroke_propagators``.
     """
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
     strokes, propagators = _strokes_and_propagators(
-        spec, {} if leg_memo is None else leg_memo)
+        spec, {} if leg_memo is None else leg_memo, n_samples=n_samples)
     cycle_map = np.eye(5)
     for p in propagators:
         cycle_map = p.maps[-1] @ cycle_map

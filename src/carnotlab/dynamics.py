@@ -26,7 +26,11 @@ matrix, and applied to any initial vector the samples give the trajectory.
 Each step evaluates the generator at its three Gauss nodes, all steps of a
 block at once, and exponentiates them together with a stacked, scaled Taylor
 exponential to unit roundoff.  Each stroke takes the fewest steps that meet
-``MAGNUS_TARGET`` by an error estimate from two pilot products.  The fifth
+``MAGNUS_TARGET`` by an error estimate: a stroke of two samples (its transfer
+matrix alone, as a sweep row needs) from a ladder of 64-, 128- and 256-step
+products whose successive differences also give the order of convergence, a
+sampled stroke (and a two-sample one the ladder cannot resolve) from two
+pilot products of 400 and 800 steps.  The fifth
 component accumulates the stroke work W = integral (w_dot / w) (h - l) dt,
 so work values carry the step error of the product rather than that of a
 sampling grid.
@@ -52,8 +56,11 @@ BETA_ATOL = 1e-12
 #: tenth of the 1e-10 gate against a DOP853 reference.
 MAGNUS_TARGET = 1e-11
 #: Steps of the two unsampled pilot products; the finer is also the least
-#: resolution of any stroke.
+#: resolution of a stroke that the pilots resolve.
 _PILOT_STEPS = (400, 800)
+#: Steps of the three products whose differences resolve a stroke of two
+#: samples.
+_LADDER_STEPS = (64, 128, 256)
 #: A failing step is located on a grid of this many steps per stroke.
 _LOCATE_STEPS = 8000
 #: Largest step count a stroke may need before it fails.
@@ -385,38 +392,22 @@ class Propagators:
     error: float
 
 
-def stroke_propagators(protocol: FrequencyProtocol,
-                       bath: Optional[BathSpec] = None, gamma_d: float = 0.0,
-                       n_samples: int = DEFAULT_SAMPLES) -> Propagators:
-    """Sampled 5x5 propagator of one stroke: Phi(t_k) for dPhi/dt = G(t) Phi.
+def _pilot_rule(protocol: FrequencyProtocol, intervals: int,
+                bath: Optional[BathSpec], gamma_d: float):
+    """Steps of a sampled stroke from two pilot products of 400 and 800 steps.
 
-    A product of N uniform 6th-order Magnus steps from Phi(0) = I, sampled at
-    ``n_samples`` uniform times.  Two unsampled pilot products, of 400 and
-    800 steps, estimate the error of the finer as |M800 - M400| / 15; N is
-    the smallest multiple of the sample intervals, at least 800, whose error
-    under the N^-4 rate set by the protocols' spline knots meets
-    ``MAGNUS_TARGET`` * max|M|.  The estimate stands only if N's steps,
-    scaled from the finer pilot's, keep h |G|_1 below ``_STEP_NORM_BOUND`` at
-    all three nodes.  Otherwise the pilots are taken again, the coarser on
-    the fewest steps (a multiple of the sample intervals) that the scaling
-    puts under the bound and the finer on twice as many, which then stand
-    for 400 and 800.  When N equals the finer pilot's steps, the finer
-    pilot's interval maps are reused.  The interval maps of the N-step
-    product are accumulated by a log-depth prefix scan.
+    The pilots estimate the error of the finer as |M800 - M400| / 15; N is
+    the smallest multiple of ``intervals``, at least 800, whose error under
+    the N^-4 rate set by the protocols' spline knots meets ``MAGNUS_TARGET``.
+    The estimate stands only if N's steps, scaled from the finer pilot's,
+    keep h |G|_1 below ``_STEP_NORM_BOUND`` at all three nodes.  Otherwise the
+    pilots are taken again, the coarser on the fewest steps (a multiple of
+    ``intervals``) that the scaling puts under the bound and the finer on
+    twice as many, which then stand for 400 and 800.
 
-    Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
-    ``maps[-1]`` is the stroke's transfer matrix
-    (v, w) -> (v', w + stroke work), and ``maps @ [v, 0]`` is the trajectory
-    from any initial moment vector v.  A zero-duration stroke gives the
-    identity at the single time 0.  Raises DomainError, naming the time, where
-    a bath meets |mu| >= 2, and NumericalError on a non-finite map or where
-    more than ``_MAX_STEPS`` steps would be needed.
+    Returns (N, the estimated error of the N-step product, its interval maps
+    when they are the finer pilot's or else None).
     """
-    if n_samples < 2:
-        raise DomainError(f"a stroke needs at least 2 samples, got {n_samples}")
-    if protocol.duration == 0.0:
-        return Propagators(np.zeros(1), np.eye(5)[None], 0, 0.0)
-    intervals = n_samples - 1
     coarse_steps, fine_steps = _PILOT_STEPS
     coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
     while True:
@@ -428,8 +419,7 @@ def stroke_propagators(protocol: FrequencyProtocol,
         # the pilots' difference is 15 times the finer one's error under N^-4
         error = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
         if not math.isfinite(error):
-            raise NumericalError("stroke propagator is not finite",
-                                 diagnostics={"duration": protocol.duration})
+            raise _not_finite(protocol)
         needed = fine_steps * (error / MAGNUS_TARGET) ** 0.25
         n_steps = intervals * math.ceil(max(needed, fine_steps) / intervals)
         # a step's h |G|_1 shrinks in proportion to h
@@ -445,15 +435,106 @@ def stroke_propagators(protocol: FrequencyProtocol,
         coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
     if needed > _MAX_STEPS:
         raise _too_many_steps(needed, protocol, gamma_d, error=error)
-    if n_steps != fine_steps:
+    return (n_steps, error * (fine_steps / n_steps) ** 4,
+            pilot if n_steps == fine_steps else None)
+
+
+def _ladder_rule(protocol: FrequencyProtocol, bath: Optional[BathSpec],
+                 gamma_d: float):
+    """Steps of an unsampled stroke from products of 64, 128 and 256 steps.
+
+    With d1 = |M128 - M64| and d2 = |M256 - M128| relative to max|M256|, a
+    ladder with d2 <= target / 4 and d1 <= 64 target is resolved at 256
+    steps with error d2.  Otherwise d1 / d2 from 64 to 96 reads as the N^-6
+    rate of the Magnus steps, with error d2 / 63 on the 256-step product,
+    and from 10 to 64 as the N^-4 rate of the spline knots, with error
+    d2 / 15: a mix of N^-4 and N^-6 terms gives a ratio between 16 and 64,
+    and its N^-4 reading bounds both its error and its decay.  Then
+    N = ceil(256 (error / target)^(1 / order)), and the 256-step product is
+    reused when it meets the target.
+
+    Returns (N, the estimated error of the N-step product, its interval
+    map or None), or None when the 64-step rung's steps have h |G|_1 above
+    ``_STEP_NORM_BOUND`` or the ladder reads no order: the pilot rule then
+    decides.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # steps past the bound may overflow; their product is not used
+        coarse, step_norm = _interval_maps(protocol, _LADDER_STEPS[0], 1,
+                                           bath, gamma_d)
+    if step_norm > _STEP_NORM_BOUND:
+        return None
+    middle, fine = (_interval_maps(protocol, n, 1, bath, gamma_d)[0]
+                    for n in _LADDER_STEPS[1:])
+    scale = float(np.max(np.abs(fine)))
+    d1 = float(np.max(np.abs(middle - coarse))) / scale
+    d2 = float(np.max(np.abs(fine - middle))) / scale
+    if not math.isfinite(d1 + d2):
+        raise _not_finite(protocol)
+    base = _LADDER_STEPS[-1]
+    if d2 <= MAGNUS_TARGET / 4.0 and d1 <= 64.0 * MAGNUS_TARGET:
+        return base, d2, fine
+    ratio = d1 / d2 if d2 > 0.0 else math.inf
+    if 64.0 <= ratio <= 96.0:
+        order, error = 6, d2 / 63.0
+    elif 10.0 <= ratio < 64.0:
+        order, error = 4, d2 / 15.0
+    else:
+        return None
+    if error <= MAGNUS_TARGET:
+        return base, error, fine
+    needed = base * (error / MAGNUS_TARGET) ** (1.0 / order)
+    if needed > _MAX_STEPS:
+        raise _too_many_steps(needed, protocol, gamma_d, error=error)
+    n_steps = math.ceil(needed)
+    return n_steps, error * (base / n_steps) ** order, None
+
+
+def _not_finite(protocol: FrequencyProtocol) -> NumericalError:
+    return NumericalError("stroke propagator is not finite",
+                          diagnostics={"duration": protocol.duration})
+
+
+def stroke_propagators(protocol: FrequencyProtocol,
+                       bath: Optional[BathSpec] = None, gamma_d: float = 0.0,
+                       n_samples: int = DEFAULT_SAMPLES) -> Propagators:
+    """Sampled 5x5 propagator of one stroke: Phi(t_k) for dPhi/dt = G(t) Phi.
+
+    A product of N uniform 6th-order Magnus steps from Phi(0) = I, sampled at
+    ``n_samples`` uniform times.  A stroke of two samples, its transfer
+    matrix alone, takes N from a ladder of 64-, 128- and 256-step products
+    whose successive differences give the order and the error
+    (:func:`_ladder_rule`), or from the pilot rule where the ladder's
+    coarsest steps are past ``_STEP_NORM_BOUND`` or it reads no order.  Any
+    other stroke takes N from two pilot products of 400 and 800
+    steps, at least 800 and a multiple of the sample intervals
+    (:func:`_pilot_rule`).  A product that the rule has already made is
+    reused; the interval maps of the N-step product are accumulated by a
+    log-depth prefix scan.
+
+    Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
+    ``maps[-1]`` is the stroke's transfer matrix
+    (v, w) -> (v', w + stroke work), and ``maps @ [v, 0]`` is the trajectory
+    from any initial moment vector v.  A zero-duration stroke gives the
+    identity at the single time 0.  Raises DomainError, naming the time, where
+    a bath meets |mu| >= 2, and NumericalError on a non-finite map or where
+    more than ``_MAX_STEPS`` steps would be needed.
+    """
+    if n_samples < 2:
+        raise DomainError(f"a stroke needs at least 2 samples, got {n_samples}")
+    if protocol.duration == 0.0:
+        return Propagators(np.zeros(1), np.eye(5)[None], 0, 0.0)
+    intervals = n_samples - 1
+    chosen = _ladder_rule(protocol, bath, gamma_d) if intervals == 1 else None
+    n_steps, error, pilot = chosen or _pilot_rule(protocol, intervals, bath,
+                                                  gamma_d)
+    if pilot is None:
         pilot = _interval_maps(protocol, n_steps, intervals, bath, gamma_d)[0]
     maps = np.concatenate((np.eye(5)[None], _prefix_products(pilot)))
     if not np.all(np.isfinite(maps)):
-        raise NumericalError("stroke propagator is not finite",
-                             diagnostics={"duration": protocol.duration})
+        raise _not_finite(protocol)
     times = np.linspace(0.0, protocol.duration, n_samples)
-    return Propagators(times, maps, n_steps,
-                       error * (fine_steps / n_steps) ** 4)
+    return Propagators(times, maps, n_steps, error)
 
 
 def trajectory(v0: ObservableVector, protocol: FrequencyProtocol,

@@ -368,7 +368,11 @@ def _scalar_root(ck, n_eq, dcoef, temp, w_prev, scale, t):
     lo_limit = -dcoef / n_eq if dcoef < 0 else 1e-6 * scale
     lo_limit = max(lo_limit * (1 + 1e-12), 1e-9)
     grid = np.geomspace(max(lo_limit, 1e-6 * scale), 50.0 * scale, 400)
-    vals = np.array([f(w) for w in grid])
+    # f on the whole grid at once, in f's order of operations
+    nstar = n_eq + dcoef / grid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(nstar > 0, grid * ck - KB * temp / HBAR
+                        * np.log1p(1.0 / nstar), np.inf)
     finite = np.isfinite(vals)
     sign_change = np.flatnonzero(np.diff(np.sign(vals[finite])) != 0)
     if len(sign_change) == 0:

@@ -19,6 +19,7 @@ from carnotlab.errors import DomainError, NumericalError
 from carnotlab.presets import get_preset
 from carnotlab.protocols import (build_constant_mu_protocol, build_sta_protocol,
                                  build_ste_protocol)
+from carnotlab.thermo import spec_for_sweep_value
 
 
 class TestNameRates:
@@ -279,16 +280,22 @@ class TestStackedExponential:
         prot = FrequencyProtocol.from_callables(
             1.0, lambda t: np.where(t < 0.3, 5.0, np.nan),
             lambda t: np.zeros_like(t))
-        with pytest.raises(NumericalError, match="at t = ") as err:
-            stroke_propagators(prot)
-        diag = err.value.diagnostics
-        assert diag["duration"] == 1.0
-        assert 0.3 <= diag["time"] <= 0.3 + 1.0 / 8000
+        for n_samples in (2, dynamics.DEFAULT_SAMPLES):
+            with pytest.raises(NumericalError, match="at t = ") as err:
+                stroke_propagators(prot, n_samples=n_samples)
+            diag = err.value.diagnostics
+            assert diag["duration"] == 1.0
+            assert 0.3 <= diag["time"] <= 0.3 + 1.0 / 8000
 
 
 DOP853_PRESETS = [("carnot-shortcut", 250.0), ("endo-shortcut", 250.0),
                   ("endo-shortcut", 40.0), ("table1-literal", 40.0),
                   ("endo-global", 40.0), ("endo-global", 8.0)]
+#: The feasible short cycle times of criteria 2-4 and criterion 6's
+#: dephasing strengths at tau = 8.
+SWEEP_TAUS = (16.0, 18.0, 20.0, 23.0, 26.0, 30.0, 33.0, 36.0, 40.0, 44.0)
+KILL_SWITCH_GAMMAS = tuple(
+    float(g) for g in np.logspace(math.log10(3e-5), math.log10(3e-2), 7))
 
 
 class TestStrokePropagators:
@@ -324,15 +331,17 @@ class TestStrokePropagators:
         # omega = 2 - 2t: |mu| = 2 / (2 - 2t)^2 crosses 2 at t = 0.5
         t = np.linspace(0.0, 0.9, 901)
         prot = FrequencyProtocol.from_grid(t, 2.0 - 2.0 * t, np.full_like(t, -2.0))
-        with pytest.raises(DomainError, match="at t = ") as err:
-            stroke_propagators(prot, BathSpec(5.0, 0.05))
-        t_bad = float(str(err.value).rsplit("at t = ", 1)[1])
-        assert 0.5 <= t_bad <= 0.5 + 2.0 * 0.9 / 8000
+        for n_samples in (2, dynamics.DEFAULT_SAMPLES):
+            with pytest.raises(DomainError, match="at t = ") as err:
+                stroke_propagators(prot, BathSpec(5.0, 0.05),
+                                   n_samples=n_samples)
+            t_bad = float(str(err.value).rsplit("at t = ", 1)[1])
+            assert 0.5 <= t_bad <= 0.5 + 2.0 * 0.9 / 8000
 
     @staticmethod
-    def _assert_error_estimate_is_honest(s):
+    def _assert_error_estimate_is_honest(s, n_samples=2):
         # the chosen product is within twice the target of one 4x finer
-        prop = stroke_propagators(s.protocol, s.bath, s.gamma_d, 2)
+        prop = stroke_propagators(s.protocol, s.bath, s.gamma_d, n_samples)
         m = prop.maps[-1]
         finer = dynamics._interval_products(dynamics._interval_maps(
             s.protocol, 4 * prop.steps, 1, s.bath, s.gamma_d)[0][None])[0]
@@ -343,6 +352,34 @@ class TestStrokePropagators:
     @pytest.mark.parametrize("preset,tau", DOP853_PRESETS)
     def test_error_estimate_is_honest(self, preset, tau):
         for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
+            self._assert_error_estimate_is_honest(s)
+
+    @pytest.mark.parametrize("preset,tau", DOP853_PRESETS)
+    def test_pilot_error_estimate_is_honest(self, preset, tau):
+        # three samples keep the 400/800 pilots that two samples leave
+        for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
+            self._assert_error_estimate_is_honest(s, n_samples=3)
+
+    @pytest.mark.parametrize("ratio,tau", [(1.8, 20.0), (2.5, 20.0),
+                                           (2.5, 30.0)])
+    def test_error_estimate_is_honest_off_the_presets(self, ratio, tau):
+        # STE open strokes of a compression-ratio sweep, read on the ladder
+        # as N^-6 (tau 20) or left to the pilots (tau 30), and adiabats
+        # whose ladder ratio of 62 reads as N^-4
+        spec = spec_for_sweep_value(get_preset("carnot-shortcut",
+                                               cycle_time=tau),
+                                    "compression_ratio", ratio)
+        for s in assemble_cycle(spec):
+            self._assert_error_estimate_is_honest(s)
+
+    @pytest.mark.parametrize("preset,tau,gamma_d", [
+        *(("carnot-shortcut", tau, 0.0) for tau in SWEEP_TAUS),
+        *(("endo-global", 8.0, g) for g in KILL_SWITCH_GAMMAS)])
+    def test_error_estimate_is_honest_on_sweep_strokes(self, preset, tau,
+                                                       gamma_d):
+        # the short strokes of criteria 2-4 and criterion 6's sweeps
+        spec = get_preset(preset, cycle_time=tau, gamma_dephasing=gamma_d)
+        for s in assemble_cycle(spec):
             self._assert_error_estimate_is_honest(s)
 
     def test_error_estimate_is_honest_past_the_radius(self):
@@ -360,18 +397,30 @@ class TestStrokePropagators:
             assert stroke_propagators(s.protocol, s.bath, s.gamma_d).steps == 800
 
     def test_least_steps_with_two_samples(self):
+        # two samples take the ladder's steps, more keep the pilot rule's
+        # floor of 800 rounded up to a multiple of the sample intervals
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
-        assert stroke_propagators(prot, n_samples=2).steps == 800
+        assert stroke_propagators(prot, n_samples=2).steps == \
+            dynamics._ladder_rule(prot, None, 0.0)[0] == 389
         assert stroke_propagators(prot, n_samples=4).steps == 801
+
+    @pytest.mark.parametrize("gamma_d", (0.0,) + KILL_SWITCH_GAMMAS)
+    def test_short_transfer_matrices_take_the_ladder_steps(self, gamma_d):
+        # endo-global@8 strokes are resolved on the ladder's finest rung
+        spec = get_preset("endo-global", cycle_time=8.0, gamma_dephasing=gamma_d)
+        for s in assemble_cycle(spec):
+            assert stroke_propagators(s.protocol, s.bath, s.gamma_d,
+                                      2).steps <= 256, s.label
 
     def test_unresolvable_stroke_fails(self):
         # modulated at 20 rad per time unit for 50: the pilots differ by 4e-2
         prot = FrequencyProtocol.from_callables(
             50.0, lambda t: 5.0 + np.sin(20.0 * t),
             lambda t: 20.0 * np.cos(20.0 * t))
-        with pytest.raises(NumericalError, match="Magnus steps") as err:
-            stroke_propagators(prot)
-        assert err.value.diagnostics["steps"] > 80000
+        for n_samples in (2, dynamics.DEFAULT_SAMPLES):
+            with pytest.raises(NumericalError, match="Magnus steps") as err:
+                stroke_propagators(prot, n_samples=n_samples)
+            assert err.value.diagnostics["steps"] > 80000
 
     def test_scan_equals_sequential_product(self):
         s = assemble_cycle(get_preset("carnot-shortcut", cycle_time=250.0))[0]

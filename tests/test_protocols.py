@@ -281,6 +281,20 @@ class TestGridSpline:
             assert np.max(np.abs(slopes - ref)) \
                 <= 1e-10 * np.max(np.abs(p.grid_omega_dot))
 
+    def test_float_path_matches_array_path(self):
+        # a float time takes the scalar path, an array the vectorized one;
+        # times off the stroke are clamped and a NaN time gives NaN
+        p = assemble_cycle(get_preset("carnot-shortcut",
+                                      cycle_time=250.0))[0].protocol
+        t = np.concatenate((np.linspace(-0.5, p.duration + 0.5, 19997),
+                            [0.0, p.duration, math.nan]))
+        for fn in (p.omega, p.omega_dot):
+            scalar = np.array([fn(float(x)) for x in t])
+            assert all(type(fn(float(x))) is float for x in t[:3])
+            np.testing.assert_array_equal(scalar.view(np.int64),
+                                          fn(t).view(np.int64))
+        assert math.isnan(p.omega(math.nan))
+
 
 def test_bisection_fallback_matches_brentq():
     from scipy.optimize import brentq

@@ -14,8 +14,8 @@ from carnotlab.errors import (CarnotLabError, ConfigError, DomainError,
                               UnphysicalState)
 from carnotlab.presets import get_preset
 from carnotlab.protocols import build_sta_protocol
-from carnotlab.thermo import (CycleLedger, analyze_cycle, carnot_efficiency,
-                              coherence,
+from carnotlab.thermo import (SWEEP_SAMPLES, CycleLedger, analyze_cycle,
+                              carnot_efficiency, coherence,
                               curzon_ahlborn_efficiency, friction_action_fit,
                               ideal_carnot_work, spec_for_sweep_value, sweep,
                               von_neumann_entropy)
@@ -251,7 +251,7 @@ class TestAnalyzeAndSweep:
         assert (tmp_path / "jobs2.csv").read_bytes() == serial
 
     def test_process_pool_sweep_reuses_legs_per_worker(self, tmp_path):
-        # each worker runs a contiguous run of points with its own legs
+        # each worker keeps the legs of its own last point
         from carnotlab.thermo import export_sweep
 
         spec = get_preset("endo-global", cycle_time=8.0)
@@ -261,6 +261,20 @@ class TestAnalyzeAndSweep:
         serial = (tmp_path / "jobs1.csv").read_bytes()
         assert serial.count(b",ok,") == 3
         assert (tmp_path / "jobs2.csv").read_bytes() == serial
+
+    @pytest.mark.parametrize("preset,tau", [
+        ("carnot-shortcut", 250.0), ("endo-shortcut", 250.0),
+        ("endo-shortcut", 40.0), ("table1-literal", 40.0),
+        ("endo-global", 40.0), ("endo-global", 8.0), ("carnot-shortcut", 16.0),
+        ("carnot-shortcut", 20.0)])
+    def test_sweep_row_matches_cycle(self, preset, tau):
+        # two-sample transfer matrices against the sampled cycle's
+        spec = get_preset(preset, cycle_time=tau)
+        row = sweep(spec, "cycle_time", [tau]).rows[0]
+        ledger = analyze_cycle(run_to_limit_cycle(spec), spec)
+        for name in ("total_work", "q_hot"):
+            assert getattr(row.ledger, name) == pytest.approx(
+                getattr(ledger, name), rel=1e-9, abs=0.0), name
 
     def test_negative_entropy_production_raises(self):
         # booked against baths 8 and 7.9, the cycle's heat lowers their entropy
@@ -282,7 +296,8 @@ class TestSweepLegMemo:
     def _fresh_row(template, axis, value):
         try:
             spec = spec_for_sweep_value(template, axis, value)
-            return analyze_cycle(run_to_limit_cycle(spec), spec).as_dict()
+            return analyze_cycle(run_to_limit_cycle(
+                spec, n_samples=SWEEP_SAMPLES), spec).as_dict()
         except CarnotLabError as err:
             return f"{type(err).__name__}: {err}"
 
