@@ -49,9 +49,11 @@ class RunConfig:
         return spec
 
     def to_dict(self) -> dict:
-        return {"preset": self.preset, "cycle_time": self.cycle_time,
-                "spec": dict(self.spec_overrides), "axis": self.axis,
-                "values": self.values, "jobs": self.jobs, "tol": self.tol}
+        """Every field but ``out``, with ``spec_overrides`` as ``spec``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "out"}
+        out["spec"] = dict(out.pop("spec_overrides"))
+        return out
 
 
 def parse_config_dict(raw: dict) -> RunConfig:

@@ -229,8 +229,9 @@ class _GridSpline:
             c0, c1, c2, c3 = self.coef[:, i].tolist()
             return c0 + x * (c1 + x * (c2 + x * c3))
         x = (np.asarray(t, dtype=float) - self.t0) / self.h
-        # a NaN time takes interval 0 and evaluates to NaN
-        i = np.nan_to_num(np.clip(np.floor(x), 0, self.coef.shape[1] - 1)) \
+        # fmin and fmax drop a NaN, so a NaN time takes the last interval and
+        # evaluates to NaN
+        i = np.fmax(np.fmin(np.floor(x), self.coef.shape[1] - 1), 0.0) \
             .astype(np.intp)
         x = (x - i) * self.h
         c0, c1, c2, c3 = self.coef[:, i]
@@ -549,10 +550,15 @@ def write_csv(path, header, rows) -> None:
     written as ``"%.17g" % x`` so that ``float()`` reads it back bit-exactly.
     """
     lines = [",".join(header)]
+    numbers = ",".join(["%.17g"] * len(header))
     for row in rows:
-        lines.append(",".join([
-            x.replace(",", ";").replace("\n", " ") if isinstance(x, str)
-            else "%.17g" % x for x in row]))
+        try:
+            # one format for a row of numbers; a str cell raises TypeError
+            lines.append(numbers % tuple(row))
+        except TypeError:
+            lines.append(",".join([
+                x.replace(",", ";").replace("\n", " ") if isinstance(x, str)
+                else "%.17g" % x for x in row]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -6,10 +6,14 @@ integrates only what its master equation couples:
 
 * Open strokes (a bath).  The thermal dissipator acts in the interaction
   picture with the dressed jump operator frozen at its stroke-initial form
-  b(0), so rho_int is one solve that never involves the system propagator
-  U(t) = T-exp(-(i/hbar) int H dt').  U is a second solve, in the frame of
-  H(omega_ref), where only the change of frequency is left to integrate: on
-  a static stroke U is exact.  Moments are tr(U rho_int U^dag X(t)).
+  b(0), so rho_int never involves the system propagator U(t) = T-exp(-(i/hbar)
+  int H dt').  Moments are tr(U rho_int U^dag X(t)).  On a static stroke
+  (omega constant, omega_dot = 0) b(0) is the ladder operator, the
+  dissipator keeps each coherence order apart, and both rho_int and U are
+  exact, with no solve.  On a driven stroke rho_int is one solve and U a
+  second, in the frame of H(omega_ref) with omega_ref^2 the middle of the
+  stroke's range of omega^2, where only the change of frequency is left to
+  integrate.
 * Dephasing strokes (no bath).  The Schrodinger-picture density matrix obeys
   -(i/hbar)[H, rho] - gamma_d [H, [H, rho]], the dephasing double commutator
   of the interaction picture moved back by U, and is integrated directly
@@ -18,6 +22,8 @@ integrates only what its master equation couples:
   eigenbasis and is solved there exactly, with no solve at all.
 
 Every solve is DOP853 with its step bounded by the method's stability region.
+H(w), P^2 and Q^2 are kept real, and a product of one with a complex matrix
+is one real product on that matrix's float view.
 """
 
 from __future__ import annotations
@@ -45,9 +51,10 @@ ORACLE_ATOL = 1e-10
 #: region reaches -6.39 on the real axis and +-5.96 on the imaginary one).  A
 #: solve steps at most C / r, where r bounds the spectral radius of its
 #: right-hand side, so that modes which have decayed below the error estimate
-#: cannot grow again.  Without the bound a long static open stroke drifts by
-#: 1e-5 of max <H> (T = 2.26), and a static dephasing stroke, when it was
-#: still integrated, drifted by 1e-3 (a thermal state, gamma_d = 0.02, T = 1).
+#: cannot grow again.  Without the bound, when static strokes were still
+#: integrated, a long static open stroke drifted by 1e-5 of max <H> (T =
+#: 2.26) and a static dephasing stroke by 1e-3 (a thermal state, gamma_d =
+#: 0.02, T = 1).
 #:
 #: C for the dissipator of rho_int, with r = 2 |b|^2 max(k_down + k_up).  It
 #: stays well inside the region because a short stroke then takes one or two
@@ -73,9 +80,13 @@ def position_momentum(dimension: int, omega: float):
 
 
 def _quadratures(dimension: int, omega_ref: float):
-    """P^2, Q^2 and QP + PQ on the basis of reference frequency omega_ref."""
+    """P^2, Q^2 and QP + PQ on the basis of reference frequency omega_ref.
+
+    P^2 and Q^2 are real (their imaginary parts are exactly 0), and are kept
+    real so that H(w) and the products with it are real.
+    """
     q, p = position_momentum(dimension, omega_ref)
-    return p @ p, q @ q, q @ p + p @ q
+    return (p @ p).real, (q @ q).real, q @ p + p @ q
 
 
 def basis_operators(dimension: int, omega_ref: float):
@@ -188,6 +199,30 @@ def _max_step(radius: float, rate: float) -> float:
     return radius / rate if rate > 0.0 else np.inf
 
 
+def _real_product(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``a @ z`` for a real matrix ``a`` and a complex matrix ``z``.
+
+    One real product on the (n, 2n) float view of z: numpy would otherwise
+    cast a to complex and multiply its zero imaginary part as well.
+    """
+    z = np.ascontiguousarray(z)
+    return (a @ z.view(float)).view(complex)
+
+
+def _congruence(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``a @ rho @ a.T`` for a real ``a`` and a Hermitian ``rho``.
+
+    rho a^T = (a rho)^dag, so both factors are left real products.
+    """
+    return _real_product(a, _real_product(a, rho).conj().T)
+
+
+def _is_static(protocol: FrequencyProtocol) -> bool:
+    """Whether the stroke's samples show omega constant and omega_dot = 0."""
+    _, w, w_dot, _ = protocol.sample()
+    return bool(np.all(w == w[0])) and not np.any(w_dot)
+
+
 def _solve(rhs, duration: float, y0: np.ndarray, times: np.ndarray,
            max_step: float) -> np.ndarray:
     """DOP853 solution of y' = rhs(t, y) at ``times``, shape (len(y0), n).
@@ -213,20 +248,90 @@ def _solve(rhs, duration: float, y0: np.ndarray, times: np.ndarray,
     return sol.y
 
 
+def _static_open_int(rho0: np.ndarray, k_down: float, k_up: float, step: float,
+                     n_times: int) -> np.ndarray:
+    """rho_int at ``n_times`` times ``step`` apart on a static open stroke.
+
+    At mu = 0 the jump operator is the ladder operator a (the a^dag part of
+    b is rounding), and the dissipator keeps the coherence order k = m - n of
+    each entry rho_nm (Breuer & Petruccione, "The Theory of Open Quantum
+    Systems", 2002, Sec. 3.4.6).  With r_n = sqrt((n+1)(n+k+1)) and N_j =
+    (a a^dag)_jj, which is j + 1 below the top level of the truncated basis
+    and 0 on it, order k is the real tridiagonal system
+
+        rho_n' = k_down (r_n rho_{n+1} - (n + k/2) rho_n)
+               + k_up (r_{n-1} rho_{n-1} - (N_n + N_{n+k}) rho_n / 2)
+
+    for rho_n = rho_{n,n+k}, n < dim - k.  Its rates are constant, so each
+    order takes one exponential over the step and then repeated products.
+    """
+    from scipy.linalg import expm
+
+    dim = rho0.shape[0]
+    levels = np.arange(dim)
+    root = np.sqrt(levels[1:].astype(float))  # a_{n,n+1}
+    raised = np.append(levels[1:], 0).astype(float)  # N_j, diagonal of a a^dag
+    # exp(G_k step) in the top-left (dim - k)^2 corner of slice k, 0 elsewhere
+    steps = np.zeros((dim, dim, dim))
+    for k in range(dim):
+        size = dim - k
+        n = levels[:size]
+        gen = np.diag(-0.5 * (k_down * (2 * n + k)
+                              + k_up * (raised[:size] + raised[k:])))
+        hop = root[:size - 1] * root[k:]
+        gen[n[:-1], n[1:]] = k_down * hop
+        gen[n[1:], n[:-1]] = k_up * hop
+        steps[k, :size, :size] = expm(step * gen)
+    order, n = np.nonzero(levels < dim - levels[:, None])
+    rows, cols = n, n + order
+    # coherences by order: coh[k, n] = rho_{n,n+k}
+    coh = np.zeros((dim, dim), dtype=complex)
+    coh[order, n] = rho0[rows, cols]
+    out = np.empty((n_times, dim, dim), dtype=complex)
+    for i in range(n_times):
+        if i:
+            coh = (steps @ coh.view(float).reshape(dim, dim, 2)) \
+                .view(complex).reshape(dim, dim)
+        vals = coh[order, n]
+        out[i, cols, rows] = vals.conj()
+        out[i, rows, cols] = vals
+    return out
+
+
 def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
-                 ham, times: np.ndarray):
+                 ham, q2: np.ndarray, times: np.ndarray):
     """Schrodinger-picture density matrices U rho_int U^dag at ``times``.
 
     rho_int obeys the dissipator of the jump operator b frozen at the stroke
-    start, which does not involve U.  U = P exp(-i E t / hbar) W P^dag in the
-    eigenbasis (E, P) of H0 = H(omega_ref); with H(w) = H0 + (w^2 - omega_ref^2)
-    Q^2 / 2, W' = -(i/hbar)(w^2 - omega_ref^2)(Phi(t) o P^dag (Q^2/2) P) W,
-    Phi_nm = exp(i (E_n - E_m) t / hbar) and W(0) = I.  On a static stroke W'
-    vanishes, so U is exact.
+    start, which does not involve U.  On a static stroke (omega constant,
+    omega_dot = 0) rho_int is exact (``_static_open_int``) and so is U = P
+    exp(-i E t / hbar) P^T in the eigenbasis (E, P) of H, with no solve at all.
+    On a driven stroke rho_int is one solve, and U = P exp(-i E t / hbar) W
+    P^T in the eigenbasis of H0 = H(omega_ref), where omega_ref^2 is the middle
+    of the stroke's range of omega^2.  With H(w) = H0 + (w^2 - omega_ref^2)
+    Q^2 / 2, W' = -(i/hbar)(w^2 - omega_ref^2)(Phi(t) o P^T (Q^2/2) P) W,
+    Phi_nm = exp(i (E_n - E_m) t / hbar) and W(0) = I.  The middle frame halves
+    max |w^2 - omega_ref^2| against omega_ref = omega(0), and H0 is then no
+    longer the nearly diagonal H(omega(0)) of the basis, whose eigenvectors
+    hold entries far below 1e-100, some of them subnormal, that slow every
+    product with them.
     """
     dim = rho0.shape[0]
-    omega_ref = float(protocol.omega(0.0))
-    b = build_jump_operator(omega_ref, float(protocol.mu(0.0)), dim)
+    if _is_static(protocol):
+        omega = float(protocol.omega(0.0))
+        k_down, k_up, _ = dressed_rates(omega, 0.0, bath)
+        rho_int = _static_open_int(rho0, float(k_down), float(k_up),
+                                   protocol.duration / (len(times) - 1),
+                                   len(times))
+        energies, basis = np.linalg.eigh(ham(omega))
+        for t, rho in zip(times, rho_int):
+            phase = np.exp(-1j * energies * t / HBAR)
+            rho_e = _congruence(basis.T, rho)
+            yield _congruence(basis, phase[:, None] * rho_e * phase.conj())
+        return
+
+    b = build_jump_operator(float(protocol.omega(0.0)), float(protocol.mu(0.0)),
+                            dim)
     bd = b.conj().T
     bdb = bd @ b
     bbd = b @ bd
@@ -243,20 +348,21 @@ def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
         jump = k_down * (b @ rho @ bd) + k_up * (bd @ rho @ b)
         return (0.5 * (jump + jump.conj().T - anti - anti.conj().T)).ravel()
 
+    _, w, _, mu = protocol.sample()
+    omega_ref = math.sqrt(0.5 * (np.min(w * w) + np.max(w * w)))
     energies, basis = np.linalg.eigh(ham(omega_ref))
-    q, _ = position_momentum(dim, omega_ref)
-    x = basis.conj().T @ (0.5 * (q @ q)) @ basis
+    x = basis.T @ (0.5 * q2) @ basis
 
     def w_rhs(t, y):
         w = float(protocol.omega(t))
         phase = np.exp(1j * energies * t / HBAR)
-        coupling = phase[:, None] * x * phase.conj()  # Phi(t) o x
-        return ((-1j / HBAR) * (w * w - omega_ref * omega_ref)
-                * (coupling @ y.reshape(dim, dim))).ravel()
+        # (Phi(t) o x) W = D x D^dag W with D = diag(phase)
+        xw = _real_product(x, phase.conj()[:, None] * y.reshape(dim, dim))
+        scale = (-1j / HBAR) * (w * w - omega_ref * omega_ref)
+        return ((scale * phase)[:, None] * xw).ravel()
 
     # spectral-radius bounds: |L rho| <= 2 |b|^2 (k_down + k_up) |rho| for the
     # dissipator, and |Phi o X| = |X| since Phi o X = D X D^dag, D unitary
-    _, w, _, mu = protocol.sample()
     k_down, k_up, _ = dressed_rates(w, mu, bath)
     rho_rate = 2.0 * np.linalg.norm(b, 2) ** 2 * float(np.max(k_down + k_up))
     w_rate = float(np.max(np.abs(w * w - omega_ref * omega_ref))) \
@@ -267,8 +373,10 @@ def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
     w_mats = _solve(w_rhs, protocol.duration, np.eye(dim, dtype=complex).ravel(),
                     times, _max_step(COHERENT_STEP_RADIUS, w_rate))
     for i, t in enumerate(times):
-        u = (basis * np.exp(-1j * energies * t / HBAR)) \
-            @ w_mats[:, i].reshape(dim, dim) @ basis.conj().T
+        # U = P X P^T with X = exp(-i E t / hbar) W, and X P^T = (P X^T)^T
+        x_t = np.exp(-1j * energies * t / HBAR)[:, None] \
+            * w_mats[:, i].reshape(dim, dim)
+        u = _real_product(basis, _real_product(basis, x_t.T).T)
         yield u @ rho_int[:, i].reshape(dim, dim) @ u.conj().T
 
 
@@ -283,27 +391,26 @@ def _dephasing_states(rho0: np.ndarray, protocol: FrequencyProtocol,
     E_m) t - gamma_d (E_n - E_m)^2 t) rho_nm(0), with no solve.
     """
     dim = rho0.shape[0]
-    _, w, w_dot, _ = protocol.sample()
-    if np.all(w == w[0]) and not np.any(w_dot):
-        energies, basis = np.linalg.eigh(ham(float(w[0])))
+    if _is_static(protocol):
+        energies, basis = np.linalg.eigh(ham(float(protocol.omega(0.0))))
         gap = energies[:, None] - energies
         rate = (1j / HBAR) * gap + gamma_d * gap * gap
-        rho_e = basis.conj().T @ rho0 @ basis
-        return [basis @ (np.exp(-rate * t) * rho_e) @ basis.conj().T
-                for t in times]
+        rho_e = _congruence(basis.T, rho0)
+        return [_congruence(basis, np.exp(-rate * t) * rho_e) for t in times]
 
     def rhs(t, y):
         h = ham(float(protocol.omega(t)))
-        hr = h @ y.reshape(dim, dim)
+        hr = _real_product(h, y.reshape(dim, dim))
         comm = hr - hr.conj().T  # [H, rho] for Hermitian rho
         drho = (-1j / HBAR) * comm
         if gamma_d:
-            hc = h @ comm
+            hc = _real_product(h, comm)
             drho = drho - gamma_d * (hc + hc.conj().T)  # comm is anti-Hermitian
         return drho.ravel()
 
     # H(w) is positive semidefinite and grows with w^2 in the Loewner order, so
     # the commutator's eigenvalues E_n - E_m are bounded by |H(w_max)|
+    _, w, _, _ = protocol.sample()
     h_norm = float(np.linalg.eigvalsh(ham(float(np.max(w))))[-1])
     rate = h_norm / HBAR + gamma_d * h_norm * h_norm
     rho_s = _solve(rhs, protocol.duration, rho0.ravel(), times,
@@ -344,7 +451,7 @@ def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
     if protocol.duration == 0.0:
         states = [rho]
     elif bath is not None:
-        states = _open_states(rho, protocol, bath, ham, times)
+        states = _open_states(rho, protocol, bath, ham, q2, times)
     else:
         states = _dephasing_states(rho, protocol, gamma_d or 0.0, ham, times)
 

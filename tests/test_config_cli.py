@@ -19,6 +19,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_cycles"):
             parse_config_dict({"preset": "endo-global", "max_cycles": 500})
 
+    def test_to_dict_renames_spec_and_leaves_out_out(self):
+        cfg = parse_config_dict({"preset": "endo-global", "out": "runs",
+                                 "spec": {"name": "n"}, "jobs": 2})
+        assert cfg.to_dict() == {"preset": "endo-global", "cycle_time": None,
+                                 "spec": {"name": "n"}, "axis": None,
+                                 "values": None, "jobs": 2, "tol": 1e-9}
+
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(

@@ -214,6 +214,25 @@ class TestOutputFormat:
         lines = path.read_text().splitlines()
         assert lines == ["a,b,c", "1.5,x; y z,"]
 
+    def test_rows_match_the_per_cell_rule(self, tmp_path):
+        # a row of numbers is formatted with one string and a row with text
+        # cell by cell; both give the bytes of the per-cell rule
+        rows = [[1, 2.5, math.nan], [math.inf, -math.inf, -0.0],
+                ["bad, value\n", 3, math.nan],
+                [np.float64(0.1), np.int64(7), 5e-324],
+                np.array([1.0 / 3.0, 2.0, -math.inf]), [4, "", -math.inf]]
+        path = tmp_path / "m.csv"
+        write_csv(path, ["a", "b", "c"], rows)
+
+        def cell(x):
+            if isinstance(x, str):
+                return x.replace(",", ";").replace("\n", " ")
+            return "%.17g" % x
+
+        want = "a,b,c\n" + "".join(",".join(cell(x) for x in row) + "\n"
+                                   for row in rows)
+        assert path.read_bytes() == want.encode()
+
     def test_format_is_set_in_core_alone(self):
         # every number, JSON file and hash format goes through core.write_csv,
         # core.write_json and core.content_hash

@@ -183,7 +183,7 @@ class TestIntegration:
         assert np.max(np.abs(results[0] - results[1])) < 1e-6 * np.max(results[1])
 
     @pytest.mark.parametrize("medium", [
-        {"bath": BathSpec(5.0, 0.05)},  # two solves: rho_int and W
+        {"bath": BathSpec(5.0, 0.05)},  # driven: two solves, rho_int and W
         {"gamma_d": 0.01},              # one solve of rho_s
     ], ids=["open", "dephasing"])
     def test_solver_freed_after_stroke(self, medium):
@@ -240,7 +240,8 @@ class TestIntegration:
 
 
 class TestStaticStrokes:
-    """Static dephasing and closed strokes are exact in the energy eigenbasis."""
+    """Static strokes are exact: dephasing and closed ones in the energy
+    eigenbasis, open ones by coherence order."""
 
     @pytest.fixture
     def no_solver(self, monkeypatch):
@@ -249,17 +250,44 @@ class TestStaticStrokes:
 
         monkeypatch.setattr(fock_oracle, "solve_ivp", solve_ivp)
 
-    @pytest.mark.parametrize("gamma_d", [0.02, None], ids=["dephasing", "closed"])
-    def test_static_stroke_takes_no_solve(self, no_solver, gamma_d):
+    @pytest.mark.parametrize("medium", [
+        {"gamma_d": 0.02}, {"gamma_d": None}, {"bath": BathSpec(5.0, 0.05)},
+    ], ids=["dephasing", "closed", "open"])
+    def test_static_stroke_takes_no_solve(self, no_solver, medium):
         rho0 = thermal_fock_state(5.0, 1.0, 8)
         integrate_lindblad(rho0, FrequencyProtocol.constant(5.0, 1.0),
-                           gamma_d=gamma_d, n_samples=5)
+                           n_samples=5, **medium)
 
     def test_driven_stroke_still_solves(self, no_solver):
         rho0 = thermal_fock_state(5.0, 1.0, 8)
-        with pytest.raises(AssertionError, match="solve_ivp was called"):
-            integrate_lindblad(rho0, build_constant_mu_protocol(5.0, 4.5, -0.3),
-                               gamma_d=0.02, n_samples=5)
+        prot = build_constant_mu_protocol(5.0, 4.5, -0.3)
+        for medium in ({"gamma_d": 0.02}, {"bath": BathSpec(5.0, 0.05)}):
+            with pytest.raises(AssertionError, match="solve_ivp was called"):
+                integrate_lindblad(rho0, prot, n_samples=5, **medium)
+
+    @pytest.mark.parametrize("squeezed", [False, True],
+                             ids=["thermal", "squeezed"])
+    def test_static_open_states_match_dop853(self, monkeypatch, squeezed):
+        # the exact states against the driven path's DOP853 solve of the same
+        # stroke, where W stays the identity
+        omega, dim = 5.38, 60
+        prot = FrequencyProtocol.constant(omega, 2.26)
+        v = thermal_observable_vector(omega, 6.0)
+        if squeezed:
+            v = ObservableVector(h=v.h * 1.02, l=0.15 * v.h, c=-0.1 * v.h)
+        rho0 = gaussian_fock_state(v, omega, dim).matrix
+        ham, _, _ = basis_operators(dim, omega)
+        _, q2, _ = fock_oracle._quadratures(dim, omega)
+        times = np.linspace(0.0, prot.duration, 41)
+
+        def states():
+            return np.array(list(fock_oracle._open_states(
+                rho0, prot, BathSpec(6.0, 0.06), ham, q2, times)))
+
+        exact = states()
+        monkeypatch.setattr(fock_oracle, "_is_static", lambda protocol: False)
+        solved = states()
+        assert np.max(np.abs(exact - solved)) < 1e-12 * np.max(np.abs(exact))
 
     def test_recognised_from_samples_not_family(self, no_solver):
         # a constant omega given as plain callables has no "family" in meta
@@ -325,18 +353,24 @@ class TestReference:
     """The split solves against one joint (U, rho_int) solve."""
 
     @pytest.mark.parametrize("protocol, bath, gamma_d, squeezed", [
-        # Long static strokes: without the stability bound on the step the
-        # open one drifts by about 3e-8.  The dephasing one is exact in the
-        # energy eigenbasis; integrated without the bound it drifted by about
-        # 1e-3, as its thermal state has no coherences for the error estimate
-        # to see (nor for gamma_d to act on: TestStaticStrokes checks those).
-        # The open one is as long as criterion 7's shortest.
+        # Long static strokes, both exact now.  Integrated without the
+        # stability bound on the step, the open one drifted by about 3e-8,
+        # and the dephasing one by about 1e-3, as its thermal state has no
+        # coherences for the error estimate to see (nor for gamma_d to act
+        # on: TestStaticStrokes checks those).  The open one is as long as
+        # criterion 7's shortest.
         (FrequencyProtocol.constant(5.38, 2.26), BathSpec(6.0, 0.06), None, True),
         (build_constant_mu_protocol(9.4, 12.2, 0.6), BathSpec(4.0, 0.05), None,
          True),
         (FrequencyProtocol.constant(5.0, 1.0), None, 0.02, False),
         (build_constant_mu_protocol(7.0, 5.6, -0.4), None, 0.005, True),
-    ], ids=["static-open", "driven-open", "static-dephasing", "driven-dephasing"])
+        # H(omega(0)) is nearly diagonal on its own basis, and its eigenbasis
+        # holds 741 entries below 1e-100: W is solved in the frame of the
+        # middle of omega^2 instead
+        (build_constant_mu_protocol(9.5420, 6.8469, -0.3319),
+         BathSpec(3.53, 0.069), None, False),
+    ], ids=["static-open", "driven-open", "static-dephasing", "driven-dephasing",
+            "driven-open-tiny-basis"])
     def test_matches_joint_solve(self, protocol, bath, gamma_d, squeezed):
         w0 = float(protocol.omega(0.0))
         v = thermal_observable_vector(w0, 5.0)
@@ -347,6 +381,18 @@ class TestReference:
                                         gamma_d=gamma_d, n_samples=41)
         ref = joint_reference(rho0, protocol, bath, gamma_d)
         assert np.max(np.abs(np.array([h, l, c]) - ref)) < 1e-9 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("dim", [8, 60])
+    def test_real_product_is_the_complex_product(self, dim):
+        rng = np.random.default_rng(7)
+        ham, _, _ = basis_operators(dim, 6.0)
+        h = ham(7.3)
+        assert h.dtype == float
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for rhs in (z, z + z.conj().T, (z - z.conj().T).T):
+            got = fock_oracle._real_product(h, rhs)
+            want = h.astype(complex) @ rhs
+            assert np.array_equal(got.view(float), want.view(float))
 
     def test_step_bounds_inside_stability_region(self):
         # |R(z)| <= 1 on the left half-disc of the larger step radius, with
