@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from .config import RunConfig, parse_config_dict, read_config
@@ -35,13 +35,19 @@ OUTPUT_ROOT_ENV = "CARNOTLAB_OUT"
 COMPARE_COLUMNS = ("total_work", "power", "efficiency", "operational_mode")
 
 
-def _default_out(sub: str) -> str:
-    root = os.environ.get(OUTPUT_ROOT_ENV, ".")
-    return os.path.join(root, f"carnotlab-{sub}")
+def _out_dir(out, sub: str) -> str:
+    """The output directory, created: ``out``, or else ``carnotlab-<sub>``
+    under ``$CARNOTLAB_OUT`` (default the working directory)."""
+    path = out or os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "."),
+                               f"carnotlab-{sub}")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"out: cannot create {path}: {err}") from None
+    return path
 
 
 def _write_manifest(outdir: str, payload: dict) -> None:
-    os.makedirs(outdir, exist_ok=True)
     write_json(os.path.join(outdir, "manifest.json"),
                {"code_version": __version__, **payload})
 
@@ -59,8 +65,7 @@ def _config_from_args(args) -> RunConfig:
     """The config file, if any, with the given flags laid over its keys and
     validated as one mapping."""
     raw = read_config(args.config) if getattr(args, "config", None) else {}
-    flags = {key: getattr(args, key, None) for key in
-             ("preset", "cycle_time", "axis", "values", "out", "jobs", "tol")}
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if flags["values"] is not None:
         flags["values"] = [v for v in flags["values"].split(",")
                            if v.strip()] or None
@@ -97,8 +102,7 @@ def _cmd_protocol(args) -> int:
                                               args.omega_final, args.mu)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown protocol kind {kind}")
-    out = args.out or _default_out("protocol")
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args.out, "protocol")
     csv_path = os.path.join(out, f"{kind}_protocol.csv")
     save_protocol(protocol, csv_path, os.path.join(out, f"{kind}_protocol.json"))
     _write_manifest(out, {"command": "protocol", "kind": kind,
@@ -110,9 +114,9 @@ def _cmd_protocol(args) -> int:
 def _cmd_cycle(args) -> int:
     cfg = _config_from_args(args)
     spec = cfg.build_spec()
+    out = _out_dir(cfg.out, "cycle")
     result = run_to_limit_cycle(spec, tol=cfg.tol)
     ledger = analyze_cycle(result, spec)
-    out = cfg.out or _default_out("cycle")
     export_cycle_result(result, out, ledger)
     _write_run_manifest(out, "cycle", cfg, spec)
     print(json.dumps(ledger.as_dict(), indent=2, sort_keys=True))
@@ -125,9 +129,8 @@ def _cmd_sweep(args) -> int:
     if not cfg.axis or not cfg.values:
         raise ConfigError("sweep needs --axis and --values")
     spec = cfg.build_spec()
+    out = _out_dir(cfg.out, "sweep")
     table = sweep(spec, cfg.axis, cfg.values, tol=cfg.tol, jobs=cfg.jobs)
-    out = cfg.out or _default_out("sweep")
-    os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, "sweep.csv")
     export_sweep(table, csv_path, os.path.join(out, "sweep.meta.json"))
     _write_run_manifest(out, "sweep", cfg, spec)
@@ -148,11 +151,10 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"compare along {axis} needs --values")
     values = cfg.values or [DEFAULT_CYCLE_TIME if cfg.cycle_time is None
                             else cfg.cycle_time]
-    out = cfg.out or _default_out("compare")
-    os.makedirs(out, exist_ok=True)
+    specs = [replace(cfg, preset=name).build_spec() for name in presets]
+    out = _out_dir(cfg.out, "compare")
     rows = []
-    for name in presets:
-        spec = replace(cfg, preset=name).build_spec()
+    for name, spec in zip(presets, specs):
         table = sweep(spec, axis, values, tol=cfg.tol, jobs=cfg.jobs)
         rows += [[name, r.value, *r.cells(COMPARE_COLUMNS)] for r in table.rows]
     csv_path = os.path.join(out, "compare.csv")
@@ -198,35 +200,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_protocol)
 
-    common = dict(preset=(["--preset"], {"choices": list(PRESET_NAMES)}),
-                  config=(["--config"], {}),
-                  cycle_time=(["--cycle-time"], {"type": float}),
-                  out=(["--out"], {}),
-                  tol=(["--tol"], {"type": float}),
-                  jobs=(["--jobs"], {"type": int}))
+    common = dict(preset={"choices": list(PRESET_NAMES)}, config={},
+                  cycle_time={"type": float}, out={}, tol={"type": float},
+                  jobs={"type": int}, axis={"choices": SWEEP_AXES},
+                  values={"help": "comma-separated axis values"})
 
     def add_common(sp, keys):
         for k in keys:
-            flags, kw = common[k]
-            sp.add_argument(*flags, default=None, **kw)
+            sp.add_argument("--" + k.replace("_", "-"), default=None,
+                            **common[k])
 
     p = sub.add_parser("cycle", help="run one cycle to its limit cycle")
     add_common(p, ("preset", "config", "cycle_time", "out", "tol"))
     p.set_defaults(func=_cmd_cycle)
 
     p = sub.add_parser("sweep", help="one converged ledger per axis value")
-    add_common(p, ("preset", "config", "cycle_time", "out", "tol", "jobs"))
-    p.add_argument("--axis", choices=SWEEP_AXES, default=None)
-    p.add_argument("--values", default=None,
-                   help="comma-separated axis values")
+    add_common(p, ("preset", "config", "cycle_time", "out", "tol", "jobs",
+                   "axis", "values"))
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="joined table across presets")
     p.add_argument("--presets", required=True,
                    help=f"comma-separated names from: {', '.join(PRESET_NAMES)}")
-    add_common(p, ("config", "cycle_time", "out", "tol", "jobs"))
-    p.add_argument("--axis", choices=SWEEP_AXES, default=None)
-    p.add_argument("--values", default=None)
+    add_common(p, ("config", "cycle_time", "out", "tol", "jobs", "axis",
+                   "values"))
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("validate", help="check a configuration's geometry")

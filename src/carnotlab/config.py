@@ -4,56 +4,53 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import MISSING, dataclass, field, fields
 from typing import List, Optional
 
 import yaml
 
 from .core import CycleKind, CycleSpec
+from .cycle_engine import LIMIT_CYCLE_TOL
 from .errors import ConfigError
 from .presets import DEFAULT_CYCLE_TIME, get_preset
+from .thermo import check_axis
 
 _SPEC_KEYS = {f.name for f in fields(CycleSpec)}
 _REQUIRED_SPEC_KEYS = [f.name for f in fields(CycleSpec) if f.default is MISSING]
-_TOP_KEYS = {
-    "preset", "cycle_time", "spec", "axis", "values", "out", "jobs", "tol",
-}
 
 
 @dataclass
 class RunConfig:
-    """Validated batch-run configuration."""
+    """Validated batch-run configuration: its fields are the configuration
+    keys, with their defaults."""
 
     preset: Optional[str] = None
     cycle_time: Optional[float] = None
-    spec_overrides: dict = field(default_factory=dict)
+    spec: dict = field(default_factory=dict)
     axis: Optional[str] = None
     values: Optional[List[float]] = None
     out: Optional[str] = None
     jobs: int = 1
-    tol: float = 1e-9
+    tol: float = LIMIT_CYCLE_TOL
 
     def build_spec(self) -> CycleSpec:
         if self.preset is not None:
             tau = DEFAULT_CYCLE_TIME if self.cycle_time is None \
                 else self.cycle_time
-            return get_preset(self.preset, cycle_time=tau, **self.spec_overrides)
-        missing = [k for k in _REQUIRED_SPEC_KEYS if k not in self.spec_overrides]
+            return get_preset(self.preset, cycle_time=tau, **self.spec)
+        missing = [k for k in _REQUIRED_SPEC_KEYS if k not in self.spec]
         if missing:
             raise ConfigError("config needs either a preset or a full spec; "
                               f"spec is missing {missing}")
-        spec = CycleSpec(**self.spec_overrides)
+        spec = CycleSpec(**self.spec)
         if self.cycle_time is not None:
             spec = spec.with_cycle_time(self.cycle_time)
         return spec
 
     def to_dict(self) -> dict:
-        """Every field but ``out``, with ``spec_overrides`` as ``spec``."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "out"}
-        out["spec"] = dict(out.pop("spec_overrides"))
-        return out
+        """Every field but ``out``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "out"}
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
@@ -61,7 +58,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     ConfigError that names its key."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     spec_part = raw.get("spec", {}) or {}
@@ -80,6 +77,11 @@ def parse_config_dict(raw: dict) -> RunConfig:
             # YAML leaves exponent forms such as 1e-3 as strings
             v = _convert(float, v, f"spec.{key}", "a number")
         spec[key] = v
+    for key in ("preset", "axis", "out"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a string, got {raw[key]!r}")
+    if raw.get("axis") is not None:
+        check_axis(raw["axis"])
     values = raw.get("values")
     if values is not None and not isinstance(values, list):
         raise ConfigError(f"values must be a list of numbers, got {values!r}")
@@ -88,13 +90,14 @@ def parse_config_dict(raw: dict) -> RunConfig:
         preset=raw.get("preset"),
         cycle_time=None if cycle_time is None
         else _convert(float, cycle_time, "cycle_time", "a number"),
-        spec_overrides=spec,
+        spec=spec,
         axis=raw.get("axis"),
         values=[_convert(float, v, "values", "a list of numbers")
                 for v in values] if values else None,
         out=raw.get("out"),
-        jobs=_convert(int, raw.get("jobs", 1), "jobs", "an integer"),
-        tol=_convert(float, raw.get("tol", 1e-9), "tol", "a number"),
+        **{key: _convert(kind, raw[key], key, what) for key, kind, what in
+           (("jobs", int, "an integer"), ("tol", float, "a number"))
+           if key in raw},
     )
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
@@ -121,10 +124,11 @@ def _convert(kind, v, label, what):
 
 def read_config(path: str) -> dict:
     """The raw mapping of a YAML (or JSON) configuration file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"could not read config file {path}: {err}") from None
     try:
         if path.endswith(".json"):
             raw = json.loads(text)

@@ -13,10 +13,10 @@ fixed point of the composed map, reached by iteration at the rate rho(A),
 the spectral radius of the map's (h, l, c) block A.
 
 A leg is fixed by its inputs (label, kind, corners, builder parameter,
-bath, internal temperature, dephasing strength), so a sweep hands
-``run_to_limit_cycle`` a leg memo: a leg whose inputs match the last leg
-built under its label reuses that leg's stroke and propagators instead of
-building and propagating them again.
+bath, internal temperature, dephasing strength, sample count), so a sweep
+hands ``run_to_limit_cycle`` a leg memo: a leg whose inputs match the last
+leg built under its label reuses that leg's stroke and propagators instead
+of building and propagating them again.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ class _Leg(NamedTuple):
     """Every input of one leg: its label, the cycle kind (which with the bath
     picks the protocol builder), its corners, the builder's own parameter
     (mu, ``adiabat_duration`` or ``open_stroke_duration``), the bath, the
-    internal temperature and the dephasing strength."""
+    internal temperature, the dephasing strength and the number of samples
+    of its propagators."""
 
     label: str
     kind: CycleKind
@@ -143,13 +144,15 @@ class _Leg(NamedTuple):
     bath: Optional[BathSpec]
     t_internal: Optional[float]
     gamma_d: float
+    n_samples: int
 
 
 #: Label of the leg that meets the hot bath, the first in every kind.
 HOT_LEG = "open-expansion"
 
 
-def _cycle_legs(spec: CycleSpec) -> List[_Leg]:
+def _cycle_legs(spec: CycleSpec,
+                n_samples: int = DEFAULT_SAMPLES) -> List[_Leg]:
     """The four legs of a cycle in cycle order, leg i from corner i to i + 1."""
     hot = BathSpec(spec.t_hot_bath, spec.coupling)
     cold = BathSpec(spec.t_cold_bath, spec.coupling)
@@ -168,13 +171,13 @@ def _cycle_legs(spec: CycleSpec) -> List[_Leg]:
             parameter = spec.open_stroke_duration
         gamma_d = spec.gamma_dephasing if bath is None else 0.0
         legs.append(_Leg(label, spec.kind, wi, wf, parameter, bath, t_internal,
-                         gamma_d))
+                         gamma_d, n_samples))
     return legs
 
 
 def _build(leg: _Leg) -> StrokeDescriptor:
     """The stroke of one leg; a builder failure is re-raised naming the leg."""
-    label, kind, wi, wf, parameter, bath, t_internal, gamma_d = leg
+    label, kind, wi, wf, parameter, bath, t_internal, gamma_d, _ = leg
     try:
         if kind is CycleKind.ENDO_GLOBAL:
             protocol = build_constant_mu_protocol(wi, wf, parameter)
@@ -270,6 +273,8 @@ class CycleResult:
 
 
 MAX_CYCLES = 500  # budget of the limit-cycle iteration
+#: Default tolerance of the limit-cycle stopping rule.
+LIMIT_CYCLE_TOL = 1e-9
 
 
 def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
@@ -291,9 +296,9 @@ def _strokes_and_propagators(spec: CycleSpec, memo: LegMemo, *,
     A leg whose inputs equal those held under its label in ``memo`` reuses
     the held stroke and propagators; every other leg is built (all builds
     first, in cycle order) and then propagated.  Each leg that succeeds
-    replaces its label's entry.  A memo serves one sample count.
+    replaces its label's entry.
     """
-    legs = _cycle_legs(spec)
+    legs = _cycle_legs(spec, n_samples)
     held = []
     for leg in legs:
         entry = memo.get(leg.label)
@@ -301,13 +306,13 @@ def _strokes_and_propagators(spec: CycleSpec, memo: LegMemo, *,
     strokes = [e[1] if e else _build(leg) for leg, e in zip(legs, held)]
     propagators = []
     for leg, stroke, entry in zip(legs, strokes, held):
-        p = entry[2] if entry else _propagate(stroke, n_samples)
+        p = entry[2] if entry else _propagate(stroke, leg.n_samples)
         memo[leg.label] = (leg, stroke, p)
         propagators.append(p)
     return strokes, propagators
 
 
-def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9, *,
+def run_to_limit_cycle(spec: CycleSpec, tol: float = LIMIT_CYCLE_TOL, *,
                        leg_memo: Optional[LegMemo] = None,
                        n_samples: int = DEFAULT_SAMPLES) -> CycleResult:
     """Iterate the four-stroke map from the designed corner-1 state to its
@@ -323,7 +328,7 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = 1e-9, *,
     ``leg_memo`` carries legs from one call to the next: a leg whose inputs
     are those of the last leg built under its label reuses that leg's stroke
     and propagators, which are the ones it would compute again.  The memo
-    holds at most the four legs of one cycle, and serves one ``n_samples``.
+    holds at most the four legs of one cycle.
 
     ``n_samples`` is the number of trajectory samples per stroke.  At 2 the
     trajectories hold only the corner states, which is all a ledger reads,

@@ -319,18 +319,6 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
     return maps
 
 
-def _product(maps: np.ndarray) -> np.ndarray:
-    """maps[-1] @ ... @ maps[0] of an (n, 5, 5) stack, grouped as the last
-    map of :func:`_prefix_products` is, so that the two agree to the bit:
-    adjacent pairs are multiplied from the latest down, the earliest map
-    left over when their number is odd."""
-    maps = maps[::-1]
-    while len(maps) > 1:
-        p = len(maps) - len(maps) % 2
-        maps = np.concatenate((maps[0:p:2] @ maps[1:p:2], maps[p:]))
-    return maps[0]
-
-
 def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
                    bath: Optional[BathSpec], gamma_d: float):
     """Products of the steps in each of ``intervals`` equal parts of a uniform
@@ -405,8 +393,8 @@ def _pilot_rule(protocol: FrequencyProtocol, intervals: int,
     ``intervals``) that the scaling puts under the bound and the finer on
     twice as many, which then stand for 400 and 800.
 
-    Returns (N, the estimated error of the N-step product, its interval maps
-    when they are the finer pilot's or else None).
+    Returns (N, the estimated error of the N-step product, its prefix-scanned
+    interval maps when they are the finer pilot's or else None).
     """
     coarse_steps, fine_steps = _PILOT_STEPS
     coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
@@ -414,7 +402,8 @@ def _pilot_rule(protocol: FrequencyProtocol, intervals: int,
         pilot, step_norm = _interval_maps(
             protocol, fine_steps, math.gcd(fine_steps, intervals), bath,
             gamma_d)
-        fine = _product(pilot)
+        scan = _prefix_products(pilot)
+        fine = scan[-1]
         scale = float(np.max(np.abs(fine)))
         # the pilots' difference is 15 times the finer one's error under N^-4
         error = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
@@ -436,7 +425,7 @@ def _pilot_rule(protocol: FrequencyProtocol, intervals: int,
     if needed > _MAX_STEPS:
         raise _too_many_steps(needed, protocol, gamma_d, error=error)
     return (n_steps, error * (fine_steps / n_steps) ** 4,
-            pilot if n_steps == fine_steps else None)
+            scan if n_steps == fine_steps else None)
 
 
 def _ladder_rule(protocol: FrequencyProtocol, bath: Optional[BathSpec],
@@ -453,10 +442,10 @@ def _ladder_rule(protocol: FrequencyProtocol, bath: Optional[BathSpec],
     N = ceil(256 (error / target)^(1 / order)), and the 256-step product is
     reused when it meets the target.
 
-    Returns (N, the estimated error of the N-step product, its interval
-    map or None), or None when the 64-step rung's steps have h |G|_1 above
-    ``_STEP_NORM_BOUND`` or the ladder reads no order: the pilot rule then
-    decides.
+    Returns (N, the estimated error of the N-step product, its one interval
+    map, which is its own prefix scan, or None), or None when the 64-step
+    rung's steps have h |G|_1 above ``_STEP_NORM_BOUND`` or the ladder reads
+    no order: the pilot rule then decides.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         # steps past the bound may overflow; their product is not used
@@ -508,9 +497,9 @@ def stroke_propagators(protocol: FrequencyProtocol,
     coarsest steps are past ``_STEP_NORM_BOUND`` or it reads no order.  Any
     other stroke takes N from two pilot products of 400 and 800
     steps, at least 800 and a multiple of the sample intervals
-    (:func:`_pilot_rule`).  A product that the rule has already made is
-    reused; the interval maps of the N-step product are accumulated by a
-    log-depth prefix scan.
+    (:func:`_pilot_rule`).  The interval maps of the N-step product are
+    accumulated by a log-depth prefix scan, and a scan that the rule has
+    already made is reused.
 
     Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
     ``maps[-1]`` is the stroke's transfer matrix
@@ -526,11 +515,12 @@ def stroke_propagators(protocol: FrequencyProtocol,
         return Propagators(np.zeros(1), np.eye(5)[None], 0, 0.0)
     intervals = n_samples - 1
     chosen = _ladder_rule(protocol, bath, gamma_d) if intervals == 1 else None
-    n_steps, error, pilot = chosen or _pilot_rule(protocol, intervals, bath,
-                                                  gamma_d)
-    if pilot is None:
-        pilot = _interval_maps(protocol, n_steps, intervals, bath, gamma_d)[0]
-    maps = np.concatenate((np.eye(5)[None], _prefix_products(pilot)))
+    n_steps, error, scan = chosen or _pilot_rule(protocol, intervals, bath,
+                                                 gamma_d)
+    if scan is None:
+        scan = _prefix_products(
+            _interval_maps(protocol, n_steps, intervals, bath, gamma_d)[0])
+    maps = np.concatenate((np.eye(5)[None], scan))
     if not np.all(np.isfinite(maps)):
         raise _not_finite(protocol)
     times = np.linspace(0.0, protocol.duration, n_samples)

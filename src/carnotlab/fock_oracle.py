@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                    dressed_rates, thermal_population)
-from .dynamics import solve_ivp
+from .dynamics import _check_gamma_d, solve_ivp
 from .errors import DomainError, NumericalError, TruncationError, UnphysicalState
 
 DEFAULT_DIMENSION = 60
@@ -344,7 +344,7 @@ def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
         # rho B = (B rho)^dag for Hermitian rho and B; the jump terms are made
         # Hermitian to the last bit, so that rho_int stays Hermitian and no
         # anti-Hermitian rounding is amplified by this form
-        anti = k_down * (bdb @ rho) + k_up * (bbd @ rho)
+        anti = (k_down * bdb + k_up * bbd) @ rho
         jump = k_down * (b @ rho @ bd) + k_up * (bd @ rho @ b)
         return (0.5 * (jump + jump.conj().T - anti - anti.conj().T)).ravel()
 
@@ -433,9 +433,8 @@ def integrate_lindblad(rho0: FockState, protocol: FrequencyProtocol,
     with dephasing, and TruncationError if population leaks into the top
     tenth of the basis.
     """
-    if gamma_d is not None and not 0.0 <= gamma_d < math.inf:
-        raise DomainError(
-            f"dephasing strength must be finite and non-negative, got {gamma_d}")
+    if gamma_d is not None:
+        _check_gamma_d(gamma_d)
     if bath is not None and gamma_d:
         raise DomainError("the oracle integrates a bath or dephasing, not both")
     if n_samples < 2:

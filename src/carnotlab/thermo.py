@@ -18,8 +18,9 @@ import numpy as np
 from .core import (HBAR, KB, CycleKind, CycleSpec, ObservableVector,
                    content_hash, cycle_time_from_atomic, record_dict,
                    thermal_population, write_csv, write_json)
-from .cycle_engine import (HOT_LEG, CornerGeometry, CycleResult, LegMemo,
-                           carnot_corner_frequencies, run_to_limit_cycle)
+from .cycle_engine import (HOT_LEG, LIMIT_CYCLE_TOL, CornerGeometry,
+                           CycleResult, LegMemo, carnot_corner_frequencies,
+                           run_to_limit_cycle)
 from .errors import CarnotLabError, ConfigError, DomainError, UnphysicalState
 
 
@@ -185,14 +186,15 @@ def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> Cycl
 SWEEP_AXES = ("cycle_time", "dephasing", "compression_ratio")
 
 
-def _check_axis(axis: str) -> None:
+def check_axis(axis: str) -> None:
+    """Raise ConfigError unless ``axis`` is one of ``SWEEP_AXES``."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
 
 
 def spec_for_sweep_value(template: CycleSpec, axis: str, value: float) -> CycleSpec:
     """Instantiate the template at one sweep-axis value."""
-    _check_axis(axis)
+    check_axis(axis)
     if axis == "cycle_time":
         return template.with_cycle_time(value)
     if axis == "dephasing":
@@ -274,7 +276,7 @@ def _pool_point(args) -> SweepRow:
 
 
 def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
-          tol: float = 1e-9, jobs: int = 1) -> SweepTable:
+          tol: float = LIMIT_CYCLE_TOL, jobs: int = 1) -> SweepTable:
     """Run one limit cycle per axis value.
 
     Failures are recorded per point without aborting the sweep; rows come
@@ -290,7 +292,7 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
     kept, and only for this call.  With ``jobs`` > 1 each point goes to the
     next free worker process, which keeps the legs of its own last point.
     """
-    _check_axis(axis)
+    check_axis(axis)
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")

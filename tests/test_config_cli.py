@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from carnotlab import cli
 from carnotlab.cli import main
 from carnotlab.config import load_config, parse_config_dict
 from carnotlab import thermo
@@ -19,7 +20,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_cycles"):
             parse_config_dict({"preset": "endo-global", "max_cycles": 500})
 
-    def test_to_dict_renames_spec_and_leaves_out_out(self):
+    def test_to_dict_leaves_out_out(self):
         cfg = parse_config_dict({"preset": "endo-global", "out": "runs",
                                  "spec": {"name": "n"}, "jobs": 2})
         assert cfg.to_dict() == {"preset": "endo-global", "cycle_time": None,
@@ -109,8 +110,9 @@ class TestCli:
         assert rc == 2
         assert "ConfigError" in capsys.readouterr().err
 
-    def test_builder_error_exit_code_1(self, capsys):
-        rc = main(["cycle", "--preset", "carnot-shortcut", "--cycle-time", "9"])
+    def test_builder_error_exit_code_1(self, tmp_path, capsys):
+        rc = main(["cycle", "--preset", "carnot-shortcut", "--cycle-time", "9",
+                   "--out", str(tmp_path / "cyc")])
         assert rc == 1
         err = capsys.readouterr().err
         assert "InfeasibleStroke" in err
@@ -176,6 +178,18 @@ class TestCli:
         assert (out1 / "sweep.meta.json").read_bytes() == \
             (out2 / "sweep.meta.json").read_bytes()
 
+    def test_cycle_determinism(self, tmp_path):
+        outs = [tmp_path / "c1", tmp_path / "c2"]
+        for out in outs:
+            assert main(["cycle", "--preset", "endo-global", "--cycle-time",
+                         "8", "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 6
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
+
     @pytest.mark.parametrize("flags,key", [
         (["--jobs", "0"], "jobs"), (["--jobs", "-3"], "jobs"),
         (["--tol", "0"], "tol"), (["--values", "30,abc"], "values")],
@@ -203,6 +217,7 @@ class TestCli:
         assert main(["sweep", "--config", str(path),
                      "--out", str(tmp_path / "sw")]) == 2
         assert "unknown sweep axis 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_requires_axis(self, capsys):
         rc = main(["sweep", "--preset", "endo-global", "--values", "10"])
@@ -302,6 +317,66 @@ class TestNonFiniteNumbers:
         assert main(["validate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ConfigError") and key in err
+
+
+class TestFrontEndErrors:
+    """A bad config file, config value or output path is a ConfigError
+    (exit 2) that names it, raised before any cycle runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_cycle(self, monkeypatch):
+        def ran(*args, **kwargs):
+            pytest.fail("a cycle ran")
+
+        monkeypatch.setattr(cli, "run_to_limit_cycle", ran)
+        monkeypatch.setattr(thermo, "run_to_limit_cycle", ran)
+
+    @pytest.mark.parametrize("key", ["out", "preset", "axis"])
+    def test_non_string_value(self, tmp_path, capsys, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"preset": "endo-global", "cycle_time": 8,
+                                    key: 5}))
+        out = [] if key == "out" else ["--out", str(tmp_path / "o")]
+        assert main(["cycle", "--config", str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: {key} must be a string, got 5")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["cycle", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and str(tmp_path) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"preset: endo-global\n# caf\xe9\n")
+        assert main(["cycle", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and str(path) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_compare_preset(self, tmp_path, capsys):
+        assert main(["compare", "--presets", "endo-global,bogus", "--values",
+                     "8", "--out", str(tmp_path / "o")]) == 2
+        assert "unknown preset 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cycle", "--preset", "endo-global", "--cycle-time", "8"],
+        ["sweep", "--preset", "endo-global", "--axis", "cycle_time",
+         "--values", "8"],
+        ["compare", "--presets", "endo-global", "--values", "8"],
+        ["protocol", "constmu", "6", "5", "--mu", "-0.1"],
+    ], ids=["cycle", "sweep", "compare", "protocol"])
+    def test_out_is_a_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main([*argv, "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: out") and str(path) in err
 
 
 class TestCompareTable:

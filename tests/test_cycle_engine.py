@@ -171,6 +171,15 @@ class TestLimitCycle:
         assert res.magnus_steps[1] == res.magnus_steps[3] == 800
         assert all(0.0 <= e <= MAGNUS_TARGET for e in res.magnus_errors)
 
+    def test_leg_memo_keeps_sample_counts_apart(self):
+        # a leg propagated at 2 samples is not the leg of a default call
+        spec = get_preset("endo-global", cycle_time=8.0)
+        memo = {}
+        run_to_limit_cycle(spec, leg_memo=memo, n_samples=2)
+        res = run_to_limit_cycle(spec, leg_memo=memo)
+        assert [len(t.times) for t in res.trajectories] == [801] * 4
+        assert res.magnus_steps == [800] * 4
+
     def test_one_integration_per_stroke(self, monkeypatch):
         from carnotlab import cycle_engine, dynamics
 
