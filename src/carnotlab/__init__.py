@@ -17,8 +17,7 @@ from .cycle_engine import (CornerGeometry, CycleResult, assemble_cycle,
                            carnot_corner_frequencies,
                            endo_global_corner_frequencies, run_to_limit_cycle)
 from .dynamics import (Trajectory, free_propagator, generator,
-                       propagate_dephasing, propagate_open, propagate_ste_beta,
-                       propagate_unitary)
+                       propagate_dephasing, propagate_open, propagate_unitary)
 from .errors import (CarnotLabError, ConfigError, DomainError, InfeasibleStroke,
                      InvalidProtocol, NonConvergence, ProtocolInversionFailure,
                      TruncationError, UnphysicalState)

@@ -15,7 +15,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 from . import __version__
@@ -35,16 +37,24 @@ OUTPUT_ROOT_ENV = "CARNOTLAB_OUT"
 COMPARE_COLUMNS = ("total_work", "power", "efficiency", "operational_mode")
 
 
-def _out_dir(out, sub: str) -> str:
+@contextmanager
+def _out_dir(out, sub: str):
     """The output directory, created: ``out``, or else ``carnotlab-<sub>``
-    under ``$CARNOTLAB_OUT`` (default the working directory)."""
+    under ``$CARNOTLAB_OUT`` (default the working directory).  A directory
+    that this call creates is removed again if the command then fails."""
     path = out or os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "."),
                                f"carnotlab-{sub}")
+    created = not os.path.isdir(path)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"out: cannot create {path}: {err}") from None
-    return path
+    try:
+        yield path
+    except BaseException:
+        if created:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
 
 
 def _write_manifest(outdir: str, payload: dict) -> None:
@@ -102,11 +112,12 @@ def _cmd_protocol(args) -> int:
                                               args.omega_final, args.mu)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown protocol kind {kind}")
-    out = _out_dir(args.out, "protocol")
-    csv_path = os.path.join(out, f"{kind}_protocol.csv")
-    save_protocol(protocol, csv_path, os.path.join(out, f"{kind}_protocol.json"))
-    _write_manifest(out, {"command": "protocol", "kind": kind,
-                          "arguments": arguments})
+    with _out_dir(args.out, "protocol") as out:
+        csv_path = os.path.join(out, f"{kind}_protocol.csv")
+        save_protocol(protocol, csv_path,
+                      os.path.join(out, f"{kind}_protocol.json"))
+        _write_manifest(out, {"command": "protocol", "kind": kind,
+                              "arguments": arguments})
     print(csv_path)
     return 0
 
@@ -114,11 +125,11 @@ def _cmd_protocol(args) -> int:
 def _cmd_cycle(args) -> int:
     cfg = _config_from_args(args)
     spec = cfg.build_spec()
-    out = _out_dir(cfg.out, "cycle")
-    result = run_to_limit_cycle(spec, tol=cfg.tol)
-    ledger = analyze_cycle(result, spec)
-    export_cycle_result(result, out, ledger)
-    _write_run_manifest(out, "cycle", cfg, spec)
+    with _out_dir(cfg.out, "cycle") as out:
+        result = run_to_limit_cycle(spec, tol=cfg.tol)
+        ledger = analyze_cycle(result, spec)
+        export_cycle_result(result, out, ledger)
+        _write_run_manifest(out, "cycle", cfg, spec)
     print(json.dumps(ledger.as_dict(), indent=2, sort_keys=True))
     print(out)
     return 0
@@ -129,11 +140,11 @@ def _cmd_sweep(args) -> int:
     if not cfg.axis or not cfg.values:
         raise ConfigError("sweep needs --axis and --values")
     spec = cfg.build_spec()
-    out = _out_dir(cfg.out, "sweep")
-    table = sweep(spec, cfg.axis, cfg.values, tol=cfg.tol, jobs=cfg.jobs)
-    csv_path = os.path.join(out, "sweep.csv")
-    export_sweep(table, csv_path, os.path.join(out, "sweep.meta.json"))
-    _write_run_manifest(out, "sweep", cfg, spec)
+    with _out_dir(cfg.out, "sweep") as out:
+        table = sweep(spec, cfg.axis, cfg.values, tol=cfg.tol, jobs=cfg.jobs)
+        csv_path = os.path.join(out, "sweep.csv")
+        export_sweep(table, csv_path, os.path.join(out, "sweep.meta.json"))
+        _write_run_manifest(out, "sweep", cfg, spec)
     n_bad = sum(1 for r in table.rows if not r.ok)
     print(csv_path)
     if n_bad:
@@ -152,17 +163,18 @@ def _cmd_compare(args) -> int:
     values = cfg.values or [DEFAULT_CYCLE_TIME if cfg.cycle_time is None
                             else cfg.cycle_time]
     specs = [replace(cfg, preset=name).build_spec() for name in presets]
-    out = _out_dir(cfg.out, "compare")
-    rows = []
-    for name, spec in zip(presets, specs):
-        table = sweep(spec, axis, values, tol=cfg.tol, jobs=cfg.jobs)
-        rows += [[name, r.value, *r.cells(COMPARE_COLUMNS)] for r in table.rows]
-    csv_path = os.path.join(out, "compare.csv")
-    write_csv(csv_path, ("preset", "value", "status", *COMPARE_COLUMNS, "error"),
-              rows)
-    _write_manifest(out, {"command": "compare", "presets": presets,
-                          "axis": axis, "values": values,
-                          "tolerances": {"tol": cfg.tol}})
+    with _out_dir(cfg.out, "compare") as out:
+        rows = []
+        for name, spec in zip(presets, specs):
+            table = sweep(spec, axis, values, tol=cfg.tol, jobs=cfg.jobs)
+            rows += [[name, r.value, *r.cells(COMPARE_COLUMNS)]
+                     for r in table.rows]
+        csv_path = os.path.join(out, "compare.csv")
+        write_csv(csv_path, ("preset", "value", "status", *COMPARE_COLUMNS,
+                             "error"), rows)
+        _write_manifest(out, {"command": "compare", "presets": presets,
+                              "axis": axis, "values": values,
+                              "tolerances": {"tol": cfg.tol}})
     print(csv_path)
     return 0
 

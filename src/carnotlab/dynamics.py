@@ -49,9 +49,6 @@ from .core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
 from .errors import DomainError, NumericalError
 
 DEFAULT_SAMPLES = 801
-#: Tolerances of the reduced beta integration in :func:`propagate_ste_beta`.
-BETA_RTOL = 1e-10
-BETA_ATOL = 1e-12
 #: Target error of each stroke's transfer matrix M, relative to max|M|: a
 #: tenth of the 1e-10 gate against a DOP853 reference.
 MAGNUS_TARGET = 1e-11
@@ -61,7 +58,7 @@ _PILOT_STEPS = (400, 800)
 #: Steps of the three products whose differences resolve a stroke of two
 #: samples.
 _LADDER_STEPS = (64, 128, 256)
-#: A failing step is located on a grid of this many steps per stroke.
+#: A failing stroke is located at the Gauss nodes of this many steps.
 _LOCATE_STEPS = 8000
 #: Largest step count a stroke may need before it fails.
 _MAX_STEPS = 100 * _PILOT_STEPS[1]
@@ -217,15 +214,11 @@ def _expm_stack(x: np.ndarray) -> np.ndarray:
     One 1-norm bound for the whole stack fixes a scaling 2^-s that brings every
     matrix to norm <= _EXPM_THETA, where a Taylor polynomial of the smallest
     degree k with norm^(k+1)/(k+1)! <= 2^-53 is summed by Horner's rule; s
-    squarings undo the scaling.  A matrix whose norm is not finite raises
-    NumericalError whose diagnostics name the ``index`` of the first such one.
+    squarings undo the scaling; a non-finite stack raises NumericalError.
     """
-    column_sums = np.einsum("mij->mj", np.abs(x))
-    norm = float(column_sums.max(initial=0.0))
+    norm = float(np.einsum("mij->mj", np.abs(x)).max(initial=0.0))
     if not math.isfinite(norm):
-        bad = np.flatnonzero(~np.isfinite(column_sums).all(axis=-1))
-        raise NumericalError("matrix exponential of a non-finite matrix",
-                             diagnostics={"index": int(bad[0])})
+        raise NumericalError("matrix exponential of a non-finite matrix")
     s = max(0, math.ceil(math.log2(norm) - math.log2(_EXPM_THETA))) \
         if norm > 0 else 0
     x = x * 2.0**-s
@@ -256,17 +249,8 @@ def _magnus_steps(protocol: FrequencyProtocol, starts: np.ndarray, h: float,
     Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240.
     """
     nodes = (_GAUSS_NODES[:, None] + starts) * h  # (3, m): one row per node
-    w = protocol.omega(nodes)
-    wd = protocol.omega_dot(nodes)
-    try:
-        g = generator(w, wd, bath, gamma_d)
-    except DomainError as err:
-        mu = wd / (w * w)
-        bad = mu * mu >= 4.0
-        if not bad.any():
-            raise
-        raise DomainError(f"{err} at t = {nodes[bad].min():.6g}") from None
-    g0, g1, g2 = g
+    g0, g1, g2 = g = generator(protocol.omega(nodes),
+                               protocol.omega_dot(nodes), bath, gamma_d)
     a1 = h * g1
     a2 = (_MAGNUS_C2 * h) * (g2 - g0)
     a3 = (_MAGNUS_C3 * h) * (g2 + g0) - 2.0 * _MAGNUS_C3 * a1
@@ -280,16 +264,8 @@ def _magnus_steps(protocol: FrequencyProtocol, starts: np.ndarray, h: float,
     omega /= 240.0
     omega += a1
     omega += a3 / 12.0
-    try:
-        norm = float(np.einsum("...ij->...j", np.abs(g)).max())
-        return _expm_stack(omega), h * norm
-    except NumericalError as err:
-        bad = ~np.isfinite(g).all(axis=(-2, -1))
-        t = float(nodes[bad].min() if bad.any()
-                  else nodes[0, err.diagnostics["index"]])
-        raise NumericalError(
-            f"non-finite Magnus step at t = {t:.6g}",
-            diagnostics={"time": t, "duration": protocol.duration}) from None
+    norm = float(np.einsum("...ij->...j", np.abs(g)).max())
+    return _expm_stack(omega), h * norm
 
 
 def _interval_products(steps: np.ndarray) -> np.ndarray:
@@ -303,6 +279,16 @@ def _interval_products(steps: np.ndarray) -> np.ndarray:
         pairs = steps[:, 1:p:2] @ steps[:, 0:p:2]
         steps = np.concatenate((pairs, steps[:, p:]), axis=1)
     return steps[:, 0]
+
+
+def _last_product(maps: np.ndarray) -> np.ndarray:
+    """maps[-1] @ ... @ maps[0] of an (n, 5, 5) stack by stacked pairwise
+    products from the last map back: bit for bit the last map of
+    :func:`_prefix_products`, whose scan builds it from the same pairs."""
+    while len(maps) > 1:
+        odd = len(maps) % 2
+        maps = np.concatenate((maps[:odd], maps[odd + 1::2] @ maps[odd::2]))
+    return maps[0]
 
 
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
@@ -327,9 +313,7 @@ def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
 
     Steps are exponentiated in chronological chunks of at most
     ``_MAGNUS_BLOCK``, over blocks of as many whole intervals as fit in one
-    chunk (or of one longer interval).  A failing step on a grid coarser than
-    ``_LOCATE_STEPS`` is located again on that grid, so the error names its
-    time to within duration / 8000.
+    chunk (or of one longer interval).
     """
     h = protocol.duration / n_steps
     per_interval = n_steps // intervals
@@ -346,15 +330,37 @@ def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
             step_norm = max(step_norm, *norms)
             maps[j0:j1] = _interval_products(
                 np.concatenate(steps).reshape(j1 - j0, per_interval, 5, 5))
-    except (DomainError, NumericalError):
-        if n_steps >= _LOCATE_STEPS:
-            raise
-        try:
-            _interval_maps(protocol, _LOCATE_STEPS, 1, bath, gamma_d)
-        except (DomainError, NumericalError) as err:
-            raise err from None
-        raise
+    except (DomainError, NumericalError) as err:
+        raise _located_error(protocol, bath, err) from None
     return maps, step_norm
+
+
+def _located_error(protocol: FrequencyProtocol, bath: Optional[BathSpec],
+                   err: Exception) -> Exception:
+    """``err``, the failure of a stroke's steps, located at the first Gauss
+    node of a ``_LOCATE_STEPS``-step grid where w or mu is not finite (a
+    NumericalError) or, with a bath, |mu| >= 2 (the DomainError of
+    :func:`dressed_rates`), with that node as its ``time``; ``err`` itself
+    where no node fails.  No step is exponentiated.
+    """
+    nodes = ((np.arange(_LOCATE_STEPS)[:, None] + _GAUSS_NODES)
+             * (protocol.duration / _LOCATE_STEPS)).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = protocol.omega(nodes)
+        mu = protocol.omega_dot(nodes) / (w * w)
+        finite = np.isfinite(w) & np.isfinite(mu)
+        bad = ~finite | ((bath is not None) & (mu * mu >= 4.0))
+    if not bad.any():
+        return err
+    i = int(np.argmax(bad))
+    t = float(nodes[i])
+    try:
+        if finite[i]:
+            dressed_rates(w[i], mu[i], bath)
+    except DomainError as inertial:
+        return DomainError(f"{inertial} at t = {t:.6g}", time=t)
+    return NumericalError(f"non-finite Magnus step at t = {t:.6g}",
+                          diagnostics={"duration": protocol.duration}, time=t)
 
 
 def _too_many_steps(needed: float, protocol: FrequencyProtocol,
@@ -393,17 +399,16 @@ def _pilot_rule(protocol: FrequencyProtocol, intervals: int,
     ``intervals``) that the scaling puts under the bound and the finer on
     twice as many, which then stand for 400 and 800.
 
-    Returns (N, the estimated error of the N-step product, its prefix-scanned
-    interval maps when they are the finer pilot's or else None).
+    Returns (N, the estimated error of the N-step product, its interval
+    maps when they are the finer pilot's or else None).
     """
     coarse_steps, fine_steps = _PILOT_STEPS
-    coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
     while True:
+        coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
         pilot, step_norm = _interval_maps(
             protocol, fine_steps, math.gcd(fine_steps, intervals), bath,
             gamma_d)
-        scan = _prefix_products(pilot)
-        fine = scan[-1]
+        fine = _last_product(pilot)
         scale = float(np.max(np.abs(fine)))
         # the pilots' difference is 15 times the finer one's error under N^-4
         error = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
@@ -421,11 +426,10 @@ def _pilot_rule(protocol: FrequencyProtocol, intervals: int,
         if fine_steps > _MAX_STEPS:
             raise _too_many_steps(fine_steps, protocol, gamma_d,
                                   step_norm=step_norm)
-        coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
     if needed > _MAX_STEPS:
         raise _too_many_steps(needed, protocol, gamma_d, error=error)
     return (n_steps, error * (fine_steps / n_steps) ** 4,
-            scan if n_steps == fine_steps else None)
+            pilot if n_steps == fine_steps else None)
 
 
 def _ladder_rule(protocol: FrequencyProtocol, bath: Optional[BathSpec],
@@ -443,9 +447,9 @@ def _ladder_rule(protocol: FrequencyProtocol, bath: Optional[BathSpec],
     reused when it meets the target.
 
     Returns (N, the estimated error of the N-step product, its one interval
-    map, which is its own prefix scan, or None), or None when the 64-step
-    rung's steps have h |G|_1 above ``_STEP_NORM_BOUND`` or the ladder reads
-    no order: the pilot rule then decides.
+    map or None), or None when the 64-step rung's steps have h |G|_1 above
+    ``_STEP_NORM_BOUND`` or the ladder reads no order: the pilot rule then
+    decides.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         # steps past the bound may overflow; their product is not used
@@ -497,17 +501,18 @@ def stroke_propagators(protocol: FrequencyProtocol,
     coarsest steps are past ``_STEP_NORM_BOUND`` or it reads no order.  Any
     other stroke takes N from two pilot products of 400 and 800
     steps, at least 800 and a multiple of the sample intervals
-    (:func:`_pilot_rule`).  The interval maps of the N-step product are
-    accumulated by a log-depth prefix scan, and a scan that the rule has
-    already made is reused.
+    (:func:`_pilot_rule`).  The interval maps of the N-step product, reused
+    when the rule has made them, are accumulated by one log-depth prefix
+    scan.
 
     Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
     ``maps[-1]`` is the stroke's transfer matrix
     (v, w) -> (v', w + stroke work), and ``maps @ [v, 0]`` is the trajectory
     from any initial moment vector v.  A zero-duration stroke gives the
-    identity at the single time 0.  Raises DomainError, naming the time, where
-    a bath meets |mu| >= 2, and NumericalError on a non-finite map or where
-    more than ``_MAX_STEPS`` steps would be needed.
+    identity at the single time 0.  Raises DomainError where a bath meets
+    |mu| >= 2, and NumericalError on a non-finite map or where more than
+    ``_MAX_STEPS`` steps would be needed; an error located at a time carries
+    it as ``time`` and names it.
     """
     if n_samples < 2:
         raise DomainError(f"a stroke needs at least 2 samples, got {n_samples}")
@@ -515,12 +520,11 @@ def stroke_propagators(protocol: FrequencyProtocol,
         return Propagators(np.zeros(1), np.eye(5)[None], 0, 0.0)
     intervals = n_samples - 1
     chosen = _ladder_rule(protocol, bath, gamma_d) if intervals == 1 else None
-    n_steps, error, scan = chosen or _pilot_rule(protocol, intervals, bath,
+    n_steps, error, maps = chosen or _pilot_rule(protocol, intervals, bath,
                                                  gamma_d)
-    if scan is None:
-        scan = _prefix_products(
-            _interval_maps(protocol, n_steps, intervals, bath, gamma_d)[0])
-    maps = np.concatenate((np.eye(5)[None], scan))
+    if maps is None:
+        maps = _interval_maps(protocol, n_steps, intervals, bath, gamma_d)[0]
+    maps = np.concatenate((np.eye(5)[None], _prefix_products(maps)))
     if not np.all(np.isfinite(maps)):
         raise _not_finite(protocol)
     times = np.linspace(0.0, protocol.duration, n_samples)
@@ -560,25 +564,3 @@ def propagate_dephasing(v0: ObservableVector, protocol: FrequencyProtocol,
     _check_gamma_d(gamma_d)
     return trajectory(v0, protocol, stroke_propagators(
         protocol, bath, gamma_d, n_samples))
-
-
-def propagate_ste_beta(beta0: float, protocol: FrequencyProtocol, bath: BathSpec):
-    """Reduced exponential-state dynamics along an open stroke.
-
-    Integrates beta_dot = k_down (e^beta - 1) + k_up (e^-beta - 1) with the
-    instantaneous rates of the stroke protocol; for a designed stroke this
-    reproduces ln y(t).  Returns (times, beta_values) at ``DEFAULT_SAMPLES``
-    uniform times.
-    """
-    def rhs(t, y):
-        w = float(protocol.omega(t))
-        k_down, k_up, _ = dressed_rates(w, float(protocol.omega_dot(t)) / w**2,
-                                        bath)
-        return [k_down * math.expm1(y[0]) + k_up * math.expm1(-y[0])]
-
-    times = np.linspace(0.0, protocol.duration, DEFAULT_SAMPLES)
-    sol = solve_ivp(rhs, (0.0, protocol.duration), [beta0], method="DOP853",
-                    rtol=BETA_RTOL, atol=BETA_ATOL, t_eval=times)
-    if not sol.success:
-        raise NumericalError(f"beta integration failed: {sol.message}")
-    return times, sol.y[0]

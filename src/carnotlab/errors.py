@@ -2,7 +2,12 @@
 
 
 class CarnotLabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``time`` is the instant of the
+    failure, where one is known."""
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
 
 
 class DomainError(CarnotLabError, ValueError):
@@ -10,22 +15,11 @@ class DomainError(CarnotLabError, ValueError):
 
 
 class InvalidProtocol(CarnotLabError):
-    """A frequency protocol cannot be realized (e.g. the trap turns repulsive).
-
-    Carries ``time``, the first instant at which the construction fails.
-    """
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
+    """A frequency protocol cannot be realized (e.g. the trap turns repulsive)."""
 
 
 class InfeasibleStroke(CarnotLabError):
     """The requested open-stroke schedule demands rates the bath cannot supply."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
 
 class ProtocolInversionFailure(CarnotLabError):
@@ -51,6 +45,6 @@ class UnphysicalState(CarnotLabError):
 class NumericalError(CarnotLabError):
     """An integrator failed to meet its tolerance; carries diagnostics."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
+    def __init__(self, message, diagnostics=None, time=None):
+        super().__init__(message, time)
         self.diagnostics = diagnostics or {}

@@ -277,8 +277,10 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
     temp = bath.temperature
     g = bath.coupling
     exp_b = np.exp(beta)
-    phi = exp_b + np.exp(-beta) - 2.0
-    n_eq = 1.0 / np.expm1(-beta)
+    with np.errstate(over="ignore"):
+        # past hbar w / kT ~ 710 these are inf and n_eq is 0, as they must be
+        phi = exp_b + np.exp(-beta) - 2.0
+        n_eq = 1.0 / np.expm1(-beta)
     # occupation demanded at drive w:  N*(w) = n_eq + dcoef / w
     dcoef = 2.0 * beta_dot / (g * phi)
 

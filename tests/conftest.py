@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from carnotlab.core import BathSpec
+from carnotlab.core import BathSpec, dressed_rates
+from carnotlab.dynamics import DEFAULT_SAMPLES
 from carnotlab.presets import get_preset
 from carnotlab.thermo import sweep
 
@@ -41,3 +45,24 @@ def zero_crossings(x, y):
             frac = y[i] / (y[i] - y[i + 1])
             out.append(x[i] + frac * (x[i + 1] - x[i]))
     return out
+
+
+def propagate_ste_beta(beta0, protocol, bath):
+    """Reduced exponential-state dynamics along an open stroke.
+
+    Integrates beta_dot = k_down (e^beta - 1) + k_up (e^-beta - 1) with the
+    instantaneous rates of the stroke protocol; for a designed stroke this
+    reproduces ln y(t).  Returns (times, beta_values) at ``DEFAULT_SAMPLES``
+    uniform times.
+    """
+    def rhs(t, y):
+        w = float(protocol.omega(t))
+        k_down, k_up, _ = dressed_rates(w, float(protocol.omega_dot(t)) / w**2,
+                                        bath)
+        return [k_down * math.expm1(y[0]) + k_up * math.expm1(-y[0])]
+
+    times = np.linspace(0.0, protocol.duration, DEFAULT_SAMPLES)
+    sol = solve_ivp(rhs, (0.0, protocol.duration), [beta0], method="DOP853",
+                    rtol=1e-10, atol=1e-12, t_eval=times)
+    assert sol.success, sol.message
+    return times, sol.y[0]

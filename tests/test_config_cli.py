@@ -116,6 +116,16 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "InfeasibleStroke" in err
+        assert not (tmp_path / "cyc").exists()
+
+    def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
+        # only a directory that the command created is removed
+        (tmp_path / "cyc").mkdir()
+        (tmp_path / "cyc" / "keep.txt").write_text("x")
+        rc = main(["cycle", "--preset", "carnot-shortcut", "--cycle-time", "9",
+                   "--out", str(tmp_path / "cyc")])
+        assert rc == 1
+        assert (tmp_path / "cyc" / "keep.txt").read_text() == "x"
 
     def test_validate_warns_on_literal(self, capsys):
         rc = main(["validate", "--preset", "table1-literal"])

@@ -10,16 +10,18 @@ from scipy.linalg import expm
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
                             dressed_rates, thermal_observable_vector)
 from carnotlab import dynamics
-from carnotlab.cycle_engine import StrokeDescriptor, assemble_cycle
+from carnotlab.cycle_engine import (StrokeDescriptor, assemble_cycle,
+                                    run_to_limit_cycle)
 from carnotlab.dynamics import (MAGNUS_TARGET, free_propagator, generator,
                                 propagate_dephasing, propagate_open,
-                                propagate_ste_beta, propagate_unitary,
-                                stroke_propagators)
+                                propagate_unitary, stroke_propagators)
 from carnotlab.errors import DomainError, NumericalError
 from carnotlab.presets import get_preset
 from carnotlab.protocols import (build_constant_mu_protocol, build_sta_protocol,
                                  build_ste_protocol)
 from carnotlab.thermo import spec_for_sweep_value
+
+from conftest import propagate_ste_beta
 
 
 class TestNameRates:
@@ -243,9 +245,8 @@ class TestStackedExponential:
     def test_non_finite_raises(self, bad):
         x = np.zeros((4, 5, 5))
         x[2, 1, 3] = bad
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(NumericalError):
             dynamics._expm_stack(x)
-        assert err.value.diagnostics == {"index": 2}
 
     @pytest.mark.parametrize("preset,tau", [("carnot-shortcut", 250.0),
                                             ("endo-global", 8.0)])
@@ -283,9 +284,8 @@ class TestStackedExponential:
         for n_samples in (2, dynamics.DEFAULT_SAMPLES):
             with pytest.raises(NumericalError, match="at t = ") as err:
                 stroke_propagators(prot, n_samples=n_samples)
-            diag = err.value.diagnostics
-            assert diag["duration"] == 1.0
-            assert 0.3 <= diag["time"] <= 0.3 + 1.0 / 8000
+            assert err.value.diagnostics["duration"] == 1.0
+            assert 0.3 <= err.value.time <= 0.3 + 1.0 / 8000
 
 
 DOP853_PRESETS = [("carnot-shortcut", 250.0), ("endo-shortcut", 250.0),
@@ -435,6 +435,45 @@ class TestStrokePropagators:
         sequential = np.array(sequential)
         assert np.max(np.abs(scan - sequential)) <= \
             1e-14 * np.max(np.abs(sequential))
+
+    def test_last_product_is_the_scans_last_map(self):
+        # the pilot's estimate is the transfer matrix its scan would give
+        rng = np.random.default_rng(8)
+        for n in (*range(1, 130), 800, 801, 1000, 1600, 4800):
+            maps = rng.normal(size=(n, 5, 5)) / 2.0
+            assert np.array_equal(dynamics._last_product(maps),
+                                  dynamics._prefix_products(maps)[-1]), n
+
+    def test_one_scan_per_stroke(self, monkeypatch):
+        # the open strokes take more steps than the finer pilot, whose
+        # interval maps are then not scanned
+        scans = []
+        original = dynamics._prefix_products
+
+        def counted(maps):
+            scans.append(len(maps))
+            return original(maps)
+
+        monkeypatch.setattr(dynamics, "_prefix_products", counted)
+        run_to_limit_cycle(get_preset("carnot-shortcut", cycle_time=250.0))
+        assert scans == [800] * 4
+
+    @pytest.mark.parametrize("n_samples", [2, dynamics.DEFAULT_SAMPLES])
+    @pytest.mark.parametrize("located", ["inertial", "non-finite"])
+    def test_located_error_carries_its_time(self, located, n_samples):
+        if located == "inertial":
+            t = np.linspace(0.0, 0.9, 901)
+            prot = FrequencyProtocol.from_grid(t, 2.0 - 2.0 * t,
+                                               np.full_like(t, -2.0))
+            bath, kind = BathSpec(5.0, 0.05), DomainError
+        else:
+            prot = FrequencyProtocol.from_callables(
+                1.0, lambda t: np.where(t < 0.3, 5.0, np.nan),
+                lambda t: np.zeros_like(t))
+            bath, kind = None, NumericalError
+        with pytest.raises(kind) as err:
+            stroke_propagators(prot, bath, n_samples=n_samples)
+        assert str(err.value).endswith(f" at t = {err.value.time:.6g}")
 
 
 class TestPropagateOpen:

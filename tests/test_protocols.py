@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from carnotlab.core import BathSpec, spline_slopes, thermal_observable_vector
 from carnotlab.cycle_engine import assemble_cycle
-from carnotlab.dynamics import propagate_open, propagate_ste_beta, propagate_unitary
+from carnotlab.dynamics import propagate_open, propagate_unitary
 from carnotlab.errors import DomainError, InfeasibleStroke, InvalidProtocol
 from carnotlab.presets import get_preset
 from carnotlab.protocols import (_scalar_root, build_constant_mu_protocol,
@@ -14,6 +15,8 @@ from carnotlab.protocols import (_scalar_root, build_constant_mu_protocol,
                                  build_ste_protocol, constant_mu_duration,
                                  load_protocol, save_protocol,
                                  sta_expectation_values)
+
+from conftest import propagate_ste_beta
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 #: Each builder with valid arguments.
@@ -175,6 +178,17 @@ class TestSteBuilder:
     def test_too_fast_is_infeasible(self, hot_bath):
         with pytest.raises(InfeasibleStroke):
             build_ste_protocol(10.0, 8.0, 0.4, hot_bath)
+
+    def test_cold_bath_fails_typed_without_warnings(self):
+        # hbar w / kT passes 710 on this stroke, where exp(-beta) overflows
+        spec = get_preset("carnot-shortcut", cycle_time=57.2627, coupling=1.626,
+                          t_hot_bath=0.013935, t_cold_bath=0.0087095)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleStroke, match=(
+                    "^open-expansion: no drive frequency satisfies the rate "
+                    "equation at t=0$")):
+                assemble_cycle(spec)
 
 
 class TestSteNonThermal:
