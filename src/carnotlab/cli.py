@@ -40,11 +40,15 @@ COMPARE_COLUMNS = ("total_work", "power", "efficiency", "operational_mode")
 @contextmanager
 def _out_dir(out, sub: str):
     """The output directory, created: ``out``, or else ``carnotlab-<sub>``
-    under ``$CARNOTLAB_OUT`` (default the working directory).  A directory
-    that this call creates is removed again if the command then fails."""
+    under ``$CARNOTLAB_OUT`` (default the working directory).  If the command
+    then fails, the topmost directory that this call created, parents
+    included, is removed again; a directory that existed before is kept."""
     path = out or os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "."),
                                f"carnotlab-{sub}")
-    created = not os.path.isdir(path)
+    created = None
+    missing = os.path.abspath(path)
+    while not os.path.exists(missing):
+        created, missing = missing, os.path.dirname(missing)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as err:
@@ -52,8 +56,8 @@ def _out_dir(out, sub: str):
     try:
         yield path
     except BaseException:
-        if created:
-            shutil.rmtree(path, ignore_errors=True)
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         raise
 
 

@@ -25,12 +25,14 @@ output times (:func:`stroke_propagators`): its last sample is the transfer
 matrix, and applied to any initial vector the samples give the trajectory.
 Each step evaluates the generator at its three Gauss nodes, all steps of a
 block at once, and exponentiates them together with a stacked, scaled Taylor
-exponential to unit roundoff.  Each stroke takes the fewest steps that meet
-``MAGNUS_TARGET`` by an error estimate: a stroke of two samples (its transfer
-matrix alone, as a sweep row needs) from a ladder of 64-, 128- and 256-step
-products whose successive differences also give the order of convergence, a
-sampled stroke (and a two-sample one the ladder cannot resolve) from two
-pilot products of 400 and 800 steps.  The fifth
+exponential to unit roundoff.  Its degree-k polynomial is summed by Paterson
+& Stockmeyer's scheme in p - 1 + k // p stacked products with p = isqrt(k):
+6 at degree 14, where Horner's rule takes 13.  Each stroke takes the fewest
+steps that meet ``MAGNUS_TARGET`` by an error estimate: a stroke of two
+samples (its transfer matrix alone, as a sweep row needs) from a ladder of
+64-, 128- and 256-step products whose successive differences also give the
+order of convergence, a sampled stroke (and a two-sample one the ladder
+cannot resolve) from two pilot products of 400 and 800 steps.  The fifth
 component accumulates the stroke work W = integral (w_dot / w) (h - l) dt,
 so work values carry the step error of the product rather than that of a
 sampling grid.
@@ -132,8 +134,8 @@ def generator(omega, omega_dot, bath: Optional[BathSpec] = None,
     g[..., 2, 1] = 2.0 * omega
     g[..., 2, 2] = wmu + d11
     g[..., 2, 3] = d23
-    g[..., 4, 0] = omega_dot / omega
-    g[..., 4, 1] = -omega_dot / omega
+    g[..., 4, 0] = rate = omega_dot / omega
+    g[..., 4, 1] = -rate
     return g
 
 
@@ -208,31 +210,56 @@ class Trajectory:
                                    self.coherences())).tolist())
 
 
+def _taylor_degree(norm: float) -> int:
+    """The lowest degree k with norm^(k+1)/(k+1)! <= 2^-53."""
+    k, term = 1, norm * norm / 2.0
+    while term > _UNIT_ROUNDOFF:
+        k += 1
+        term *= norm / (k + 1)
+    return k
+
+
 def _expm_stack(x: np.ndarray) -> np.ndarray:
     """exp of every matrix of an (m, n, n) stack, by one stacked computation.
 
     One 1-norm bound for the whole stack fixes a scaling 2^-s that brings every
-    matrix to norm <= _EXPM_THETA, where a Taylor polynomial of the smallest
-    degree k with norm^(k+1)/(k+1)! <= 2^-53 is summed by Horner's rule; s
-    squarings undo the scaling; a non-finite stack raises NumericalError.
+    matrix to norm <= _EXPM_THETA, where the Taylor polynomial of the smallest
+    degree k with norm^(k+1)/(k+1)! <= 2^-53 is summed; s squarings undo the
+    scaling; a non-finite stack raises NumericalError.
+
+    The polynomial is summed by Paterson & Stockmeyer (SIAM J. Comput. 2, 60
+    (1973)) in p - 1 + k // p products, one fewer when p divides k, with
+    p = isqrt(k): the powers x^2 ... x^p take p - 1, one stacked dot with the
+    coefficients 1/j! forms every block B_i = sum_{j < p} x^j / (ip + j)!,
+    and Horner's rule in x^p, e = e x^p + B_i from e = B_(k // p), takes one
+    per block below the top one.  A scaled block has degree 12 to 14 and
+    takes 5 or 6 products, where Horner's rule in x takes 11 to 13.
     """
     norm = float(np.einsum("mij->mj", np.abs(x)).max(initial=0.0))
     if not math.isfinite(norm):
         raise NumericalError("matrix exponential of a non-finite matrix")
     s = max(0, math.ceil(math.log2(norm) - math.log2(_EXPM_THETA))) \
         if norm > 0 else 0
-    x = x * 2.0**-s
-    norm *= 2.0**-s
-    k, term = 1, norm * norm / 2.0
-    while term > _UNIT_ROUNDOFF:
-        k += 1
-        term *= norm / (k + 1)
-    eye = np.eye(x.shape[-1])
-    e = x / k + eye
-    for j in range(k - 1, 0, -1):
-        e = x @ e
-        e /= j
-        e += eye
+    k = _taylor_degree(norm * 2.0**-s)
+    p = math.isqrt(k)
+    q = k // p
+    # powers[j] = (2^-s x)^j for j = 0 ... p
+    powers = np.empty((p + 1,) + x.shape)
+    powers[0] = np.eye(x.shape[-1])
+    np.multiply(x, 2.0**-s, out=powers[1])
+    for j in range(2, p + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    # row i holds the coefficients of block i: 1/(ip + j)! at column j
+    coefficients = np.zeros((q + 1) * p)
+    coefficients[:k + 1] = [1.0 / math.factorial(j) for j in range(k + 1)]
+    blocks = (coefficients.reshape(q + 1, p)
+              @ powers[:p].reshape(p, -1)).reshape((q + 1,) + x.shape)
+    xp = powers[p]
+    e = xp * coefficients[k] if k % p == 0 else blocks[q] @ xp
+    e += blocks[q - 1]
+    for i in range(q - 2, -1, -1):
+        e = e @ xp
+        e += blocks[i]
     for _ in range(s):
         e = e @ e
     return e
@@ -247,24 +274,37 @@ def _magnus_steps(protocol: FrequencyProtocol, starts: np.ndarray, h: float,
     a1 = h A2, a2 = (sqrt15 / 3) h (A3 - A1), a3 = (10 / 3) h (A3 - 2 A2 + A1),
     c1 = [a1, a2] and c2 = -[a1, 2 a3 + c1] / 60, the step is
     Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240.
+    The terms are formed in place, a1 and a3 in the generator's own stack.
     """
     nodes = (_GAUSS_NODES[:, None] + starts) * h  # (3, m): one row per node
-    g0, g1, g2 = g = generator(protocol.omega(nodes),
-                               protocol.omega_dot(nodes), bath, gamma_d)
-    a1 = h * g1
-    a2 = (_MAGNUS_C2 * h) * (g2 - g0)
-    a3 = (_MAGNUS_C3 * h) * (g2 + g0) - 2.0 * _MAGNUS_C3 * a1
+    g = generator(protocol.omega(nodes), protocol.omega_dot(nodes), bath,
+                  gamma_d)
+    norm = float(np.einsum("...ij->...j", np.abs(g)).max())
+    g0, g1, g2 = g
+    a2 = g2 - g0
+    a2 *= _MAGNUS_C2 * h
+    a1, a3 = g1, g0  # in place of A2 and A1; A3's row is then scratch
+    a1 *= h
+    a3 += g2
+    a3 *= _MAGNUS_C3 * h
+    a3 -= np.multiply(a1, 2.0 * _MAGNUS_C3, out=g2)
     c1 = a1 @ a2
     c1 -= a2 @ a1
-    x = 2.0 * a3 + c1
-    y = a2 + (x @ a1 - a1 @ x) / 60.0
-    x = c1 - 20.0 * a1 - a3
+    x = a3 * 2.0
+    x += c1
+    y = x @ a1
+    y -= a1 @ x
+    y *= 1.0 / 60.0
+    y += a2
+    np.multiply(a1, -20.0, out=x)
+    x += c1
+    x -= a3
     omega = x @ y
     omega -= y @ x
-    omega /= 240.0
+    omega *= 1.0 / 240.0
     omega += a1
-    omega += a3 / 12.0
-    norm = float(np.einsum("...ij->...j", np.abs(g)).max())
+    a3 *= 1.0 / 12.0
+    omega += a3
     return _expm_stack(omega), h * norm
 
 

@@ -132,11 +132,21 @@ SECOND_LAW_RTOL = 1e-9
 def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> CycleLedger:
     """Fill the thermodynamic ledger for a limit cycle.
 
-    Raises UnphysicalState when the bath entropy production is below
-    -``SECOND_LAW_RTOL`` times |q_hot| / T_hot + |q_cold| / T_cold: no
-    periodic cycle between two baths can lower their entropy.
+    Raises UnphysicalState, naming the corner, when a corner state breaks
+    :meth:`ObservableVector.check_physical` at that corner's frequency (its
+    Casimir below the ground-state floor (hbar w / 2)^2), and when the bath
+    entropy production is below -``SECOND_LAW_RTOL`` times
+    |q_hot| / T_hot + |q_cold| / T_cold: no periodic cycle between two baths
+    can lower their entropy.
     """
     spec = spec or result.spec
+    for i, (stroke, v, omega) in enumerate(zip(
+            result.strokes, result.corner_vectors, result.corner_omegas)):
+        try:
+            v.check_physical(omega)
+        except UnphysicalState as err:
+            raise UnphysicalState(
+                f"corner {i + 1} (start of {stroke.label}): {err}") from None
     works = tuple(t.work for t in result.trajectories)
     heats = tuple(t.heat for t in result.trajectories)
     total_work = float(sum(works))

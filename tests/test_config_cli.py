@@ -127,6 +127,21 @@ class TestCli:
         assert rc == 1
         assert (tmp_path / "cyc" / "keep.txt").read_text() == "x"
 
+    def test_failed_run_removes_the_parents_it_created(self, tmp_path,
+                                                       capsys):
+        rc = main(["cycle", "--preset", "carnot-shortcut", "--cycle-time", "9",
+                   "--out", str(tmp_path / "nest" / "a" / "b")])
+        assert rc == 1
+        assert not (tmp_path / "nest").exists()
+
+    def test_failed_run_keeps_an_existing_parent(self, tmp_path, capsys):
+        (tmp_path / "nest").mkdir()
+        rc = main(["cycle", "--preset", "carnot-shortcut", "--cycle-time", "9",
+                   "--out", str(tmp_path / "nest" / "a" / "b")])
+        assert rc == 1
+        assert (tmp_path / "nest").is_dir()
+        assert not (tmp_path / "nest" / "a").exists()
+
     def test_validate_warns_on_literal(self, capsys):
         rc = main(["validate", "--preset", "table1-literal"])
         assert rc == 0

@@ -241,6 +241,42 @@ class TestStackedExponential:
         e = dynamics._expm_stack(np.zeros((3, 5, 5)))
         assert np.array_equal(e, np.broadcast_to(np.eye(5), (3, 5, 5)))
 
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_every_degree_band(self, k):
+        # norms just inside both edges of the band where the rule picks
+        # degree k: theta_k = ((k + 1)! 2^-53)^(1 / (k + 1)) is the largest
+        # norm of degree k, and degree 14 reaches the scaling bound 0.5.
+        # Degrees 1 to 3 take blocks of width p = 1, below the p = 3 of
+        # degree 14; degrees 4, 6, 9 and 12 a top block of a single term
+        def theta(j):
+            return (math.factorial(j + 1) * 2.0**-53) ** (1.0 / (j + 1))
+
+        low = theta(k - 1) * (1.0 + 1e-9) if k > 1 else 1e-12
+        high = min(theta(k) * (1.0 - 1e-9), dynamics._EXPM_THETA)
+        rng = np.random.default_rng(100 + k)
+        for norm in (low, math.sqrt(low * high), high):
+            assert dynamics._taylor_degree(norm) == k
+            x = _random_stack(rng, np.full(20, norm))
+            assert dynamics._taylor_degree(
+                float(np.abs(x).sum(axis=-2).max())) == k
+            assert _max_expm_deviation(x, dynamics._expm_stack(x)) <= 1e-15
+        if k < 14:
+            assert dynamics._taylor_degree(theta(k) * (1.0 + 1e-9)) == k + 1
+
+    @pytest.mark.parametrize("norm,bound", [(0.4, 1e-15), (3.0, 1e-13)])
+    def test_structured_stack(self, norm, bound):
+        # a zero identity row and a zero work column, as every Magnus step
+        # has, give an exact identity row and work column
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((32, 5, 5))
+        x[:, 3, :] = 0.0
+        x[:, :, 4] = 0.0
+        x *= norm / np.abs(x).sum(axis=-2).max()
+        e = dynamics._expm_stack(x)
+        assert np.array_equal(e[:, 3, :], np.broadcast_to(np.eye(5)[3], (32, 5)))
+        assert np.array_equal(e[:, :, 4], np.broadcast_to(np.eye(5)[4], (32, 5)))
+        assert _max_expm_deviation(x, e) <= bound
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, bad):
         x = np.zeros((4, 5, 5))
@@ -308,6 +344,17 @@ class TestStrokePropagators:
             ref = _dop853_transfer_matrix(s)
             m = stroke_propagators(s.protocol, s.bath, s.gamma_d).maps[-1]
             assert np.max(np.abs(m - ref)) <= 1e-10 * np.max(np.abs(ref)), s.label
+
+    @pytest.mark.parametrize("preset,n_samples,steps", [
+        ("carnot-shortcut", dynamics.DEFAULT_SAMPLES, [8000, 800, 4800, 800]),
+        ("carnot-shortcut", 2, [7587, 256, 4404, 344]),
+        ("endo-global", dynamics.DEFAULT_SAMPLES, [800, 800, 800, 800]),
+        ("endo-global", 2, [800, 800, 800, 800])])
+    def test_step_counts_at_tau_250(self, preset, n_samples, steps):
+        # a change to the step arithmetic must not shift N unnoticed
+        spec = get_preset(preset, cycle_time=250.0)
+        assert run_to_limit_cycle(
+            spec, n_samples=n_samples).magnus_steps == steps
 
     def test_steps_are_sixth_order(self):
         # doubling the steps of a smooth stroke cuts the error 2^6-fold

@@ -283,6 +283,20 @@ class TestAnalyzeAndSweep:
         with pytest.raises(UnphysicalState, match="second law"):
             analyze_cycle(res, replace(spec, t_cold_bath=7.9))
 
+    def test_corner_below_the_casimir_floor_raises(self):
+        # corner 3 pushed below the ground state (hbar w / 2)^2
+        spec = get_preset("carnot-shortcut", cycle_time=40.0)
+        res = run_to_limit_cycle(spec)
+        analyze_cycle(res, spec)
+        traj = res.trajectories[2]
+        vectors = traj.vectors.copy()
+        vectors[0, :3] = (0.49 * res.corner_omegas[2], 0.0, 0.0)
+        res.trajectories[2] = replace(traj, vectors=vectors)
+        with pytest.raises(UnphysicalState,
+                           match=r"corner 3 \(start of open-compression\)"
+                                 r": Casimir"):
+            analyze_cycle(res, spec)
+
     def test_reference_efficiencies(self):
         assert carnot_efficiency(5.0, 8.0) == pytest.approx(0.375, rel=1e-15)
         assert curzon_ahlborn_efficiency(5.0, 8.0) == pytest.approx(
