@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 compute error (builder/convergence/numerics),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,11 +41,12 @@ COMPARE_COLUMNS = ("total_work", "power", "efficiency", "operational_mode")
 @contextmanager
 def _out_dir(out, sub: str):
     """The output directory, created: ``out``, or else ``carnotlab-<sub>``
-    under ``$CARNOTLAB_OUT`` (default the working directory).  If the command
+    under ``$CARNOTLAB_OUT`` (default the working directory), as a
+    normalised path, so that ``x/../y`` creates ``y`` alone.  If the command
     then fails, the topmost directory that this call created, parents
     included, is removed again; a directory that existed before is kept."""
-    path = out or os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "."),
-                               f"carnotlab-{sub}")
+    path = os.path.normpath(out or os.path.join(
+        os.environ.get(OUTPUT_ROOT_ENV, "."), f"carnotlab-{sub}"))
     created = None
     missing = os.path.abspath(path)
     while not os.path.exists(missing):
@@ -249,9 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: the commands look
+    up what they run when they are called."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

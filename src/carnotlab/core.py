@@ -207,35 +207,53 @@ def spline_slopes(y: np.ndarray, h: float) -> np.ndarray:
 
 
 class _GridSpline:
-    """The not-a-knot cubic spline through ``y`` on a uniform grid starting at
-    ``t0`` with spacing ``h``: each t is placed on its interval by index
-    arithmetic and its cubic summed by Horner's rule.  A float time takes a
-    scalar path with the same arithmetic, so both paths agree to the bit."""
+    """The not-a-knot cubic splines through the rows of ``ys`` on a uniform
+    grid starting at ``t0`` with spacing ``h``: each t is placed on its
+    interval by index arithmetic once for all rows, and each row's cubic is
+    summed by Horner's rule.  Returns the first ``curves`` rows at t, shape
+    (curves,) + t.shape; a float time takes a scalar path with the same
+    arithmetic, returning a list of floats, so both paths agree to the
+    bit."""
 
-    def __init__(self, t0: float, h: float, y: np.ndarray):
-        s = spline_slopes(y, h)
-        d = np.diff(y) / h
+    def __init__(self, t0: float, h: float, ys: np.ndarray):
+        s = np.array([spline_slopes(y, h) for y in ys])
+        d = np.diff(ys, axis=1) / h
         self.t0, self.h = float(t0), float(h)
-        self.coef = np.stack((y[:-1], s[:-1], (3.0 * d - 2.0 * s[:-1] - s[1:]) / h,
-                              (s[:-1] + s[1:] - 2.0 * d) / (h * h)))
+        # (rows, 4, intervals): the coefficients of x^0 ... x^3
+        self.coef = np.stack((ys[:, :-1], s[:, :-1],
+                              (3.0 * d - 2.0 * s[:, :-1] - s[:, 1:]) / h,
+                              (s[:, :-1] + s[:, 1:] - 2.0 * d) / (h * h)),
+                             axis=1)
 
-    def __call__(self, t):
+    def __call__(self, t, curves: int = 2):
+        last = self.coef.shape[-1] - 1
         if isinstance(t, float):
             x = (t - self.t0) / self.h
-            last = self.coef.shape[1] - 1
             # a NaN time fails both tests, takes interval 0 and gives NaN
             i = last if x >= last else math.floor(x) if x >= 0.0 else 0
             x = (x - i) * self.h
-            c0, c1, c2, c3 = self.coef[:, i].tolist()
-            return c0 + x * (c1 + x * (c2 + x * c3))
+            return [c0 + x * (c1 + x * (c2 + x * c3))
+                    for c0, c1, c2, c3 in self.coef[:curves, :, i].tolist()]
         x = (np.asarray(t, dtype=float) - self.t0) / self.h
         # fmin and fmax drop a NaN, so a NaN time takes the last interval and
         # evaluates to NaN
-        i = np.fmax(np.fmin(np.floor(x), self.coef.shape[1] - 1), 0.0) \
-            .astype(np.intp)
+        i = np.fmax(np.fmin(np.floor(x), last), 0.0).astype(np.intp)
         x = (x - i) * self.h
-        c0, c1, c2, c3 = self.coef[:, i]
-        return c0 + x * (c1 + x * (c2 + x * c3))
+        c = self.coef[:curves].reshape(-1, last + 1).take(i, axis=1) \
+            .reshape((curves, 4) + i.shape)
+        return c[:, 0] + x * (c[:, 1] + x * (c[:, 2] + x * c[:, 3]))
+
+
+class _CurvePair:
+    """omega(t) and omega_dot(t) of two closed-form callables, or omega(t)
+    alone."""
+
+    def __init__(self, omega_fn: Callable, omega_dot_fn: Callable):
+        self.omega_fn, self.omega_dot_fn = omega_fn, omega_dot_fn
+
+    def __call__(self, t, curves: int = 2):
+        w = self.omega_fn(t)
+        return (w, self.omega_dot_fn(t)) if curves == 2 else (w,)
 
 
 class _ConstantFn:
@@ -253,15 +271,17 @@ class FrequencyProtocol:
     """The control omega(t) and its derivative over one stroke.
 
     Holds either closed-form callables or a dense uniform grid, with omega
-    and omega_dot each interpolated by a not-a-knot cubic spline.  Instances
-    are immutable; callables must be pure.
+    and omega_dot each interpolated by a not-a-knot cubic spline.  Both are
+    evaluated together, by :meth:`frequency`.  Instances are immutable;
+    callables must be pure.
     """
 
     duration: float
     kind: str  # "closed-form" or "grid"
     meta: Mapping = field(default_factory=dict, compare=False)
-    _omega_fn: Callable = field(default=None, repr=False, compare=False)
-    _omega_dot_fn: Callable = field(default=None, repr=False, compare=False)
+    #: (t, curves) -> the first ``curves`` of (omega(t), omega_dot(t)) at
+    #: times inside [0, duration]
+    _frequency_fn: Callable = field(default=None, repr=False, compare=False)
     grid_times: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     grid_omega: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     grid_omega_dot: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -271,8 +291,8 @@ class FrequencyProtocol:
         if duration < 0:
             raise DomainError("protocol duration must be non-negative")
         return cls(duration=float(duration), kind="closed-form",
-                   meta=dict(meta or {}), _omega_fn=omega_fn,
-                   _omega_dot_fn=omega_dot_fn)
+                   meta=dict(meta or {}),
+                   _frequency_fn=_CurvePair(omega_fn, omega_dot_fn))
 
     @classmethod
     def from_grid(cls, times, omega, omega_dot, meta=None):
@@ -288,8 +308,8 @@ class FrequencyProtocol:
             raise DomainError("omega must stay positive along the protocol")
         return cls(duration=float(times[-1] - times[0]), kind="grid",
                    meta=dict(meta or {}),
-                   _omega_fn=_GridSpline(times[0], h, omega),
-                   _omega_dot_fn=_GridSpline(times[0], h, omega_dot),
+                   _frequency_fn=_GridSpline(times[0], h,
+                                             np.stack((omega, omega_dot))),
                    grid_times=times, grid_omega=omega, grid_omega_dot=omega_dot)
 
     @classmethod
@@ -303,21 +323,26 @@ class FrequencyProtocol:
             return min(max(t, 0.0), self.duration)
         return np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
 
+    def frequency(self, t, curves: int = 2):
+        """(omega(t), omega_dot(t)) at times clamped to [0, duration], from
+        one clamp and, on a grid, one spline interval per time for both;
+        ``curves=1`` gives (omega(t),) alone."""
+        return self._frequency_fn(self._clamp(t), curves)
+
     def omega(self, t):
-        return self._omega_fn(self._clamp(t))
+        return self.frequency(t, 1)[0]
 
     def omega_dot(self, t):
-        return self._omega_dot_fn(self._clamp(t))
+        return self.frequency(t)[1]
 
     def mu(self, t):
         """Adiabatic parameter omega_dot / omega^2."""
-        w = self.omega(t)
-        return self.omega_dot(t) / w**2
+        w, wd = self.frequency(t)
+        return wd / w**2
 
     def sample(self, n: int = 2001):
         t = np.linspace(0.0, self.duration, n)
-        w = np.atleast_1d(self.omega(t))
-        wd = np.atleast_1d(self.omega_dot(t))
+        w, wd = (np.atleast_1d(x) for x in self.frequency(t))
         return t, w, wd, wd / w**2
 
     def check_consistency(self, rtol: float = 1e-6, n: int = 8001) -> float:

@@ -28,11 +28,16 @@ block at once, and exponentiates them together with a stacked, scaled Taylor
 exponential to unit roundoff.  Its degree-k polynomial is summed by Paterson
 & Stockmeyer's scheme in p - 1 + k // p stacked products with p = isqrt(k):
 6 at degree 14, where Horner's rule takes 13.  Each stroke takes the fewest
-steps that meet ``MAGNUS_TARGET`` by an error estimate: a stroke of two
-samples (its transfer matrix alone, as a sweep row needs) from a ladder of
-64-, 128- and 256-step products whose successive differences also give the
-order of convergence, a sampled stroke (and a two-sample one the ladder
-cannot resolve) from two pilot products of 400 and 800 steps.  The fifth
+steps that meet ``MAGNUS_TARGET`` by an error estimate read from products
+on a doubling ladder, whose successive differences give the order of
+convergence: a stroke of two samples (its transfer matrix alone, as a sweep
+row needs) from 64-, 128- and 256-step products, a sampled stroke (and a
+two-sample one that ladder cannot resolve) from 400-, 800-, 1600-, ...
+step products on its sample grid, where the first pair, read at the N^-4
+rate of the spline knots, decides the strokes it resolves or sends to at
+most 1600 steps.  Inside the Magnus radius the long open strokes converge
+at N^-6.  The sampled maps are the prefix products of the interval maps, by
+a blocked scan.  The fifth
 component accumulates the stroke work W = integral (w_dot / w) (h - l) dt,
 so work values carry the step error of the product rather than that of a
 sampling grid.
@@ -54,8 +59,8 @@ DEFAULT_SAMPLES = 801
 #: Target error of each stroke's transfer matrix M, relative to max|M|: a
 #: tenth of the 1e-10 gate against a DOP853 reference.
 MAGNUS_TARGET = 1e-11
-#: Steps of the two unsampled pilot products; the finer is also the least
-#: resolution of a stroke that the pilots resolve.
+#: Steps of the first pair of a sampled stroke's doubling ladder; the finer
+#: is also the least resolution of a sampled stroke.
 _PILOT_STEPS = (400, 800)
 #: Steps of the three products whose differences resolve a stroke of two
 #: samples.
@@ -64,14 +69,16 @@ _LADDER_STEPS = (64, 128, 256)
 _LOCATE_STEPS = 8000
 #: Largest step count a stroke may need before it fails.
 _MAX_STEPS = 100 * _PILOT_STEPS[1]
-#: A pilot estimate stands only if the steps it asks for keep h max|G|_1
-#: over their nodes below this, inside pi, the convergence radius of the
-#: Magnus series.  Past it the stiff dephasing of (l, c) can make both pilots
+#: An estimate stands only if the steps it asks for keep h max|G|_1 over
+#: their nodes below this, inside pi, the convergence radius of the Magnus
+#: series.  Past it the stiff dephasing of (l, c) can make two products
 #: agree on a wrong map.
 _STEP_NORM_BOUND = 3.0
 #: Steps per batched exponential (768 generator evaluations): bounds the
 #: memory of a block.
 _MAGNUS_BLOCK = 256
+#: Maps per block of the blocked prefix scan.
+_SCAN_BLOCK = 8
 #: The stacked exponential scales a block to 1-norm <= _EXPM_THETA and sums
 #: its Taylor series to the lowest degree whose remainder bound is below the
 #: unit roundoff.
@@ -277,8 +284,7 @@ def _magnus_steps(protocol: FrequencyProtocol, starts: np.ndarray, h: float,
     The terms are formed in place, a1 and a3 in the generator's own stack.
     """
     nodes = (_GAUSS_NODES[:, None] + starts) * h  # (3, m): one row per node
-    g = generator(protocol.omega(nodes), protocol.omega_dot(nodes), bath,
-                  gamma_d)
+    g = generator(*protocol.frequency(nodes), bath, gamma_d)
     norm = float(np.einsum("...ij->...j", np.abs(g)).max())
     g0, g1, g2 = g
     a2 = g2 - g0
@@ -321,28 +327,50 @@ def _interval_products(steps: np.ndarray) -> np.ndarray:
     return steps[:, 0]
 
 
-def _last_product(maps: np.ndarray) -> np.ndarray:
-    """maps[-1] @ ... @ maps[0] of an (n, 5, 5) stack by stacked pairwise
-    products from the last map back: bit for bit the last map of
-    :func:`_prefix_products`, whose scan builds it from the same pairs."""
-    while len(maps) > 1:
-        odd = len(maps) % 2
-        maps = np.concatenate((maps[:odd], maps[odd + 1::2] @ maps[odd::2]))
-    return maps[0]
+def _block_scans(maps: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products inside consecutive blocks of ``_SCAN_BLOCK``
+    maps of an (n, 5, 5) stack, shape (blocks, _SCAN_BLOCK, 5, 5): one
+    sequential scan run on all blocks at once.  The last block is padded with
+    identities, which leave every product before them unchanged."""
+    n = len(maps)
+    blocks = np.empty((-(-n // _SCAN_BLOCK) * _SCAN_BLOCK, 5, 5))
+    blocks[:n] = maps
+    blocks[n:] = np.eye(5)
+    blocks = blocks.reshape(-1, _SCAN_BLOCK, 5, 5)
+    # a single block needs no products past its last map
+    for j in range(1, min(n, _SCAN_BLOCK)):
+        blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
+    return blocks
 
 
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
     """Inclusive prefix products maps[j] @ ... @ maps[0] of an (n, 5, 5) stack.
 
-    A Hillis-Steele scan: round r multiplies every map by the one 2^r places
-    before it, so ceil(log2 n) stacked matmuls replace n - 1 sequential ones.
+    A blocked scan: the sequential scans inside blocks of ``_SCAN_BLOCK``
+    maps (:func:`_block_scans`), then the same scans over the totals of all
+    blocks but the last, level by level until one block is left; from the
+    top level down, one stacked product per level carries each block's
+    prefix into the next block.  That takes about 2n products, where a
+    log-depth scan takes n log2 n.  Map j depends on maps[:j + 1] alone and
+    is computed as the last map of their scan would be.
     """
-    maps = maps.copy()
-    shift = 1
-    while shift < len(maps):
-        maps[shift:] = maps[shift:] @ maps[:-shift]
-        shift *= 2
-    return maps
+    levels = [_block_scans(maps)]
+    while len(levels[-1]) > 1:
+        levels.append(_block_scans(levels[-1][:-1, -1]))
+    for lower, upper in zip(levels[-2::-1], levels[:0:-1]):
+        lower[1:] = lower[1:] @ upper.reshape(-1, 5, 5)[:len(lower) - 1, None]
+    return levels[0].reshape(-1, 5, 5)[:len(maps)]
+
+
+def _last_product(maps: np.ndarray) -> np.ndarray:
+    """maps[-1] @ ... @ maps[0] of an (n, 5, 5) stack: bit for bit the last
+    map of :func:`_prefix_products`, from the same block scans and the last
+    product of the block totals alone."""
+    blocks = _block_scans(maps)
+    last = blocks[-1, (len(maps) - 1) % _SCAN_BLOCK]
+    if len(blocks) > 1:
+        last = last @ _last_product(blocks[:-1, -1])
+    return last
 
 
 def _interval_maps(protocol: FrequencyProtocol, n_steps: int, intervals: int,
@@ -386,8 +414,8 @@ def _located_error(protocol: FrequencyProtocol, bath: Optional[BathSpec],
     nodes = ((np.arange(_LOCATE_STEPS)[:, None] + _GAUSS_NODES)
              * (protocol.duration / _LOCATE_STEPS)).ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = protocol.omega(nodes)
-        mu = protocol.omega_dot(nodes) / (w * w)
+        w, w_dot = protocol.frequency(nodes)
+        mu = w_dot / (w * w)
         finite = np.isfinite(w) & np.isfinite(mu)
         bad = ~finite | ((bath is not None) & (mu * mu >= 4.0))
     if not bad.any():
@@ -426,21 +454,76 @@ class Propagators:
     error: float
 
 
-def _pilot_rule(protocol: FrequencyProtocol, intervals: int,
-                bath: Optional[BathSpec], gamma_d: float):
-    """Steps of a sampled stroke from two pilot products of 400 and 800 steps.
+def _read_rungs(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, base: int,
+                intervals: int, protocol: FrequencyProtocol, gamma_d: float):
+    """N and the estimated error of the N-step product, read from the last
+    three rungs of a doubling ladder, the products m0, m1 and m2 of base / 4,
+    base / 2 and base steps, or None where they read no order.
 
-    The pilots estimate the error of the finer as |M800 - M400| / 15; N is
-    the smallest multiple of ``intervals``, at least 800, whose error under
-    the N^-4 rate set by the protocols' spline knots meets ``MAGNUS_TARGET``.
-    The estimate stands only if N's steps, scaled from the finer pilot's,
-    keep h |G|_1 below ``_STEP_NORM_BOUND`` at all three nodes.  Otherwise the
-    pilots are taken again, the coarser on the fewest steps (a multiple of
-    ``intervals``) that the scaling puts under the bound and the finer on
-    twice as many, which then stand for 400 and 800.
+    With d1 = |m1 - m0| and d2 = |m2 - m1| relative to max|m2|,
+    d2 <= target / 4 with d1 <= 64 target resolves the stroke at base steps
+    with error d2.  Otherwise d1 / d2 from 64 to 96 reads as the N^-6 rate of
+    the Magnus steps, with error d2 / 63 on the base-step product, and from
+    10 to 64 as the N^-4 rate of the spline knots, with error d2 / 15: a mix
+    of N^-4 and N^-6 terms gives a ratio between 16 and 64, and its N^-4
+    reading bounds both its error and its decay.  An N^-6 reading that would
+    stop at base where the N^-4 one would not is read as N^-4: on
+    endo-shortcut@250's open expansion the 800/1600/3200 ratio is 74, but an
+    N^-4 term takes over from 3200 steps, and d2 / 63 is 3.5 times below the
+    error there.  Any other ratio reads no order.  N is base where base meets the target, or else the fewest steps
+    that the order puts at the target; either is rounded up to a multiple of
+    ``intervals``.  Raises NumericalError on a non-finite difference and
+    where N would be more than ``_MAX_STEPS``.
+    """
+    scale = float(np.max(np.abs(m2)))
+    d1 = float(np.max(np.abs(m1 - m0))) / scale
+    d2 = float(np.max(np.abs(m2 - m1))) / scale
+    if not math.isfinite(d1 + d2):
+        raise _not_finite(protocol)
+    order, error = 0, d2
+    if not (d2 <= MAGNUS_TARGET / 4.0 and d1 <= 64.0 * MAGNUS_TARGET):
+        ratio = d1 / d2 if d2 > 0.0 else math.inf
+        if not 10.0 <= ratio <= 96.0:
+            return None
+        order, error = 4, d2 / 15.0
+        # an N^-6 reading that meets the target at base where the N^-4 one
+        # does not stays N^-4: an N^-4 term that has not yet taken over d1
+        # would make it optimistic
+        if ratio >= 64.0 and not d2 / 63.0 <= MAGNUS_TARGET < error:
+            order, error = 6, d2 / 63.0
+    needed = base
+    if error > MAGNUS_TARGET:
+        needed = base * (error / MAGNUS_TARGET) ** (1.0 / order)
+        if needed > _MAX_STEPS:
+            raise _too_many_steps(needed, protocol, gamma_d, error=error)
+    n_steps = intervals * math.ceil(needed / intervals)
+    return n_steps, error * (base / n_steps) ** order
+
+
+def _doubling_rule(protocol: FrequencyProtocol, intervals: int,
+                   bath: Optional[BathSpec], gamma_d: float):
+    """Steps of a sampled stroke from a doubling ladder of products of 400,
+    800, 1600, ... steps.
+
+    The first pair, two pilot products of 400 and 800 steps, estimates the
+    error of the finer as |M800 - M400| / 15, under the N^-4 rate of the
+    spline knots, and asks for the smallest
+    multiple of ``intervals``, at least 800, whose error under that rate
+    meets ``MAGNUS_TARGET``.  The estimate stands only if that N's steps,
+    scaled from the finer pilot's, keep h |G|_1 below ``_STEP_NORM_BOUND``
+    at all three nodes.  Otherwise the pair is taken again, the coarser on
+    the fewest steps (a multiple of ``intervals``) that the scaling puts
+    under the bound and the finer on twice as many, which then stand for
+    400 and 800.  The pair decides a stroke that it resolves or that it
+    sends to at most twice the finer pilot's steps.  Any other stroke climbs
+    the ladder, doubling the steps up to the pair's N, until its last three
+    rungs read the order of convergence (:func:`_read_rungs`); a ladder that
+    reads none leaves the pair's N.  Each rung is sampled at the stroke's
+    intervals, as far as its steps divide into them, so that the rung N
+    falls on is reused.
 
     Returns (N, the estimated error of the N-step product, its interval
-    maps when they are the finer pilot's or else None).
+    maps when a rung has made them or else None).
     """
     coarse_steps, fine_steps = _PILOT_STEPS
     while True:
@@ -468,28 +551,35 @@ def _pilot_rule(protocol: FrequencyProtocol, intervals: int,
                                   step_norm=step_norm)
     if needed > _MAX_STEPS:
         raise _too_many_steps(needed, protocol, gamma_d, error=error)
-    return (n_steps, error * (fine_steps / n_steps) ** 4,
-            pilot if n_steps == fine_steps else None)
+    pair_error = error * (fine_steps / n_steps) ** 4
+    if error <= MAGNUS_TARGET or n_steps <= 2 * fine_steps:
+        return n_steps, pair_error, pilot if n_steps == fine_steps else None
+    products, steps = [coarse, fine], fine_steps
+    while 2 * steps <= n_steps:
+        steps *= 2
+        rung = _interval_maps(protocol, steps, math.gcd(steps, intervals),
+                              bath, gamma_d)[0]
+        products.append(_last_product(rung))
+        chosen = _read_rungs(*products[-3:], steps, intervals, protocol,
+                             gamma_d)
+        if chosen is not None:
+            n_read = max(chosen[0], in_radius)
+            return n_read, chosen[1], rung if n_read == steps else None
+        if steps == n_steps:
+            return n_steps, pair_error, rung
+    return n_steps, pair_error, None
 
 
 def _ladder_rule(protocol: FrequencyProtocol, bath: Optional[BathSpec],
                  gamma_d: float):
-    """Steps of an unsampled stroke from products of 64, 128 and 256 steps.
-
-    With d1 = |M128 - M64| and d2 = |M256 - M128| relative to max|M256|, a
-    ladder with d2 <= target / 4 and d1 <= 64 target is resolved at 256
-    steps with error d2.  Otherwise d1 / d2 from 64 to 96 reads as the N^-6
-    rate of the Magnus steps, with error d2 / 63 on the 256-step product,
-    and from 10 to 64 as the N^-4 rate of the spline knots, with error
-    d2 / 15: a mix of N^-4 and N^-6 terms gives a ratio between 16 and 64,
-    and its N^-4 reading bounds both its error and its decay.  Then
-    N = ceil(256 (error / target)^(1 / order)), and the 256-step product is
-    reused when it meets the target.
+    """Steps of an unsampled stroke from products of 64, 128 and 256 steps,
+    read by :func:`_read_rungs`; the 256-step product is reused when it
+    meets the target.
 
     Returns (N, the estimated error of the N-step product, its one interval
     map or None), or None when the 64-step rung's steps have h |G|_1 above
-    ``_STEP_NORM_BOUND`` or the ladder reads no order: the pilot rule then
-    decides.
+    ``_STEP_NORM_BOUND`` or the ladder reads no order: the doubling rule
+    then decides.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         # steps past the bound may overflow; their product is not used
@@ -499,28 +589,12 @@ def _ladder_rule(protocol: FrequencyProtocol, bath: Optional[BathSpec],
         return None
     middle, fine = (_interval_maps(protocol, n, 1, bath, gamma_d)[0]
                     for n in _LADDER_STEPS[1:])
-    scale = float(np.max(np.abs(fine)))
-    d1 = float(np.max(np.abs(middle - coarse))) / scale
-    d2 = float(np.max(np.abs(fine - middle))) / scale
-    if not math.isfinite(d1 + d2):
-        raise _not_finite(protocol)
-    base = _LADDER_STEPS[-1]
-    if d2 <= MAGNUS_TARGET / 4.0 and d1 <= 64.0 * MAGNUS_TARGET:
-        return base, d2, fine
-    ratio = d1 / d2 if d2 > 0.0 else math.inf
-    if 64.0 <= ratio <= 96.0:
-        order, error = 6, d2 / 63.0
-    elif 10.0 <= ratio < 64.0:
-        order, error = 4, d2 / 15.0
-    else:
+    chosen = _read_rungs(coarse, middle, fine, _LADDER_STEPS[-1], 1,
+                         protocol, gamma_d)
+    if chosen is None:
         return None
-    if error <= MAGNUS_TARGET:
-        return base, error, fine
-    needed = base * (error / MAGNUS_TARGET) ** (1.0 / order)
-    if needed > _MAX_STEPS:
-        raise _too_many_steps(needed, protocol, gamma_d, error=error)
-    n_steps = math.ceil(needed)
-    return n_steps, error * (base / n_steps) ** order, None
+    n_steps, error = chosen
+    return n_steps, error, fine if n_steps == _LADDER_STEPS[-1] else None
 
 
 def _not_finite(protocol: FrequencyProtocol) -> NumericalError:
@@ -537,13 +611,13 @@ def stroke_propagators(protocol: FrequencyProtocol,
     ``n_samples`` uniform times.  A stroke of two samples, its transfer
     matrix alone, takes N from a ladder of 64-, 128- and 256-step products
     whose successive differences give the order and the error
-    (:func:`_ladder_rule`), or from the pilot rule where the ladder's
+    (:func:`_ladder_rule`), or from the doubling rule where the ladder's
     coarsest steps are past ``_STEP_NORM_BOUND`` or it reads no order.  Any
-    other stroke takes N from two pilot products of 400 and 800
-    steps, at least 800 and a multiple of the sample intervals
-    (:func:`_pilot_rule`).  The interval maps of the N-step product, reused
-    when the rule has made them, are accumulated by one log-depth prefix
-    scan.
+    other stroke takes N, at least 800 and a multiple of the sample
+    intervals, from a doubling ladder of 400-, 800-, 1600-, ... step
+    products (:func:`_doubling_rule`).  The interval maps of the N-step
+    product, reused when the rule has made them, are accumulated by one
+    blocked prefix scan.
 
     Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
     ``maps[-1]`` is the stroke's transfer matrix
@@ -560,8 +634,8 @@ def stroke_propagators(protocol: FrequencyProtocol,
         return Propagators(np.zeros(1), np.eye(5)[None], 0, 0.0)
     intervals = n_samples - 1
     chosen = _ladder_rule(protocol, bath, gamma_d) if intervals == 1 else None
-    n_steps, error, maps = chosen or _pilot_rule(protocol, intervals, bath,
-                                                 gamma_d)
+    n_steps, error, maps = chosen or _doubling_rule(protocol, intervals, bath,
+                                                    gamma_d)
     if maps is None:
         maps = _interval_maps(protocol, n_steps, intervals, bath, gamma_d)[0]
     maps = np.concatenate((np.eye(5)[None], _prefix_products(maps)))

@@ -338,9 +338,8 @@ def _open_states(rho0: np.ndarray, protocol: FrequencyProtocol, bath: BathSpec,
 
     def rho_rhs(t, y):
         rho = y.reshape(dim, dim)
-        w = float(protocol.omega(t))
-        k_down, k_up, _ = dressed_rates(w, float(protocol.omega_dot(t)) / w**2,
-                                        bath)
+        w, w_dot = (float(x) for x in protocol.frequency(t))
+        k_down, k_up, _ = dressed_rates(w, w_dot / w**2, bath)
         # rho B = (B rho)^dag for Hermitian rho and B; the jump terms are made
         # Hermitian to the last bit, so that rho_int stays Hermitian and no
         # anti-Hermitian rounding is amplified by this form

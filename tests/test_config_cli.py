@@ -142,6 +142,22 @@ class TestCli:
         assert (tmp_path / "nest").is_dir()
         assert not (tmp_path / "nest" / "a").exists()
 
+    def test_failed_run_through_dotdot_creates_the_named_path(
+            self, tmp_path, capsys, monkeypatch):
+        # x/../y names y: x is neither created nor left behind, and a y that
+        # existed before is kept
+        monkeypatch.chdir(tmp_path)
+        argv = ["cycle", "--preset", "carnot-shortcut", "--cycle-time", "9",
+                "--out", "x/../y"]
+        assert main(argv) == 1
+        assert not (tmp_path / "x").exists()
+        assert not (tmp_path / "y").exists()
+        (tmp_path / "y").mkdir()
+        (tmp_path / "y" / "keep.txt").write_text("x")
+        assert main(argv) == 1
+        assert not (tmp_path / "x").exists()
+        assert (tmp_path / "y" / "keep.txt").read_text() == "x"
+
     def test_validate_warns_on_literal(self, capsys):
         rc = main(["validate", "--preset", "table1-literal"])
         assert rc == 0

@@ -8,7 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
-                            dressed_rates, thermal_observable_vector)
+                            _GridSpline, dressed_rates,
+                            thermal_observable_vector)
 from carnotlab import dynamics
 from carnotlab.cycle_engine import (StrokeDescriptor, assemble_cycle,
                                     run_to_limit_cycle)
@@ -205,6 +206,50 @@ def _dop853_transfer_matrix(stroke):
     return sol.y[:, -1].reshape(5, 5)
 
 
+class TestPairedFrequency:
+    """FrequencyProtocol.frequency, the one pass behind omega, omega_dot, mu,
+    sample and the Magnus nodes, against each curve evaluated alone."""
+
+    @staticmethod
+    def _curves_alone(prot):
+        """omega and omega_dot as separate callables of a clamped time."""
+        if prot.grid_times is not None:
+            t = prot.grid_times
+            h = (t[-1] - t[0]) / (len(t) - 1)
+            splines = [_GridSpline(t[0], h, y[None])
+                       for y in (prot.grid_omega, prot.grid_omega_dot)]
+            return [lambda x, f=f: f(x, 1)[0] for f in splines]
+        return prot._frequency_fn.omega_fn, prot._frequency_fn.omega_dot_fn
+
+    @pytest.mark.parametrize("kind", ["grid", "closed-form", "constant"])
+    def test_bit_identical_to_separate_calls(self, kind):
+        if kind == "grid":
+            t = np.linspace(0.0, 2.0, 41)
+            prot = FrequencyProtocol.from_grid(t, 5.0 + np.sin(t), np.cos(t))
+        elif kind == "closed-form":
+            prot, _ = build_sta_protocol(5.0, 10.0, 2.0)
+        else:
+            prot = FrequencyProtocol.constant(4.0, 2.0)
+        omega_alone, omega_dot_alone = self._curves_alone(prot)
+        times = [-0.5, 0.0, 0.3, 1.0, 2.0, 2.5, math.nan]
+        rng = np.random.default_rng(12)
+        for t in (*times, np.float64(0.7), np.asarray(0.7), np.array(times),
+                  rng.uniform(-0.5, 2.5, (3, 64))):
+            clamped = prot._clamp(t)
+            w, wd = omega_alone(clamped), omega_dot_alone(clamped)
+            pair = prot.frequency(t)
+            for got, want in ((pair[0], w), (pair[1], wd), (prot.omega(t), w),
+                              (prot.omega_dot(t), wd),
+                              (prot.mu(t), wd / w**2)):
+                assert np.shape(got) == np.shape(want), t
+                assert np.array_equal(got, want, equal_nan=True), t
+        _, w, wd, mu = prot.sample(101)
+        grid = np.linspace(0.0, 2.0, 101)
+        assert np.array_equal(w, omega_alone(grid))
+        assert np.array_equal(wd, omega_dot_alone(grid))
+        assert np.array_equal(mu, wd / w**2)
+
+
 def _random_stack(rng, norms):
     """5x5 matrices with the given 1-norms."""
     x = rng.standard_normal((len(norms), 5, 5))
@@ -298,13 +343,16 @@ class TestStackedExponential:
         for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
             calls.clear()
             n = stroke_propagators(s.protocol, s.bath, s.gamma_d).steps
-            # the 400- and 800-step pilots, then the chosen steps unless
-            # they are the finer pilot's
-            assert sum(len(x) for x, _ in calls) == 1200 + (n if n != 800 else 0)
+            # the rungs of the doubling ladder, 400, 800, ... 400 * 2^(k - 1)
+            # steps, then the chosen steps unless they are the last rung's
+            total = sum(len(x) for x, _ in calls)
+            assert any(total == 400 * (2**k - 1)
+                       + (0 if n == 400 * 2**(k - 1) else n)
+                       for k in range(2, 9))
             first = 0
             pilot_only, used = [], []
             for x, e in calls:
-                kept = first >= (400 if n == 800 else 1200)
+                kept = first >= total - n
                 (used if kept else pilot_only).append((x, e))
                 first += len(x)
             # every step of the returned propagator
@@ -346,8 +394,8 @@ class TestStrokePropagators:
             assert np.max(np.abs(m - ref)) <= 1e-10 * np.max(np.abs(ref)), s.label
 
     @pytest.mark.parametrize("preset,n_samples,steps", [
-        ("carnot-shortcut", dynamics.DEFAULT_SAMPLES, [8000, 800, 4800, 800]),
-        ("carnot-shortcut", 2, [7587, 256, 4404, 344]),
+        ("carnot-shortcut", dynamics.DEFAULT_SAMPLES, [3200, 800, 3200, 800]),
+        ("carnot-shortcut", 2, [3200, 256, 3200, 344]),
         ("endo-global", dynamics.DEFAULT_SAMPLES, [800, 800, 800, 800]),
         ("endo-global", 2, [800, 800, 800, 800])])
     def test_step_counts_at_tau_250(self, preset, n_samples, steps):
@@ -355,6 +403,40 @@ class TestStrokePropagators:
         spec = get_preset(preset, cycle_time=250.0)
         assert run_to_limit_cycle(
             spec, n_samples=n_samples).magnus_steps == steps
+
+    def test_sampled_strokes_evaluate_the_fewest_steps(self, monkeypatch):
+        # the open strokes read their order on the 800/1600/3200 rungs and
+        # reuse the 3200-step rung: 6000 steps each, the adiabats 1200
+        rows = []
+        original = dynamics._magnus_steps
+
+        def counted(protocol, starts, *args):
+            rows.append(len(starts))
+            return original(protocol, starts, *args)
+
+        monkeypatch.setattr(dynamics, "_magnus_steps", counted)
+        run_to_limit_cycle(get_preset("carnot-shortcut", cycle_time=250.0))
+        assert sum(rows) <= 14400
+
+    @pytest.mark.parametrize("preset,tau,gamma_d,steps", [
+        ("carnot-shortcut", 16.0, 0.0, [347, 256, 315, 344]),
+        ("carnot-shortcut", 18.0, 0.0, [395, 256, 352, 344]),
+        ("carnot-shortcut", 20.0, 0.0, [429, 256, 384, 344]),
+        ("carnot-shortcut", 23.0, 0.0, [484, 256, 428, 344]),
+        ("carnot-shortcut", 26.0, 0.0, [800, 256, 470, 344]),
+        ("carnot-shortcut", 30.0, 0.0, [800, 256, 800, 344]),
+        ("carnot-shortcut", 33.0, 0.0, [800, 256, 800, 344]),
+        ("carnot-shortcut", 36.0, 0.0, [851, 256, 800, 344]),
+        ("carnot-shortcut", 40.0, 0.0, [941, 256, 800, 344]),
+        ("carnot-shortcut", 44.0, 0.0, [1029, 256, 860, 344]),
+        *(("endo-global", 8.0, g, [256] * 4)
+          for g in (0.0,) + KILL_SWITCH_GAMMAS)])
+    def test_sweep_step_counts(self, preset, tau, gamma_d, steps):
+        # the two-sample strokes of the short sweeps: the first pilot pair
+        # decides every one that the 64/128/256 ladder leaves
+        spec = get_preset(preset, cycle_time=tau, gamma_dephasing=gamma_d)
+        assert [stroke_propagators(s.protocol, s.bath, s.gamma_d, 2).steps
+                for s in assemble_cycle(spec)] == steps
 
     def test_steps_are_sixth_order(self):
         # doubling the steps of a smooth stroke cuts the error 2^6-fold
@@ -406,6 +488,14 @@ class TestStrokePropagators:
         # three samples keep the 400/800 pilots that two samples leave
         for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
             self._assert_error_estimate_is_honest(s, n_samples=3)
+
+    @pytest.mark.parametrize("preset,tau", DOP853_PRESETS)
+    def test_sampled_error_estimate_is_honest(self, preset, tau):
+        # the sampled strokes of a cycle, whose open strokes at tau = 250
+        # read their order on the doubling ladder
+        for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
+            self._assert_error_estimate_is_honest(
+                s, n_samples=dynamics.DEFAULT_SAMPLES)
 
     @pytest.mark.parametrize("ratio,tau", [(1.8, 20.0), (2.5, 20.0),
                                            (2.5, 30.0)])
@@ -490,6 +580,26 @@ class TestStrokePropagators:
             maps = rng.normal(size=(n, 5, 5)) / 2.0
             assert np.array_equal(dynamics._last_product(maps),
                                   dynamics._prefix_products(maps)[-1]), n
+
+    def test_blocked_scan_across_block_edges(self):
+        # sizes on both sides of one, two and three levels of blocks: every
+        # map of the scan is the last product of the maps up to it, and
+        # within roundoff of the sequential product
+        rng = np.random.default_rng(11)
+        b = dynamics._SCAN_BLOCK
+        for n in (b - 1, b, b + 1, b * b - 1, b * b, b * b + 1,
+                  b**3 - 1, b**3 + 1, 3 * b * b + 5):
+            maps = np.eye(5) + rng.normal(size=(n, 5, 5)) / 10.0
+            scan = dynamics._prefix_products(maps)
+            phi, sequential = np.eye(5), []
+            for m in maps:
+                phi = m @ phi
+                sequential.append(phi)
+            assert np.max(np.abs(scan - sequential)) <= \
+                1e-14 * np.max(np.abs(sequential)), n
+            for j in {0, b - 1, b, n // 2, n - 2, n - 1} & set(range(n)):
+                assert np.array_equal(dynamics._last_product(maps[:j + 1]),
+                                      scan[j]), (n, j)
 
     def test_one_scan_per_stroke(self, monkeypatch):
         # the open strokes take more steps than the finer pilot, whose
