@@ -6,7 +6,7 @@ cycle to a result directory), ``sweep`` (one ledger per axis value),
 All outputs are deterministic CSV/JSON; there is no plotting dependency.
 
 Exit codes: 0 success, 1 compute error (builder/convergence/numerics),
-2 configuration error.
+2 configuration error, a ``protocol`` argument outside its domain included.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import __version__
 from .config import RunConfig, parse_config_dict, read_config
 from .core import BathSpec, write_csv, write_json
 from .cycle_engine import export_cycle_result, run_to_limit_cycle
-from .errors import CarnotLabError, ConfigError
+from .errors import CarnotLabError, ConfigError, DomainError
 from .presets import DEFAULT_CYCLE_TIME, PRESET_NAMES
 from .protocols import (build_constant_mu_protocol, build_sta_protocol,
                         build_ste_nonthermal_protocol, build_ste_protocol,
@@ -99,25 +99,28 @@ def _cmd_protocol(args) -> int:
             raise ConfigError(f"{key} must be finite, got {v}")
     if kind != "constmu" and args.t_f is None:
         raise ConfigError(f"{kind} protocols need --t-f")
-    if kind == "sta":
-        protocol, _ = build_sta_protocol(args.omega_initial, args.omega_final,
-                                         args.t_f)
-    elif kind == "ste":
-        bath = BathSpec(args.bath_temperature, args.coupling)
-        if args.internal_temperature is not None:
-            protocol, _ = build_ste_nonthermal_protocol(
-                args.omega_initial, args.omega_final, args.t_f,
-                args.internal_temperature, bath)
+    if kind == "constmu" and args.mu is None:
+        raise ConfigError("constmu protocols need --mu")
+    try:
+        # the bath's and the builders' argument checks are the only
+        # DomainErrors here: a flag value outside its domain
+        if kind == "sta":
+            protocol, _ = build_sta_protocol(
+                args.omega_initial, args.omega_final, args.t_f)
+        elif kind == "ste":
+            bath = BathSpec(args.bath_temperature, args.coupling)
+            if args.internal_temperature is not None:
+                protocol, _ = build_ste_nonthermal_protocol(
+                    args.omega_initial, args.omega_final, args.t_f,
+                    args.internal_temperature, bath)
+            else:
+                protocol, _ = build_ste_protocol(
+                    args.omega_initial, args.omega_final, args.t_f, bath)
         else:
-            protocol, _ = build_ste_protocol(args.omega_initial,
-                                             args.omega_final, args.t_f, bath)
-    elif kind == "constmu":
-        if args.mu is None:
-            raise ConfigError("constmu protocols need --mu")
-        protocol = build_constant_mu_protocol(args.omega_initial,
-                                              args.omega_final, args.mu)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown protocol kind {kind}")
+            protocol = build_constant_mu_protocol(
+                args.omega_initial, args.omega_final, args.mu)
+    except DomainError as err:
+        raise ConfigError(str(err)) from None
     with _out_dir(args.out, "protocol") as out:
         csv_path = os.path.join(out, f"{kind}_protocol.csv")
         save_protocol(protocol, csv_path,

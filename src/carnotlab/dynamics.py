@@ -470,10 +470,11 @@ def _read_rungs(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, base: int,
     stop at base where the N^-4 one would not is read as N^-4: on
     endo-shortcut@250's open expansion the 800/1600/3200 ratio is 74, but an
     N^-4 term takes over from 3200 steps, and d2 / 63 is 3.5 times below the
-    error there.  Any other ratio reads no order.  N is base where base meets the target, or else the fewest steps
-    that the order puts at the target; either is rounded up to a multiple of
-    ``intervals``.  Raises NumericalError on a non-finite difference and
-    where N would be more than ``_MAX_STEPS``.
+    error there.  Any other ratio reads no order.  N is base where base
+    meets the target, or else the fewest steps that the order puts at the
+    target; either is rounded up to a multiple of ``intervals``.  Raises
+    NumericalError on a non-finite difference and where N would be more
+    than ``_MAX_STEPS``.
     """
     scale = float(np.max(np.abs(m2)))
     d1 = float(np.max(np.abs(m1 - m0))) / scale
@@ -518,12 +519,13 @@ def _doubling_rule(protocol: FrequencyProtocol, intervals: int,
     sends to at most twice the finer pilot's steps.  Any other stroke climbs
     the ladder, doubling the steps up to the pair's N, until its last three
     rungs read the order of convergence (:func:`_read_rungs`); a ladder that
-    reads none leaves the pair's N.  Each rung is sampled at the stroke's
-    intervals, as far as its steps divide into them, so that the rung N
-    falls on is reused.
+    reads none leaves the pair's N.  The finer pilot and each rung are
+    sampled at the stroke's intervals, as far as their steps divide into
+    them, so that the pilot's maps are reused where the pair decides N as
+    its steps, and a rung's where its own reading does.
 
     Returns (N, the estimated error of the N-step product, its interval
-    maps when a rung has made them or else None).
+    maps when the finer pilot or a rung has made them or else None).
     """
     coarse_steps, fine_steps = _PILOT_STEPS
     while True:
@@ -565,8 +567,6 @@ def _doubling_rule(protocol: FrequencyProtocol, intervals: int,
         if chosen is not None:
             n_read = max(chosen[0], in_radius)
             return n_read, chosen[1], rung if n_read == steps else None
-        if steps == n_steps:
-            return n_steps, pair_error, rung
     return n_steps, pair_error, None
 
 

@@ -51,10 +51,7 @@ ORACLE_ATOL = 1e-10
 #: region reaches -6.39 on the real axis and +-5.96 on the imaginary one).  A
 #: solve steps at most C / r, where r bounds the spectral radius of its
 #: right-hand side, so that modes which have decayed below the error estimate
-#: cannot grow again.  Without the bound, when static strokes were still
-#: integrated, a long static open stroke drifted by 1e-5 of max <H> (T =
-#: 2.26) and a static dephasing stroke by 1e-3 (a thermal state, gamma_d =
-#: 0.02, T = 1).
+#: cannot grow again.
 #:
 #: C for the dissipator of rho_int, with r = 2 |b|^2 max(k_down + k_up).  It
 #: stays well inside the region because a short stroke then takes one or two

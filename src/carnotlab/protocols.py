@@ -40,11 +40,24 @@ INVERSION_MAX_ITER = 80
 INVERSION_TOL = 1e-12
 
 
-def _require_finite(**arguments) -> None:
-    """Raise DomainError naming the first argument that is NaN or infinite."""
-    for name, value in arguments.items():
-        if not math.isfinite(value):
+def _check_arguments(omega_initial, omega_final, t_f=None, mu=None,
+                     internal_temperature=None) -> None:
+    """The argument check of every builder: raise DomainError naming the
+    first argument that is NaN or infinite, then for a non-positive
+    frequency, duration or internal temperature.  None is an argument that
+    the builder does not take."""
+    for name, value in (("omega_initial", omega_initial),
+                        ("omega_final", omega_final), ("t_f", t_f),
+                        ("mu", mu),
+                        ("internal_temperature", internal_temperature)):
+        if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+    if omega_initial <= 0 or omega_final <= 0:
+        raise DomainError("frequencies must be positive")
+    if t_f is not None and t_f <= 0:
+        raise DomainError("stroke duration must be positive")
+    if internal_temperature is not None and internal_temperature <= 0:
+        raise DomainError("internal temperature must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +76,6 @@ def _quintic(y0, y1, dy0, dy1, d2y0, d2y1):
     m = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
     a[3:] = np.linalg.solve(m, rhs)
     return Polynomial(a)
-
-
-def _smoothstep(y0, y1):
-    """Quintic with vanishing first and second derivatives at both ends."""
-    return _quintic(y0, y1, 0.0, 0.0, 0.0, 0.0)
 
 
 class _PolyEval:
@@ -127,16 +135,11 @@ def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float):
     anywhere (the trap would have to become repulsive) the ramp is refused
     with ``InvalidProtocol`` carrying the first violating time.
     """
-    _require_finite(omega_initial=omega_initial, omega_final=omega_final,
-                    t_f=t_f)
-    if omega_initial <= 0 or omega_final <= 0:
-        raise DomainError("frequencies must be positive")
-    if t_f <= 0:
-        raise DomainError("stroke duration must be positive")
+    _check_arguments(omega_initial, omega_final, t_f=t_f)
 
     rho0 = 1.0 / math.sqrt(omega_initial)
     rho1 = rho0 * math.sqrt(omega_initial / omega_final)
-    poly = _smoothstep(rho0, rho1)
+    poly = _quintic(rho0, rho1, 0.0, 0.0, 0.0, 0.0)
 
     omega_fn = _StaOmega(poly, t_f, order=0)
     omega_dot_fn = _StaOmega(poly, t_f, order=1)
@@ -204,9 +207,7 @@ def constant_mu_duration(omega_initial: float, omega_final: float, mu: float) ->
 def build_constant_mu_protocol(omega_initial: float, omega_final: float,
                                mu: float) -> FrequencyProtocol:
     """Closed-form drive w(t) = w_i/(1 - mu w_i t) ending exactly at w_f."""
-    _require_finite(omega_initial=omega_initial, omega_final=omega_final, mu=mu)
-    if omega_initial <= 0 or omega_final <= 0:
-        raise DomainError("frequencies must be positive")
+    _check_arguments(omega_initial, omega_final, mu=mu)
     if omega_initial == omega_final:
         return FrequencyProtocol.constant(
             omega_initial, 0.0, meta={"family": "constant_mu", "mu": 0.0,
@@ -317,7 +318,6 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
     omega = -beta * KB * temp / HBAR  # quasi-static initial guess
     omega = np.clip(omega, 1e-3 * scale, 50.0 * scale)
     mu = np.zeros_like(omega)
-    t_f = times[-1]
 
     for it in range(INVERSION_MAX_ITER):
         ck = np.sqrt(np.maximum(1.0 - 0.25 * mu**2, 0.0))
@@ -401,16 +401,8 @@ def _scalar_root(ck, n_eq, dcoef, temp, w_prev, scale, t):
 def _build_ste(omega_initial, omega_final, t_f, bath, internal_temperature=None):
     """The open stroke between Gibbs states at ``internal_temperature``, or
     at the bath's temperature when it is None."""
-    _require_finite(omega_initial=omega_initial, omega_final=omega_final,
-                    t_f=t_f)
-    if internal_temperature is not None:
-        _require_finite(internal_temperature=internal_temperature)
-        if internal_temperature <= 0:
-            raise DomainError("internal temperature must be positive")
-    if omega_initial <= 0 or omega_final <= 0:
-        raise DomainError("frequencies must be positive")
-    if t_f <= 0:
-        raise DomainError("stroke duration must be positive")
+    _check_arguments(omega_initial, omega_final, t_f=t_f,
+                     internal_temperature=internal_temperature)
 
     temp = bath.temperature if internal_temperature is None \
         else internal_temperature
@@ -442,14 +434,8 @@ def _build_ste(omega_initial, omega_final, t_f, bath, internal_temperature=None)
     beta = np.log(y)
     beta_dot = ydot / y
 
-    if omega_initial == omega_final and abs(beta0 - beta1) < 1e-15 \
-            and dy0 == 0.0 and dy1 == 0.0:
-        omega = np.full_like(times, float(omega_initial))
-        omega_dot = np.zeros_like(times)
-        alpha = omega.copy()
-    else:
-        omega, omega_dot, alpha = _invert_frequency(
-            times, beta, beta_dot, bath, omega_initial, omega_final)
+    omega, omega_dot, alpha = _invert_frequency(
+        times, beta, beta_dot, bath, omega_initial, omega_final)
 
     protocol = FrequencyProtocol.from_grid(times, omega, omega_dot, meta=meta)
     solution = SteSolution(

@@ -2,13 +2,20 @@ import json
 
 import pytest
 
-from carnotlab import cli
+from carnotlab import cli, protocols
 from carnotlab.cli import main
 from carnotlab.config import load_config, parse_config_dict
 from carnotlab import thermo
-from carnotlab.core import CycleKind
+from carnotlab.core import CycleKind, CycleSpec
 from carnotlab.errors import CarnotLabError, ConfigError
 from carnotlab.presets import PRESET_NAMES, get_preset
+from carnotlab.protocols import load_protocol
+
+#: A full spec, with no preset behind it.
+FULL_SPEC = {"kind": "carnot-shortcut", "omega1": 10.0, "omega2": 8.0,
+             "omega3": 5.0, "omega4": 6.25, "t_hot_bath": 8.0,
+             "t_cold_bath": 5.0, "open_stroke_duration": 10.0,
+             "adiabat_duration": 5.0}
 
 
 class TestConfig:
@@ -46,13 +53,24 @@ class TestConfig:
         assert cfg.build_spec().cycle_time_units == pytest.approx(40.0)
 
     def test_full_spec_without_preset(self):
-        cfg = parse_config_dict({
-            "spec": {"kind": "carnot-shortcut", "omega1": 10.0, "omega2": 8.0,
-                     "omega3": 5.0, "omega4": 6.25, "t_hot_bath": 8.0,
-                     "t_cold_bath": 5.0, "open_stroke_duration": 10.0,
-                     "adiabat_duration": 5.0}})
+        cfg = parse_config_dict({"spec": FULL_SPEC})
         spec = cfg.build_spec()
         assert spec.omega2 == 8.0
+
+    def test_full_spec_with_cycle_time(self):
+        spec = parse_config_dict({"spec": FULL_SPEC,
+                                  "cycle_time": 40}).build_spec()
+        assert spec == CycleSpec(**FULL_SPEC).with_cycle_time(40.0)
+        assert spec.cycle_time_units == pytest.approx(40.0)
+        assert spec.omega2 == 8.0
+
+    @pytest.mark.parametrize("raw,message", [
+        (["preset", "endo-global"], "configuration root must be a mapping"),
+        ({"preset": "endo-global", "spec": [1, 2]}, "'spec' must be a mapping"),
+    ], ids=["root", "spec"])
+    def test_not_a_mapping(self, raw, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config_dict(raw)
 
     @pytest.mark.parametrize("text,key", [
         ("preset: carnot-shortcut\njobs: two\n", "jobs"),
@@ -318,6 +336,25 @@ class TestCli:
         assert err.startswith("ConfigError") and "--values" in err
         assert not out.exists()
 
+    def test_compare_needs_a_preset(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--presets", ",", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "ConfigError: compare needs --presets\n"
+        assert not out.exists()
+
+    def test_compare_at_the_cycle_time(self, tmp_path):
+        # without --values, one point at the cycle time
+        out = tmp_path / "cmp"
+        assert main(["compare", "--presets", "endo-global", "--cycle-time",
+                     "40", "--out", str(out)]) == 0
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("endo-global,40,ok,")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["axis"] == "cycle_time"
+        assert manifest["values"] == [40.0]
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CARNOTLAB_OUT", str(tmp_path))
         rc = main(["protocol", "constmu", "6", "5", "--mu", "-0.1"])
@@ -418,6 +455,126 @@ class TestFrontEndErrors:
         assert main([*argv, "--out", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: out") and str(path) in err
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("name,text,message", [
+        ("bad.yaml", "preset: [endo-global\n", "could not parse"),
+        ("bad.json", '{"preset": "endo-global"', "could not parse"),
+        ("list.yaml", "- endo-global\n- 8\n",
+         "configuration root must be a mapping"),
+        ("list.json", '["endo-global", 8]',
+         "configuration root must be a mapping"),
+    ], ids=["yaml", "json", "yaml-root", "json-root"])
+    def test_unreadable_config_exit_code_2(self, tmp_path, capsys, name,
+                                           text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["cycle", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: {message}")
+        assert not (tmp_path / "o").exists()
+
+
+class TestProtocolCommand:
+    """``carnotlab protocol``: a flag value outside its domain is a
+    configuration error (exit 2), a stroke that cannot be built a compute
+    error (exit 1); neither leaves an output directory."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sta", "5", "10", "-1"], "stroke duration must be positive"),
+        (["ste", "10", "8", "5", "--bath-temperature", "-1"],
+         "bath temperature must be positive, got -1.0"),
+        (["constmu", "6", "5", "--mu", "0.1"],
+         "mu=0.1 has the wrong sign for 6.0 -> 5.0: the drive runs into its "
+         "pole"),
+        (["sta", "0", "10", "5"], "frequencies must be positive"),
+        (["ste", "10", "-8", "5"], "frequencies must be positive"),
+        (["ste", "10", "8", "0"], "stroke duration must be positive"),
+        (["ste", "10", "8", "5", "--coupling", "0"],
+         "bath coupling must be positive, got 0.0"),
+        (["ste", "10", "8", "5", "--internal-temperature", "-2"],
+         "internal temperature must be positive"),
+        (["constmu", "6", "5", "--mu", "-2.5"], "|mu| must be below 2"),
+        (["constmu", "6", "5", "--mu", "0"],
+         "mu must be nonzero for a frequency-changing stroke"),
+    ], ids=["sta-t-f", "ste-bath", "constmu-sign", "sta-omega", "ste-omega",
+            "ste-t-f", "ste-coupling", "ste-internal", "constmu-bound",
+            "constmu-zero"])
+    def test_out_of_domain_exit_code_2(self, tmp_path, capsys, argv,
+                                       message):
+        out = tmp_path / "bad"
+        assert main(["protocol", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,error", [
+        (["ste", "10", "8", "0.01"], "InfeasibleStroke"),
+        (["sta", "5", "10", "0.05"], "InvalidProtocol"),
+        (["ste", "10", "8", "20"], "ProtocolInversionFailure"),
+    ], ids=["infeasible", "invalid", "inversion"])
+    def test_compute_error_exit_code_1(self, tmp_path, capsys, monkeypatch,
+                                       argv, error):
+        if error == "ProtocolInversionFailure":
+            # one fixed-point iteration cannot converge
+            monkeypatch.setattr(protocols, "INVERSION_MAX_ITER", 1)
+        out = tmp_path / "bad"
+        assert main(["protocol", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"{error}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sta", "5", "10"], "sta protocols need --t-f"),
+        (["ste", "10", "8"], "ste protocols need --t-f"),
+        (["constmu", "6", "5"], "constmu protocols need --mu"),
+    ], ids=["sta", "ste", "constmu"])
+    def test_missing_flag_exit_code_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "bad"
+        assert main(["protocol", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,family", [
+        ([], "ste"),
+        (["--internal-temperature", "8"], "ste-nonthermal"),
+    ], ids=["thermal", "internal-temperature"])
+    def test_ste(self, tmp_path, capsys, flags, family):
+        out = tmp_path / "p"
+        assert main(["protocol", "ste", "10", "8", "20", "--bath-temperature",
+                     "8", *flags, "--out", str(out)]) == 0
+        csv_path = out / "ste_protocol.csv"
+        assert capsys.readouterr().out == f"{csv_path}\n"
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "t,omega,omega_dot,mu"
+        assert len(lines) == 1 + protocols.DEFAULT_GRID_POINTS
+        first = [float(x) for x in lines[1].split(",")]
+        last = [float(x) for x in lines[-1].split(",")]
+        assert first[:2] == [0.0, 10.0]
+        assert last[0] == 20.0
+        assert last[1] == pytest.approx(8.0, rel=1e-12)
+        header = json.loads((out / "ste_protocol.json").read_text())
+        assert header["meta"]["family"] == family
+        assert header["samples"] == protocols.DEFAULT_GRID_POINTS
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["kind"] == "ste"
+        assert manifest["arguments"]["internal_temperature"] == \
+            (8.0 if flags else None)
+
+    def test_zero_duration_constmu_round_trip(self, tmp_path):
+        out = tmp_path / "p"
+        assert main(["protocol", "constmu", "5", "5", "--mu", "0.1",
+                     "--out", str(out)]) == 0
+        csv_path = out / "constmu_protocol.csv"
+        json_path = out / "constmu_protocol.json"
+        assert csv_path.read_text() == "t,omega,omega_dot,mu\n0,5,0,0\n"
+        header = json.loads(json_path.read_text())
+        assert header["duration"] == 0.0 and header["samples"] == 1
+        loaded = load_protocol(csv_path, json_path)
+        assert loaded.duration == 0.0
+        assert float(loaded.omega(0.0)) == 5.0
+        assert float(loaded.omega_dot(0.0)) == 0.0
+        assert loaded.meta["family"] == "constant_mu"
 
 
 class TestCompareTable:

@@ -15,7 +15,8 @@ from carnotlab.fock_oracle import (COHERENT_STEP_RADIUS, OPEN_STEP_RADIUS,
                                    build_jump_operator, gaussian_fock_state,
                                    integrate_lindblad, ladder,
                                    thermal_fock_state)
-from carnotlab.protocols import build_constant_mu_protocol
+from carnotlab.protocols import (build_constant_mu_protocol,
+                                 build_ste_protocol)
 
 
 def joint_reference(rho0, protocol, bath, gamma_d, n_samples=41):
@@ -257,6 +258,12 @@ class TestStaticStrokes:
         rho0 = thermal_fock_state(5.0, 1.0, 8)
         integrate_lindblad(rho0, FrequencyProtocol.constant(5.0, 1.0),
                            n_samples=5, **medium)
+
+    def test_equal_frequency_open_stroke_takes_no_solve(self, no_solver):
+        bath = BathSpec(8.0, 0.05)
+        prot, _ = build_ste_protocol(5.0, 5.0, 2.0, bath)
+        rho0 = thermal_fock_state(5.0, 3.0, 40)
+        integrate_lindblad(rho0, prot, bath=bath, n_samples=5)
 
     def test_driven_stroke_still_solves(self, no_solver):
         rho0 = thermal_fock_state(5.0, 1.0, 8)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -131,6 +132,16 @@ class TestSteBuilder:
         t = np.linspace(0, 10.0, 64)
         assert np.allclose(prot.omega(t), 8.0, rtol=1e-12)
         assert np.allclose(sol.alpha_grid, 8.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("temperature", [3.0, 8.0])
+    @pytest.mark.parametrize("omega", [5.0, 8.0, 10.0])
+    def test_equal_frequencies_static_grid(self, omega, temperature):
+        # the inversion itself returns a frozen drive
+        prot, _ = build_ste_protocol(omega, omega, 10.0,
+                                     BathSpec(temperature, 0.05))
+        assert np.ptp(prot.grid_omega) == 0.0
+        assert not np.any(prot.grid_omega_dot)
+        assert abs(prot.grid_omega[0] - omega) <= 4 * np.spacing(omega)
 
     def test_endpoints_exact(self, hot_bath):
         prot, _ = build_ste_protocol(10.0, 8.0, 15.0, hot_bath)
@@ -268,6 +279,27 @@ class TestNonFiniteArguments:
         build, kwargs = VALID_BUILDS[builder]
         build(**kwargs)
         with pytest.raises(DomainError, match=f"^{argument} must be finite"):
+            build(**{**kwargs, argument: value})
+
+
+class TestArgumentCheck:
+    """Every builder refuses an argument outside its domain with the same
+    check and message."""
+
+    @pytest.mark.parametrize("builder,argument,value,message", [
+        *((name, arg, value, "frequencies must be positive")
+          for name in VALID_BUILDS
+          for arg in ("omega_initial", "omega_final") for value in (0.0, -5.0)),
+        *((name, "t_f", value, "stroke duration must be positive")
+          for name in ("sta", "ste", "ste-nonthermal") for value in (0.0, -1.0)),
+        *(("ste-nonthermal", "internal_temperature", value,
+           "internal temperature must be positive") for value in (0.0, -8.0)),
+        *(("constmu", "mu", value, "|mu| must be below 2")
+          for value in (2.0, -2.0, 3.5)),
+    ])
+    def test_domain_error_message(self, builder, argument, value, message):
+        build, kwargs = VALID_BUILDS[builder]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build(**{**kwargs, argument: value})
 
 
