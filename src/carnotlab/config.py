@@ -61,7 +61,9 @@ def parse_config_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    spec_part = raw.get("spec", {}) or {}
+    # a ``spec:`` with no value is an empty spec; any other value that is
+    # not a mapping, a falsy one included, is refused
+    spec_part = {} if raw.get("spec") is None else raw["spec"]
     if not isinstance(spec_part, dict):
         raise ConfigError("'spec' must be a mapping")
     bad = set(spec_part) - _SPEC_KEYS
@@ -136,7 +138,8 @@ def read_config(path: str) -> dict:
             raw = yaml.safe_load(text)
     except (yaml.YAMLError, json.JSONDecodeError) as err:
         raise ConfigError(f"could not parse {path}: {err}") from err
-    raw = raw or {}
+    if raw is None:  # an empty file
+        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
     return raw

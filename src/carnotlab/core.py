@@ -256,43 +256,58 @@ class _CurvePair:
         return (w, self.omega_dot_fn(t)) if curves == 2 else (w,)
 
 
-class _ConstantFn:
-    """Constant function of time: ``value`` in the shape of ``t``."""
+class ConstantMuFrequency:
+    """omega(t) = w_i / (1 - mu w_i t) and omega_dot(t) = mu omega(t)^2 of the
+    drive at constant adiabatic speed mu, or omega(t) alone; at mu = 0 it is
+    the constant drive, w_i with omega_dot = 0.  ``t`` is a float or a float
+    array, as :meth:`FrequencyProtocol.frequency` passes it.  w_i is a numpy
+    float, so that a float time takes the arithmetic of a 0-d array: numpy's
+    scalar power, which overflows to inf where a float's raises."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, omega_i: float, mu: float):
+        self.omega_i, self.mu = np.float64(omega_i), mu
 
-    def __call__(self, t):
-        return self.value + 0.0 * np.asarray(t, dtype=float)
+    def __call__(self, t, curves: int = 2):
+        w = self.omega_i / (1.0 - self.mu * self.omega_i * t)
+        return (w, self.mu * w**2) if curves == 2 else (w,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyProtocol:
     """The control omega(t) and its derivative over one stroke.
 
-    Holds either closed-form callables or a dense uniform grid, with omega
-    and omega_dot each interpolated by a not-a-knot cubic spline.  Both are
-    evaluated together, by :meth:`frequency`.  Instances are immutable;
-    callables must be pure.
+    Holds the one evaluator of its protocol family, which gives omega and
+    omega_dot together, by :meth:`frequency`: a closed form, such as a
+    transitionless ramp or the constant adiabatic-speed drive (the constant
+    drive is its mu = 0 case), or a dense uniform grid, with omega and
+    omega_dot each interpolated by a not-a-knot cubic spline.  Instances are
+    immutable and compare by identity; evaluators and callables must be
+    pure.
     """
 
     duration: float
     kind: str  # "closed-form" or "grid"
-    meta: Mapping = field(default_factory=dict, compare=False)
+    meta: Mapping = field(default_factory=dict)
     #: (t, curves) -> the first ``curves`` of (omega(t), omega_dot(t)) at
     #: times inside [0, duration]
-    _frequency_fn: Callable = field(default=None, repr=False, compare=False)
-    grid_times: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    grid_omega: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    grid_omega_dot: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _frequency_fn: Callable = field(default=None, repr=False)
+    grid_times: Optional[np.ndarray] = field(default=None, repr=False)
+    grid_omega: Optional[np.ndarray] = field(default=None, repr=False)
+    grid_omega_dot: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
-    def from_callables(cls, duration, omega_fn, omega_dot_fn, meta=None):
+    def from_frequency(cls, duration, frequency_fn, meta=None):
+        """A closed-form protocol from its family's evaluator ``frequency_fn``:
+        (t, curves) -> the first ``curves`` of (omega(t), omega_dot(t))."""
         if duration < 0:
             raise DomainError("protocol duration must be non-negative")
         return cls(duration=float(duration), kind="closed-form",
-                   meta=dict(meta or {}),
-                   _frequency_fn=_CurvePair(omega_fn, omega_dot_fn))
+                   meta=dict(meta or {}), _frequency_fn=frequency_fn)
+
+    @classmethod
+    def from_callables(cls, duration, omega_fn, omega_dot_fn, meta=None):
+        return cls.from_frequency(duration, _CurvePair(omega_fn, omega_dot_fn),
+                                  meta)
 
     @classmethod
     def from_grid(cls, times, omega, omega_dot, meta=None):
@@ -314,7 +329,7 @@ class FrequencyProtocol:
 
     @classmethod
     def constant(cls, omega, duration, meta=None):
-        return cls.from_callables(duration, _ConstantFn(omega), _ConstantFn(0.0),
+        return cls.from_frequency(duration, ConstantMuFrequency(omega, 0.0),
                                   meta={"family": "constant", **(meta or {})})
 
     def _clamp(self, t):

@@ -28,8 +28,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .core import (HBAR, KB, BathSpec, FrequencyProtocol, ObservableVector,
-                   dressed_rates, spline_slopes, write_csv, write_json)
+from .core import (HBAR, KB, BathSpec, ConstantMuFrequency, FrequencyProtocol,
+                   ObservableVector, dressed_rates, spline_slopes, write_csv,
+                   write_json)
 from .errors import (DomainError, InfeasibleStroke, InvalidProtocol,
                      ProtocolInversionFailure)
 
@@ -104,25 +105,26 @@ class ErmakovSolution:
     omega: Callable = field(default=None, repr=False)
 
 
-class _StaOmega:
-    def __init__(self, poly, t_f, order=0):
-        self.r = _PolyEval(poly, t_f, 0)
-        self.r1 = _PolyEval(poly, t_f, 1)
-        self.r2 = _PolyEval(poly, t_f, 2)
-        self.r3 = _PolyEval(poly, t_f, 3)
-        self.order = order
+class _StaFrequency:
+    """omega(t) = sqrt(1/rho^4 - rho''/rho) of a transitionless ramp and
+    omega_dot(t) = d(omega^2)/dt / (2 omega), from the scaling function rho,
+    a polynomial in s = t/t_f, and its first three derivatives ``rho[k]``;
+    ``curves=1`` evaluates rho and rho'' alone and gives (omega(t),)."""
 
-    def omega_sq(self, t):
-        r, r2 = self.r(t), self.r2(t)
-        return 1.0 / r**4 - r2 / r
+    def __init__(self, poly, t_f):
+        self.rho = [_PolyEval(poly, t_f, k) for k in range(4)]
 
-    def __call__(self, t):
-        w2 = self.omega_sq(t)
-        if self.order == 0:
-            return np.sqrt(w2)
-        r, r1, r2, r3 = self.r(t), self.r1(t), self.r2(t), self.r3(t)
+    def omega(self, t):
+        return self(t, 1)[0]
+
+    def __call__(self, t, curves=2):
+        r, r2 = self.rho[0](t), self.rho[2](t)
+        w = np.sqrt(1.0 / r**4 - r2 / r)
+        if curves == 1:
+            return (w,)
+        r1, r3 = self.rho[1](t), self.rho[3](t)
         dw2 = -4.0 * r1 / r**5 - (r3 * r - r2 * r1) / r**2
-        return dw2 / (2.0 * np.sqrt(w2))
+        return w, dw2 / (2.0 * w)
 
 
 def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float):
@@ -141,24 +143,23 @@ def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float):
     rho1 = rho0 * math.sqrt(omega_initial / omega_final)
     poly = _quintic(rho0, rho1, 0.0, 0.0, 0.0, 0.0)
 
-    omega_fn = _StaOmega(poly, t_f, order=0)
-    omega_dot_fn = _StaOmega(poly, t_f, order=1)
+    frequency = _StaFrequency(poly, t_f)
 
     t_dense = np.linspace(0.0, t_f, DEFAULT_GRID_POINTS)
-    w2 = omega_fn.omega_sq(t_dense)
-    if np.any(w2 <= 0):
-        t_bad = float(t_dense[np.argmax(w2 <= 0)])
+    with np.errstate(invalid="ignore"):
+        # omega is NaN where omega^2 < 0 and 0 where it is 0
+        held = frequency.omega(t_dense) > 0
+    if not np.all(held):
+        t_bad = float(t_dense[np.argmin(held)])
         raise InvalidProtocol(
             f"trap frequency squared turns negative at t={t_bad:.6g}; "
             "retry with a longer stroke", time=t_bad)
 
-    protocol = FrequencyProtocol.from_callables(
-        t_f, omega_fn, omega_dot_fn,
-        meta={"family": "sta", "omega_initial": omega_initial,
-              "omega_final": omega_final, "t_f": t_f})
-    ermakov = ErmakovSolution(
-        rho=_PolyEval(poly, t_f, 0), rho_dot=_PolyEval(poly, t_f, 1), t_f=t_f,
-        omega=omega_fn)
+    protocol = FrequencyProtocol.from_frequency(
+        t_f, frequency, meta={"family": "sta", "omega_initial": omega_initial,
+                              "omega_final": omega_final, "t_f": t_f})
+    ermakov = ErmakovSolution(rho=frequency.rho[0], rho_dot=frequency.rho[1],
+                              t_f=t_f, omega=frequency.omega)
     return protocol, ermakov
 
 
@@ -188,17 +189,6 @@ def sta_expectation_values(ermakov: ErmakovSolution, omega_start: float,
 # constant adiabatic-speed strokes
 # ---------------------------------------------------------------------------
 
-class _ConstMuOmega:
-    def __init__(self, omega_i, mu, order=0):
-        self.omega_i = omega_i
-        self.mu = mu
-        self.order = order
-
-    def __call__(self, t):
-        w = self.omega_i / (1.0 - self.mu * self.omega_i * np.asarray(t, dtype=float))
-        return w if self.order == 0 else self.mu * w**2
-
-
 def constant_mu_duration(omega_initial: float, omega_final: float, mu: float) -> float:
     """Stroke duration (w_f - w_i) / (mu w_f w_i) of a constant-mu drive."""
     return (omega_final - omega_initial) / (mu * omega_final * omega_initial)
@@ -208,24 +198,21 @@ def build_constant_mu_protocol(omega_initial: float, omega_final: float,
                                mu: float) -> FrequencyProtocol:
     """Closed-form drive w(t) = w_i/(1 - mu w_i t) ending exactly at w_f."""
     _check_arguments(omega_initial, omega_final, mu=mu)
-    if omega_initial == omega_final:
-        return FrequencyProtocol.constant(
-            omega_initial, 0.0, meta={"family": "constant_mu", "mu": 0.0,
-                                      "omega_initial": omega_initial,
-                                      "omega_final": omega_final})
-    if mu == 0:
-        raise DomainError("mu must be nonzero for a frequency-changing stroke")
     if abs(mu) >= 2:
         raise DomainError("|mu| must be below 2")
+    meta = {"family": "constant_mu", "mu": mu, "omega_initial": omega_initial,
+            "omega_final": omega_final}
+    if omega_initial == omega_final:
+        return FrequencyProtocol.constant(omega_initial, 0.0, meta=meta)
+    if mu == 0:
+        raise DomainError("mu must be nonzero for a frequency-changing stroke")
     t_f = constant_mu_duration(omega_initial, omega_final, mu)
     if t_f <= 0:
         raise DomainError(
             f"mu={mu} has the wrong sign for {omega_initial} -> {omega_final}: "
             "the drive runs into its pole")
-    return FrequencyProtocol.from_callables(
-        t_f, _ConstMuOmega(omega_initial, mu, 0), _ConstMuOmega(omega_initial, mu, 1),
-        meta={"family": "constant_mu", "mu": mu, "omega_initial": omega_initial,
-              "omega_final": omega_final})
+    return FrequencyProtocol.from_frequency(
+        t_f, ConstantMuFrequency(omega_initial, mu), meta=meta)
 
 
 # ---------------------------------------------------------------------------

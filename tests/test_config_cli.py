@@ -67,7 +67,10 @@ class TestConfig:
     @pytest.mark.parametrize("raw,message", [
         (["preset", "endo-global"], "configuration root must be a mapping"),
         ({"preset": "endo-global", "spec": [1, 2]}, "'spec' must be a mapping"),
-    ], ids=["root", "spec"])
+        *(({"preset": "endo-global", "spec": v}, "'spec' must be a mapping")
+          for v in (0, False, "", [])),
+    ], ids=["root", "spec", "spec-0", "spec-false", "spec-string",
+            "spec-empty-list"])
     def test_not_a_mapping(self, raw, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config_dict(raw)
@@ -465,7 +468,15 @@ class TestConfigFiles:
          "configuration root must be a mapping"),
         ("list.json", '["endo-global", 8]',
          "configuration root must be a mapping"),
-    ], ids=["yaml", "json", "yaml-root", "json-root"])
+        ("spec.yaml", "spec: 0\n", "'spec' must be a mapping"),
+        *((name, text, "configuration root must be a mapping")
+          for name, text in (("empty-list.yaml", "[]\n"),
+                             ("false.yaml", "false\n"), ("zero.yaml", "0\n"),
+                             ("string.yaml", '""\n'),
+                             ("empty-list.json", "[]"))),
+    ], ids=["yaml", "json", "yaml-root", "json-root", "yaml-spec-0",
+            "yaml-empty-list", "yaml-false", "yaml-0", "yaml-string",
+            "json-empty-list"])
     def test_unreadable_config_exit_code_2(self, tmp_path, capsys, name,
                                            text, message):
         path = tmp_path / name
@@ -475,6 +486,18 @@ class TestConfigFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"ConfigError: {message}")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name,text", [
+        ("empty.yaml", ""), ("null-spec.yaml", "spec:\n"),
+        ("null.json", "null"),
+    ], ids=["empty-file", "null-spec", "json-null"])
+    def test_empty_config_is_no_keys(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["validate", "--preset", "endo-global",
+                     "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["spec"] \
+            == get_preset("endo-global").to_dict()
 
 
 class TestProtocolCommand:
@@ -499,9 +522,10 @@ class TestProtocolCommand:
         (["constmu", "6", "5", "--mu", "-2.5"], "|mu| must be below 2"),
         (["constmu", "6", "5", "--mu", "0"],
          "mu must be nonzero for a frequency-changing stroke"),
+        (["constmu", "5", "5", "--mu", "7"], "|mu| must be below 2"),
     ], ids=["sta-t-f", "ste-bath", "constmu-sign", "sta-omega", "ste-omega",
             "ste-t-f", "ste-coupling", "ste-internal", "constmu-bound",
-            "constmu-zero"])
+            "constmu-zero", "constmu-equal-bound"])
     def test_out_of_domain_exit_code_2(self, tmp_path, capsys, argv,
                                        message):
         out = tmp_path / "bad"
@@ -575,6 +599,14 @@ class TestProtocolCommand:
         assert float(loaded.omega(0.0)) == 5.0
         assert float(loaded.omega_dot(0.0)) == 0.0
         assert loaded.meta["family"] == "constant_mu"
+
+    def test_zero_duration_constmu_records_its_mu(self, tmp_path):
+        out = tmp_path / "p"
+        assert main(["protocol", "constmu", "5", "5", "--mu", "0.1",
+                     "--out", str(out)]) == 0
+        header = json.loads((out / "constmu_protocol.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert header["meta"]["mu"] == manifest["arguments"]["mu"] == 0.1
 
 
 class TestCompareTable:

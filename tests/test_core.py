@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -11,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotlab.core import (BathSpec, CycleKind, CycleSpec, FrequencyProtocol,
+from carnotlab.core import (BathSpec, ConstantMuFrequency, CycleKind,
+                            CycleSpec, FrequencyProtocol,
                             GeneralizedGibbsState, ObservableVector,
                             cycle_time_from_atomic, cycle_time_to_atomic,
                             thermal_observable_vector, thermal_population,
                             write_csv)
 from carnotlab.errors import ConfigError, DomainError, UnphysicalState
-from carnotlab.presets import PRESET_NAMES, get_preset
+from carnotlab.presets import PRESET_NAMES, PRESETS, get_preset
+from carnotlab.protocols import build_sta_protocol
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "carnotlab"
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -150,6 +153,32 @@ class TestFrequencyProtocol:
         assert float(p.mu(1.0)) == 0.0
         assert p.duration == 3.0
 
+    def test_constant_is_constant_mu_at_zero(self):
+        p = FrequencyProtocol.constant(4.0, 3.0)
+        drive = ConstantMuFrequency(4.0, 0.0)
+        rng = np.random.default_rng(3)
+        times = [-1.0, 0.0, 1.7, 3.0, 5.0, math.nan]
+        for t in (*times, np.asarray(1.7), np.asarray(math.nan),
+                  rng.uniform(-1.0, 4.0, (3, 64)), np.array(times)):
+            got, want = p.frequency(t), drive(p._clamp(t))
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w) == np.shape(t)
+                assert np.array_equal(g, w, equal_nan=True), t
+            finite = ~np.isnan(t)
+            # the constant exactly and a zero derivative, NaN at a NaN time
+            assert np.all(np.where(finite, got[0] == 4.0, np.isnan(got[0])))
+            assert np.all(np.where(finite, got[1] == 0.0, np.isnan(got[1])))
+        assert p.frequency(1.7, 1) == (4.0,)
+
+    def test_protocols_compare_by_identity(self):
+        ramp = build_sta_protocol(5.0, 10.0, 2.0)[0]
+        assert ramp == ramp and hash(ramp) == hash(ramp)
+        assert ramp != build_sta_protocol(6.0, 12.0, 2.0)[0]
+        assert FrequencyProtocol.constant(4.0, 2.0) \
+            != FrequencyProtocol.constant(9.0, 2.0)
+        assert len({build_sta_protocol(5.0, 10.0, 2.0)[0],
+                    build_sta_protocol(5.0, 10.0, 2.0)[0]}) == 2
+
 
 class TestCycleSpec:
     def test_ordering_enforced(self):
@@ -185,6 +214,57 @@ class TestCycleSpec:
                             t_hot_bath=8.0, t_cold_bath=5.0,
                             open_stroke_duration=1.0, adiabat_duration=5.0)
         assert matched.geometry_warnings() == []
+
+    @pytest.mark.parametrize("preset,changes,message", [
+        ("carnot-shortcut", {"omega3": -5.0},
+         "omega3 must be positive, got -5.0"),
+        ("carnot-shortcut", {"omega4": 11.0},
+         "need omega1 > omega4 > omega3 (compression ordering)"),
+        ("carnot-shortcut", {"t_cold_bath": 0.0},
+         "bath temperatures must be positive"),
+        ("carnot-shortcut", {"t_cold_bath": 8.0},
+         "hot bath must be hotter than cold bath"),
+        ("carnot-shortcut", {"coupling": 0.0}, "coupling must be positive"),
+        ("endo-global", {"mu_magnitude": None},
+         "endo-global cycles need mu_magnitude > 0"),
+        ("endo-global", {"mu_magnitude": 0.0},
+         "endo-global cycles need mu_magnitude > 0"),
+        ("endo-global", {"mu_magnitude": 2.0}, "|mu| must be below 2"),
+        ("carnot-shortcut", {"open_stroke_duration": 0.0},
+         "carnot-shortcut cycles need open_stroke_duration > 0"),
+        ("endo-shortcut", {"adiabat_duration": None},
+         "endo-shortcut cycles need adiabat_duration > 0"),
+        ("endo-shortcut", {"t_hot_internal": None},
+         "endo-shortcut cycles need internal temperatures"),
+        ("endo-shortcut", {"t_cold_internal": -5.0},
+         "internal temperatures must be positive"),
+    ], ids=["omega", "compression", "bath-positive", "bath-order", "coupling",
+            "mu-unset", "mu-zero", "mu-bound", "open-duration",
+            "adiabat-duration", "internal-unset", "internal-positive"])
+    def test_spec_check_message(self, preset, changes, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(PRESETS[preset], **changes)
+
+    @pytest.mark.parametrize("tau", [0.0, -8.0])
+    def test_global_cycle_time_must_be_positive(self, tau):
+        with pytest.raises(ConfigError, match="^cycle time must be positive$"):
+            PRESETS["endo-global"].with_cycle_time(tau)
+
+    def test_endo_geometry_reads_internal_temperatures(self):
+        # the corners match the internal temperatures 8 and 5, not the
+        # baths at 7.75 and 5.25
+        spec = get_preset("endo-shortcut", cycle_time=40.0)
+        assert spec.geometry_warnings() == []
+        at_baths = replace(spec, t_hot_internal=7.75, t_cold_internal=5.25)
+        assert len(at_baths.geometry_warnings()) == 2
+
+    def test_zero_work_geometry_warned(self):
+        # omega1/omega3 = 2 = T_hot/T_cold
+        spec = replace(PRESETS["carnot-shortcut"], t_cold_bath=4.0)
+        warnings = spec.geometry_warnings()
+        assert len(warnings) == 3
+        assert warnings[-1] == ("compression ratio 2 does not exceed "
+                                "T_hot/T_cold = 2: zero-work geometry")
 
     def test_bath_spec_validation(self):
         with pytest.raises(DomainError):

@@ -211,26 +211,48 @@ class TestPairedFrequency:
     sample and the Magnus nodes, against each curve evaluated alone."""
 
     @staticmethod
-    def _curves_alone(prot):
-        """omega and omega_dot as separate callables of a clamped time."""
+    def _curves_alone(prot, source):
+        """omega and omega_dot as separate callables of a clamped time, each
+        from its own formula: one spline per curve of a grid, the constant
+        ``source`` and zeros, or the closed forms on the scaling-function
+        polynomial of the ErmakovSolution ``source``."""
         if prot.grid_times is not None:
             t = prot.grid_times
             h = (t[-1] - t[0]) / (len(t) - 1)
             splines = [_GridSpline(t[0], h, y[None])
                        for y in (prot.grid_omega, prot.grid_omega_dot)]
             return [lambda x, f=f: f(x, 1)[0] for f in splines]
-        return prot._frequency_fn.omega_fn, prot._frequency_fn.omega_dot_fn
+        if isinstance(source, float):
+            return (lambda x: source + 0.0 * np.asarray(x),
+                    lambda x: 0.0 * np.asarray(x))
+        poly, t_f = source.rho.poly, source.t_f
+
+        def rho(x, k):
+            return poly.deriv(k)(np.asarray(x, dtype=float) / t_f) * t_f ** -k
+
+        def omega(x):
+            r, r2 = rho(x, 0), rho(x, 2)
+            return np.sqrt(1.0 / r**4 - r2 / r)
+
+        def omega_dot(x):
+            r, r1, r2, r3 = (rho(x, k) for k in range(4))
+            dw2 = -4.0 * r1 / r**5 - (r3 * r - r2 * r1) / r**2
+            return dw2 / (2.0 * omega(x))
+
+        return omega, omega_dot
 
     @pytest.mark.parametrize("kind", ["grid", "closed-form", "constant"])
     def test_bit_identical_to_separate_calls(self, kind):
+        source = None
         if kind == "grid":
             t = np.linspace(0.0, 2.0, 41)
             prot = FrequencyProtocol.from_grid(t, 5.0 + np.sin(t), np.cos(t))
         elif kind == "closed-form":
-            prot, _ = build_sta_protocol(5.0, 10.0, 2.0)
+            prot, source = build_sta_protocol(5.0, 10.0, 2.0)
         else:
-            prot = FrequencyProtocol.constant(4.0, 2.0)
-        omega_alone, omega_dot_alone = self._curves_alone(prot)
+            source = 4.0
+            prot = FrequencyProtocol.constant(source, 2.0)
+        omega_alone, omega_dot_alone = self._curves_alone(prot, source)
         times = [-0.5, 0.0, 0.3, 1.0, 2.0, 2.5, math.nan]
         rng = np.random.default_rng(12)
         for t in (*times, np.float64(0.7), np.asarray(0.7), np.array(times),
@@ -383,6 +405,13 @@ KILL_SWITCH_GAMMAS = tuple(
 
 
 class TestStrokePropagators:
+    def test_zero_duration_is_the_identity(self):
+        prop = stroke_propagators(FrequencyProtocol.constant(5.0, 0.0),
+                                  BathSpec(5.0, 0.05))
+        assert np.array_equal(prop.times, [0.0])
+        assert np.array_equal(prop.maps, np.eye(5)[None])
+        assert prop.steps == 0 and prop.error == 0.0
+
     @pytest.mark.parametrize("preset,tau", DOP853_PRESETS)
     def test_matches_dop853_reference(self, preset, tau):
         # constant-mu unitary strokes are checked against free_propagator

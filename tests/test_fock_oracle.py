@@ -118,6 +118,13 @@ class TestStates:
         assert np.real(np.trace(rho.matrix @ corr(6.0))) == pytest.approx(
             v.c, rel=1e-8)
 
+    def test_ground_state_is_pure(self):
+        rho = gaussian_fock_state(ObservableVector(h=0.5 * HBAR * 6.0, l=0.0,
+                                                   c=0.0), 6.0, 20)
+        expect = np.zeros((20, 20), dtype=complex)
+        expect[0, 0] = 1.0
+        assert np.array_equal(rho.matrix, expect)
+
     def test_state_validation(self):
         bad = np.eye(6, dtype=complex)
         with pytest.raises(Exception):

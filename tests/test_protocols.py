@@ -26,6 +26,8 @@ VALID_BUILDS = {
             dict(omega_initial=10.0, omega_final=8.0, t_f=5.0)),
     "constmu": (build_constant_mu_protocol,
                 dict(omega_initial=10.0, omega_final=8.0, mu=-0.1)),
+    "constmu-equal": (build_constant_mu_protocol,
+                      dict(omega_initial=8.0, omega_final=8.0, mu=-0.1)),
     "ste": (build_ste_protocol,
             dict(omega_initial=10.0, omega_final=8.0, t_f=12.0,
                  bath=BathSpec(8.0, 0.05))),
@@ -94,6 +96,17 @@ class TestStaExpectationValues:
             assert traj.vectors[i, 1] == pytest.approx(ref.l, rel=1e-8, abs=1e-8)
             assert traj.vectors[i, 2] == pytest.approx(ref.c, rel=1e-8, abs=1e-8)
 
+    def test_array_times_stack_the_vectors(self):
+        _, erm = build_sta_protocol(5.0, 10.0, 5.0)
+        t = np.linspace(0.0, 5.0, 7)
+        stacked = sta_expectation_values(erm, 5.0, 5.0, t)
+        assert stacked.shape == (7, 4)
+        assert np.all(stacked[:, 3] == 1.0)
+        for row, ti in zip(stacked, t):
+            v = sta_expectation_values(erm, 5.0, 5.0, float(ti))
+            assert row[:3] == pytest.approx([v.h, v.l, v.c], rel=1e-14,
+                                            abs=1e-14)
+
     def test_outside_stroke_rejected(self):
         _, erm = build_sta_protocol(5.0, 10.0, 5.0)
         with pytest.raises(DomainError):
@@ -114,6 +127,12 @@ class TestConstantMu:
     def test_zero_span_is_empty(self):
         prot = build_constant_mu_protocol(5.0, 5.0, -0.1)
         assert prot.duration == 0.0
+
+    def test_zero_span_records_its_mu(self):
+        prot = build_constant_mu_protocol(5.0, 5.0, 0.1)
+        assert prot.meta == {"family": "constant_mu", "mu": 0.1,
+                             "omega_initial": 5.0, "omega_final": 5.0}
+        assert prot.frequency(0.0) == (5.0, 0.0)
 
     def test_wrong_sign_rejected(self):
         with pytest.raises(DomainError):
@@ -294,7 +313,8 @@ class TestArgumentCheck:
           for name in ("sta", "ste", "ste-nonthermal") for value in (0.0, -1.0)),
         *(("ste-nonthermal", "internal_temperature", value,
            "internal temperature must be positive") for value in (0.0, -8.0)),
-        *(("constmu", "mu", value, "|mu| must be below 2")
+        *((name, "mu", value, "|mu| must be below 2")
+          for name in ("constmu", "constmu-equal")
           for value in (2.0, -2.0, 3.5)),
     ])
     def test_domain_error_message(self, builder, argument, value, message):
