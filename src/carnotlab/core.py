@@ -397,11 +397,11 @@ class GeneralizedGibbsState:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.beta >= 0:
+        if not self.beta < 0:
             raise DomainError("beta must be negative for a bounded state")
-        if abs(self.mu) >= 2.0:
+        if not abs(self.mu) < 2.0:
             raise DomainError("|mu| must be below 2")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise DomainError("omega must be positive")
 
     @property

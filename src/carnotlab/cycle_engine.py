@@ -14,9 +14,9 @@ the spectral radius of the map's (h, l, c) block A.
 
 A leg is fixed by its inputs (label, kind, corners, builder parameter,
 bath, internal temperature, dephasing strength, sample count), so a sweep
-hands ``run_to_limit_cycle`` a leg memo: a leg whose inputs match the last
-leg built under its label reuses that leg's stroke and propagators instead
-of building and propagating them again.
+hands ``run_to_limit_cycle`` a leg memo keyed by those inputs: a leg of the
+last completed cycle reuses its stroke and propagators instead of building
+and propagating them again.
 """
 
 from __future__ import annotations
@@ -284,31 +284,26 @@ def initial_corner_vector(spec: CycleSpec) -> ObservableVector:
     return thermal_observable_vector(spec.omega1, t_hot)
 
 
-#: Per leg label, the inputs of the last leg built and propagated under that
-#: label, with its stroke and propagators.
-LegMemo = Dict[str, Tuple[_Leg, StrokeDescriptor, Propagators]]
+#: The four legs of the last cycle whose legs all succeeded, keyed by their
+#: inputs, with their strokes and propagators.
+LegMemo = Dict[_Leg, Tuple[StrokeDescriptor, Propagators]]
 
 
 def _strokes_and_propagators(spec: CycleSpec, memo: LegMemo, *,
                              n_samples: int = DEFAULT_SAMPLES):
     """The four strokes of a cycle and their propagators at ``n_samples``.
 
-    A leg whose inputs equal those held under its label in ``memo`` reuses
-    the held stroke and propagators; every other leg is built (all builds
-    first, in cycle order) and then propagated.  Each leg that succeeds
-    replaces its label's entry.
+    A leg that ``memo`` holds reuses its stroke and propagators; every other
+    leg is built (all builds first, in cycle order) and then propagated.
+    Once all four legs have succeeded, they replace the memo's contents; a
+    failure leaves the memo as it was.
     """
     legs = _cycle_legs(spec, n_samples)
-    held = []
-    for leg in legs:
-        entry = memo.get(leg.label)
-        held.append(entry if entry is not None and entry[0] == leg else None)
-    strokes = [e[1] if e else _build(leg) for leg, e in zip(legs, held)]
-    propagators = []
-    for leg, stroke, entry in zip(legs, strokes, held):
-        p = entry[2] if entry else _propagate(stroke, leg.n_samples)
-        memo[leg.label] = (leg, stroke, p)
-        propagators.append(p)
+    strokes = [memo[leg][0] if leg in memo else _build(leg) for leg in legs]
+    propagators = [memo[leg][1] if leg in memo else _propagate(s, n_samples)
+                   for leg, s in zip(legs, strokes)]
+    memo.clear()
+    memo.update(zip(legs, zip(strokes, propagators)))
     return strokes, propagators
 
 
@@ -325,10 +320,11 @@ def run_to_limit_cycle(spec: CycleSpec, tol: float = LIMIT_CYCLE_TOL, *,
     ``iterations`` is k.  Raises NonConvergence, naming the contraction
     rho(A), if ``MAX_CYCLES`` cycles do not get there.
 
-    ``leg_memo`` carries legs from one call to the next: a leg whose inputs
-    are those of the last leg built under its label reuses that leg's stroke
-    and propagators, which are the ones it would compute again.  The memo
-    holds at most the four legs of one cycle.
+    ``leg_memo`` carries legs from one call to the next, keyed by their
+    inputs: a leg it holds reuses that leg's stroke and propagators, which
+    are the ones it would compute again.  It holds the four legs of the last
+    call whose legs all succeeded; a call that fails while building or
+    propagating a leg leaves it unchanged.
 
     ``n_samples`` is the number of trajectory samples per stroke.  At 2 the
     trajectories hold only the corner states, which is all a ledger reads,

@@ -45,6 +45,7 @@ sampling grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -501,10 +502,10 @@ def _read_rungs(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, base: int,
     return n_steps, error * (base / n_steps) ** order
 
 
-def _doubling_rule(protocol: FrequencyProtocol, intervals: int,
-                   bath: Optional[BathSpec], gamma_d: float):
+def _doubling_rule(protocol: FrequencyProtocol, intervals: int, maps_at,
+                   gamma_d: float):
     """Steps of a sampled stroke from a doubling ladder of products of 400,
-    800, 1600, ... steps.
+    800, 1600, ... steps, each taken from ``maps_at(steps, parts)``.
 
     The first pair, two pilot products of 400 and 800 steps, estimates the
     error of the finer as |M800 - M400| / 15, under the N^-4 rate of the
@@ -515,37 +516,41 @@ def _doubling_rule(protocol: FrequencyProtocol, intervals: int,
     at all three nodes.  Otherwise the pair is taken again, the coarser on
     the fewest steps (a multiple of ``intervals``) that the scaling puts
     under the bound and the finer on twice as many, which then stand for
-    400 and 800.  The pair decides a stroke that it resolves or that it
-    sends to at most twice the finer pilot's steps.  Any other stroke climbs
-    the ladder, doubling the steps up to the pair's N, until its last three
-    rungs read the order of convergence (:func:`_read_rungs`); a ladder that
-    reads none leaves the pair's N.  The finer pilot and each rung are
-    sampled at the stroke's intervals, as far as their steps divide into
-    them, so that the pilot's maps are reused where the pair decides N as
-    its steps, and a rung's where its own reading does.
+    400 and 800.  So is a pair that is not finite where the finer pilot's
+    steps are past the bound (their squarings overflow): the step cap then
+    refuses a stroke far past the radius by the steps it needs.  A
+    non-finite pair inside the bound raises NumericalError.  The pair
+    decides a stroke that it resolves or that it sends to at most twice the
+    finer pilot's steps.  Any other stroke climbs the ladder, doubling the
+    steps up to the pair's N, until its last three rungs read the order of
+    convergence (:func:`_read_rungs`); a ladder that reads none leaves the
+    pair's N.  The finer pilot and each rung are sampled at the stroke's
+    intervals, as far as their steps divide into them, so that the N-step
+    product is already made wherever N is their steps.
 
-    Returns (N, the estimated error of the N-step product, its interval
-    maps when the finer pilot or a rung has made them or else None).
+    Returns (N, the estimated error of the N-step product).
     """
     coarse_steps, fine_steps = _PILOT_STEPS
     while True:
-        coarse = _interval_maps(protocol, coarse_steps, 1, bath, gamma_d)[0][0]
-        pilot, step_norm = _interval_maps(
-            protocol, fine_steps, math.gcd(fine_steps, intervals), bath,
-            gamma_d)
-        fine = _last_product(pilot)
-        scale = float(np.max(np.abs(fine)))
-        # the pilots' difference is 15 times the finer one's error under N^-4
-        error = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
-        if not math.isfinite(error):
-            raise _not_finite(protocol)
-        needed = fine_steps * (error / MAGNUS_TARGET) ** 0.25
-        n_steps = intervals * math.ceil(max(needed, fine_steps) / intervals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # steps past the bound may overflow; they are taken again
+            coarse = maps_at(coarse_steps, 1)[0][0]
+            pilot, step_norm = maps_at(fine_steps,
+                                       math.gcd(fine_steps, intervals))
+            fine = _last_product(pilot)
+            scale = float(np.max(np.abs(fine)))
+            # the pilots differ by 15 times the finer one's error under N^-4
+            error = float(np.max(np.abs(fine - coarse))) / 15.0 / scale
         # a step's h |G|_1 shrinks in proportion to h
         in_radius = intervals * math.ceil(
             fine_steps * step_norm / _STEP_NORM_BOUND / intervals)
-        if in_radius <= n_steps:
-            break
+        if math.isfinite(error):
+            needed = fine_steps * (error / MAGNUS_TARGET) ** 0.25
+            n_steps = intervals * math.ceil(max(needed, fine_steps) / intervals)
+            if in_radius <= n_steps:
+                break
+        elif in_radius <= fine_steps:
+            raise _not_finite(protocol)
         # steps past the radius, where both pilots can agree on a wrong map
         coarse_steps, fine_steps = in_radius, 2 * in_radius
         if fine_steps > _MAX_STEPS:
@@ -555,46 +560,35 @@ def _doubling_rule(protocol: FrequencyProtocol, intervals: int,
         raise _too_many_steps(needed, protocol, gamma_d, error=error)
     pair_error = error * (fine_steps / n_steps) ** 4
     if error <= MAGNUS_TARGET or n_steps <= 2 * fine_steps:
-        return n_steps, pair_error, pilot if n_steps == fine_steps else None
+        return n_steps, pair_error
     products, steps = [coarse, fine], fine_steps
     while 2 * steps <= n_steps:
         steps *= 2
-        rung = _interval_maps(protocol, steps, math.gcd(steps, intervals),
-                              bath, gamma_d)[0]
-        products.append(_last_product(rung))
+        products.append(_last_product(
+            maps_at(steps, math.gcd(steps, intervals))[0]))
         chosen = _read_rungs(*products[-3:], steps, intervals, protocol,
                              gamma_d)
         if chosen is not None:
-            n_read = max(chosen[0], in_radius)
-            return n_read, chosen[1], rung if n_read == steps else None
-    return n_steps, pair_error, None
+            return max(chosen[0], in_radius), chosen[1]
+    return n_steps, pair_error
 
 
-def _ladder_rule(protocol: FrequencyProtocol, bath: Optional[BathSpec],
-                 gamma_d: float):
+def _ladder_rule(protocol: FrequencyProtocol, maps_at, gamma_d: float):
     """Steps of an unsampled stroke from products of 64, 128 and 256 steps,
-    read by :func:`_read_rungs`; the 256-step product is reused when it
-    meets the target.
+    each taken from ``maps_at(steps, 1)`` and read by :func:`_read_rungs`.
 
-    Returns (N, the estimated error of the N-step product, its one interval
-    map or None), or None when the 64-step rung's steps have h |G|_1 above
-    ``_STEP_NORM_BOUND`` or the ladder reads no order: the doubling rule
-    then decides.
+    Returns (N, the estimated error of the N-step product), or None when the
+    64-step rung's steps have h |G|_1 above ``_STEP_NORM_BOUND`` or the
+    ladder reads no order: the doubling rule then decides.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         # steps past the bound may overflow; their product is not used
-        coarse, step_norm = _interval_maps(protocol, _LADDER_STEPS[0], 1,
-                                           bath, gamma_d)
+        coarse, step_norm = maps_at(_LADDER_STEPS[0], 1)
     if step_norm > _STEP_NORM_BOUND:
         return None
-    middle, fine = (_interval_maps(protocol, n, 1, bath, gamma_d)[0]
-                    for n in _LADDER_STEPS[1:])
-    chosen = _read_rungs(coarse, middle, fine, _LADDER_STEPS[-1], 1,
-                         protocol, gamma_d)
-    if chosen is None:
-        return None
-    n_steps, error = chosen
-    return n_steps, error, fine if n_steps == _LADDER_STEPS[-1] else None
+    middle, fine = (maps_at(n, 1)[0] for n in _LADDER_STEPS[1:])
+    return _read_rungs(coarse, middle, fine, _LADDER_STEPS[-1], 1, protocol,
+                       gamma_d)
 
 
 def _not_finite(protocol: FrequencyProtocol) -> NumericalError:
@@ -615,9 +609,13 @@ def stroke_propagators(protocol: FrequencyProtocol,
     coarsest steps are past ``_STEP_NORM_BOUND`` or it reads no order.  Any
     other stroke takes N, at least 800 and a multiple of the sample
     intervals, from a doubling ladder of 400-, 800-, 1600-, ... step
-    products (:func:`_doubling_rule`).  The interval maps of the N-step
-    product, reused when the rule has made them, are accumulated by one
-    blocked prefix scan.
+    products (:func:`_doubling_rule`).  Both rules and the stroke take their
+    products from one table per call, keyed by (steps, parts), so each
+    product is made once: the N-step product on the sample intervals is a
+    lookup wherever a pilot or a rung has made it.  Its interval maps are
+    accumulated by one blocked prefix scan.  Far past the Magnus radius the
+    pilots' squarings overflow, and the stroke is refused by the steps it
+    would need.
 
     Returns ``Propagators`` with ``times`` and ``maps`` of shape (n, 5, 5);
     ``maps[-1]`` is the stroke's transfer matrix
@@ -633,12 +631,15 @@ def stroke_propagators(protocol: FrequencyProtocol,
     if protocol.duration == 0.0:
         return Propagators(np.zeros(1), np.eye(5)[None], 0, 0.0)
     intervals = n_samples - 1
-    chosen = _ladder_rule(protocol, bath, gamma_d) if intervals == 1 else None
-    n_steps, error, maps = chosen or _doubling_rule(protocol, intervals, bath,
-                                                    gamma_d)
-    if maps is None:
-        maps = _interval_maps(protocol, n_steps, intervals, bath, gamma_d)[0]
-    maps = np.concatenate((np.eye(5)[None], _prefix_products(maps)))
+    # each (steps, parts) product of the stroke is made once; callers only
+    # read it
+    maps_at = functools.cache(functools.partial(
+        _interval_maps, protocol, bath=bath, gamma_d=gamma_d))
+    chosen = _ladder_rule(protocol, maps_at, gamma_d) if intervals == 1 else None
+    n_steps, error = chosen or _doubling_rule(protocol, intervals, maps_at,
+                                              gamma_d)
+    maps = np.concatenate((np.eye(5)[None],
+                           _prefix_products(maps_at(n_steps, intervals)[0])))
     if not np.all(np.isfinite(maps)):
         raise _not_finite(protocol)
     times = np.linspace(0.0, protocol.duration, n_samples)

@@ -85,7 +85,9 @@ class _PolyEval:
     def __init__(self, poly, t_f, order=0):
         self.poly = poly.deriv(order) if order else poly
         self.t_f = t_f
-        self.scale = t_f ** (-order) if order else 1.0
+        with np.errstate(over="ignore"):
+            # inf for a t_f so short that the ramp is refused anyway
+            self.scale = np.float64(t_f) ** -order if order else 1.0
 
     def __call__(self, t):
         return self.poly(np.asarray(t, dtype=float) / self.t_f) * self.scale
@@ -146,7 +148,7 @@ def build_sta_protocol(omega_initial: float, omega_final: float, t_f: float):
     frequency = _StaFrequency(poly, t_f)
 
     t_dense = np.linspace(0.0, t_f, DEFAULT_GRID_POINTS)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         # omega is NaN where omega^2 < 0 and 0 where it is 0
         held = frequency.omega(t_dense) > 0
     if not np.all(held):

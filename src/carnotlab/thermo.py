@@ -34,7 +34,7 @@ def curzon_ahlborn_efficiency(t_cold: float, t_hot: float) -> float:
 
 def coherence(v: ObservableVector, omega: float) -> float:
     """sqrt(l^2 + c^2) / (hbar w)."""
-    if omega <= 0:
+    if not omega > 0:
         raise DomainError("omega must be positive")
     return v.coherence(omega)
 
@@ -45,7 +45,7 @@ def von_neumann_entropy(v: ObservableVector, omega: float) -> float:
     The effective excitation is x = sqrt(h^2 - l^2 - c^2)/(hbar w) = n + 1/2;
     S = (n+1) ln(n+1) - n ln n, zero for the ground state.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise DomainError("omega must be positive")
     cas = v.casimir()
     x = math.sqrt(max(cas, 0.0)) / (HBAR * omega)
@@ -72,12 +72,14 @@ def friction_action_fit(samples: Sequence[tuple]) -> tuple:
     """Least-squares fit of W(tau) = W_inf + F / tau.
 
     ``samples`` holds (cycle_time, total_work) pairs; at least three are
-    required and they must span a factor of four in cycle time.  Returns
-    (w_infinity, friction_action, rms_residual).
+    required, all finite, and they must span a factor of four in cycle time.
+    Returns (w_infinity, friction_action, rms_residual).
     """
     pts = [(float(t), float(w)) for t, w in samples]
     if len(pts) < 3:
         raise DomainError("need at least 3 samples")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("cycle times and works must be finite")
     taus = np.array([p[0] for p in pts])
     works = np.array([p[1] for p in pts])
     if taus.min() <= 0:
@@ -274,10 +276,11 @@ def _sweep_point(template, axis, value, tol, leg_memo) -> SweepRow:
         return SweepRow(value=value, error=f"{type(err).__name__}: {err}")
 
 
-#: The legs of a pool worker's last point, kept for its next one; filled only
-#: in the worker processes of one ``sweep`` call.  A leg that the axis leaves
-#: unchanged is the same at every point, so a worker reuses it whichever
-#: points it is handed.
+#: The legs of a pool worker's last point whose legs all succeeded, keyed by
+#: their inputs and kept for its next one; filled only in the worker
+#: processes of one ``sweep`` call.  A leg that the axis leaves unchanged is
+#: the same at every point, so a worker reuses it whichever points it is
+#: handed.
 _WORKER_LEGS: LegMemo = {}
 
 
@@ -298,9 +301,10 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
     adiabats along ``cycle_time`` on the shortcut kinds, both open legs along
     ``dephasing``, ``adiabatic-expansion`` along ``compression_ratio``) is
     built and propagated once and reused, so each row is bit-identical to a
-    fresh cycle at ``SWEEP_SAMPLES``.  Only the legs of the last cycle are
-    kept, and only for this call.  With ``jobs`` > 1 each point goes to the
-    next free worker process, which keeps the legs of its own last point.
+    fresh cycle at ``SWEEP_SAMPLES``.  Only the legs of the last cycle whose
+    legs all succeeded are kept, keyed by their inputs, and only for this
+    call.  With ``jobs`` > 1 each point goes to the next free worker
+    process, which keeps the legs of its own last such point.
     """
     check_axis(axis)
     values = [float(v) for v in values]

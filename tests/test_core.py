@@ -113,6 +113,29 @@ class TestGeneralizedGibbs:
         with pytest.raises(DomainError):
             GeneralizedGibbsState(beta=0.1)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("beta", math.nan, "beta must be negative for a bounded state"),
+        ("beta", 0.0, "beta must be negative for a bounded state"),
+        ("mu", math.nan, "|mu| must be below 2"),
+        ("mu", -2.0, "|mu| must be below 2"),
+        ("mu", math.inf, "|mu| must be below 2"),
+        ("omega", math.nan, "omega must be positive"),
+        ("omega", 0.0, "omega must be positive"),
+        ("omega", -math.inf, "omega must be positive"),
+    ])
+    def test_parameter_outside_the_domain(self, field, value, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            GeneralizedGibbsState(**{"beta": -1.0, "mu": 0.1, "omega": 5.0,
+                                     field: value})
+
+    @pytest.mark.parametrize("v,message", [
+        (ObservableVector(h=5.0, l=1.0, c=0.0), "not diagonal"),
+        (ObservableVector(h=0.1, l=0.0, c=0.0), "at or below the ground state"),
+    ])
+    def test_from_vector_outside_the_domain(self, v, message):
+        with pytest.raises(DomainError, match=message):
+            GeneralizedGibbsState.from_observable_vector(v, 5.0)
+
 
 class TestFrequencyProtocol:
     def test_grid_consistency_check(self):
@@ -147,6 +170,28 @@ class TestFrequencyProtocol:
         with pytest.raises(DomainError):
             FrequencyProtocol.from_grid(t, np.linspace(1.0, -0.5, 50),
                                         np.full(50, -1.5))
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(DomainError, match="^protocol duration must be "
+                                              "non-negative$"):
+            FrequencyProtocol.from_callables(-1.0, np.ones_like, np.zeros_like)
+
+    def test_grid_needs_four_samples(self):
+        t = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(DomainError, match="at least 4 samples"):
+            FrequencyProtocol.from_grid(t, 5.0 + t, np.ones(3))
+
+    def test_zero_duration_is_consistent(self):
+        assert FrequencyProtocol.constant(5.0, 0.0).check_consistency() == 0.0
+
+    def test_consistency_needs_positive_omega(self):
+        # omega = 1 - 1.5 t crosses zero at t = 2/3, between samples
+        from carnotlab.errors import InvalidProtocol
+
+        p = FrequencyProtocol.from_callables(
+            1.0, lambda t: 1.0 - 1.5 * t, lambda t: np.full_like(t, -1.5))
+        with pytest.raises(InvalidProtocol, match="omega must stay positive"):
+            p.check_consistency()
 
     def test_mu(self):
         p = FrequencyProtocol.constant(4.0, 3.0)

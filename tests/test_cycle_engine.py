@@ -180,6 +180,35 @@ class TestLimitCycle:
         assert [len(t.times) for t in res.trajectories] == [801] * 4
         assert res.magnus_steps == [800] * 4
 
+    def test_failed_cycle_leaves_the_last_completed_legs(self, monkeypatch):
+        # at tau = 9 the hot open leg is new and succeeds, then the dephased
+        # adiabat is refused: the memo keeps the four legs of tau = 8
+        from carnotlab import cycle_engine
+
+        spec = get_preset("endo-global", cycle_time=8.0)
+        memo = {}
+        run_to_limit_cycle(spec, leg_memo=memo)
+        held = dict(memo)
+        assert list(held) == cycle_engine._cycle_legs(spec)
+        kinds = []
+        original = cycle_engine.stroke_propagators
+
+        def counted(protocol, bath=None, *args):
+            kinds.append("open" if bath is not None else "adiabat")
+            return original(protocol, bath, *args)
+
+        monkeypatch.setattr(cycle_engine, "stroke_propagators", counted)
+        with pytest.raises(NumericalError,
+                           match="^adiabatic-expansion: stroke needs"):
+            run_to_limit_cycle(get_preset("endo-global", cycle_time=9.0,
+                                          gamma_dephasing=1e3), leg_memo=memo)
+        assert kinds == ["open", "adiabat"]
+        assert list(memo) == list(held)
+        assert all(memo[leg] is held[leg] for leg in held)
+        kinds.clear()
+        run_to_limit_cycle(spec, leg_memo=memo)
+        assert kinds == []
+
     def test_one_integration_per_stroke(self, monkeypatch):
         from carnotlab import cycle_engine, dynamics
 
@@ -294,6 +323,21 @@ class TestNonFiniteInputs:
     def test_compression_ratio_named(self, ratio):
         with pytest.raises(ConfigError, match="compression ratio must be finite"):
             carnot_corner_frequencies(5.0, ratio, 5.0, 8.0)
+
+    @pytest.mark.parametrize("args", [(0.0, 2.0, 5.0, 8.0), (5.0, 2.0, 0.0, 8.0),
+                                      (5.0, 2.0, 5.0, -8.0)])
+    def test_non_positive_corner_inputs(self, args):
+        with pytest.raises(ConfigError, match="^frequencies and temperatures "
+                                              "must be positive$"):
+            carnot_corner_frequencies(*args)
+
+    @pytest.mark.parametrize("temperatures", [(0.0, 8.0, 5.0, 8.0),
+                                              (5.0, -8.0, 5.0, 8.0),
+                                              (5.0, 8.0, 5.0, 0.0)])
+    def test_non_positive_design_temperatures(self, temperatures):
+        base = CornerGeometry(10.0, 8.0, 5.0, 6.25)
+        with pytest.raises(ConfigError, match="^temperatures must be positive$"):
+            endo_global_corner_frequencies(base, *temperatures)
 
     def test_nan_tol_rejected(self):
         with pytest.raises(ConfigError, match="^tol must be positive"):

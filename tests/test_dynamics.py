@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +15,10 @@ from carnotlab.core import (BathSpec, FrequencyProtocol, ObservableVector,
 from carnotlab import dynamics
 from carnotlab.cycle_engine import (StrokeDescriptor, assemble_cycle,
                                     run_to_limit_cycle)
-from carnotlab.dynamics import (MAGNUS_TARGET, free_propagator, generator,
-                                propagate_dephasing, propagate_open,
-                                propagate_unitary, stroke_propagators)
+from carnotlab.dynamics import (MAGNUS_TARGET, Trajectory, free_propagator,
+                                generator, propagate_dephasing,
+                                propagate_open, propagate_unitary,
+                                stroke_propagators)
 from carnotlab.errors import DomainError, NumericalError
 from carnotlab.presets import get_preset
 from carnotlab.protocols import (build_constant_mu_protocol, build_sta_protocol,
@@ -109,6 +112,11 @@ class TestFreePropagator:
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             free_propagator(5.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("mu", [2.0, -2.0, 3.0])
+    def test_mu_outside_the_domain_rejected(self, mu):
+        with pytest.raises(DomainError, match=r"^\|mu\| must be below 2$"):
+            free_propagator(5.0, mu, 0.01)
 
 
 class TestPropagateUnitary:
@@ -566,8 +574,10 @@ class TestStrokePropagators:
         # two samples take the ladder's steps, more keep the pilot rule's
         # floor of 800 rounded up to a multiple of the sample intervals
         prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
+        maps_at = functools.partial(dynamics._interval_maps, prot, bath=None,
+                                    gamma_d=0.0)
         assert stroke_propagators(prot, n_samples=2).steps == \
-            dynamics._ladder_rule(prot, None, 0.0)[0] == 389
+            dynamics._ladder_rule(prot, maps_at, 0.0)[0] == 389
         assert stroke_propagators(prot, n_samples=4).steps == 801
 
     @pytest.mark.parametrize("gamma_d", (0.0,) + KILL_SWITCH_GAMMAS)
@@ -643,6 +653,55 @@ class TestStrokePropagators:
         monkeypatch.setattr(dynamics, "_prefix_products", counted)
         run_to_limit_cycle(get_preset("carnot-shortcut", cycle_time=250.0))
         assert scans == [800] * 4
+
+    @pytest.mark.parametrize("n_samples", [2, 3, dynamics.DEFAULT_SAMPLES])
+    @pytest.mark.parametrize("preset,tau", DOP853_PRESETS)
+    def test_each_product_made_once(self, monkeypatch, preset, tau,
+                                    n_samples):
+        # the rules and the stroke share one table of (steps, parts)
+        # products, so the stroke's own product is never made again
+        made = []
+        original = dynamics._interval_maps
+
+        def counted(protocol, n_steps, intervals, *args, **kwargs):
+            made.append((n_steps, intervals))
+            return original(protocol, n_steps, intervals, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_interval_maps", counted)
+        for s in assemble_cycle(get_preset(preset, cycle_time=tau)):
+            made.clear()
+            prop = stroke_propagators(s.protocol, s.bath, s.gamma_d,
+                                      n_samples)
+            assert len(made) == len(set(made)), (s.label, made)
+            assert (prop.steps, n_samples - 1) in made, s.label
+
+    @pytest.mark.parametrize("n_samples", [2, dynamics.DEFAULT_SAMPLES])
+    @pytest.mark.parametrize("preset", ["endo-global", "carnot-shortcut"])
+    def test_far_past_the_radius_refused_by_its_steps(self, preset,
+                                                      n_samples):
+        # the pilots' squarings overflow; the pair is taken again inside
+        # the radius, and the step cap refuses the stroke without a warning
+        s = assemble_cycle(get_preset(preset, cycle_time=1e12))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Magnus steps") as err:
+                stroke_propagators(s.protocol, s.bath, s.gamma_d, n_samples)
+        assert err.value.diagnostics["steps"] > 1e12
+
+    @pytest.mark.parametrize("n_samples", [2, dynamics.DEFAULT_SAMPLES])
+    def test_non_finite_inside_the_radius(self, n_samples):
+        # omega_dot = 400 at omega = 1 (not its derivative): the 800 steps
+        # have h |G|_1 = 1.5025, but the map grows as exp(800) and overflows
+        prot = FrequencyProtocol.from_callables(
+            1.0, lambda t: np.ones_like(t), lambda t: np.full_like(t, 400.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            maps, step_norm = dynamics._interval_maps(prot, 800, 1, None, 0.0)
+        assert step_norm == 1.5025 and not np.all(np.isfinite(maps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="^stroke propagator is not finite$"):
+                stroke_propagators(prot, n_samples=n_samples)
 
     @pytest.mark.parametrize("n_samples", [2, dynamics.DEFAULT_SAMPLES])
     @pytest.mark.parametrize("located", ["inertial", "non-finite"])
@@ -760,6 +819,11 @@ class TestPropagateDephasing:
 
 
 class TestTrajectoryExport:
+    def test_decreasing_times_rejected(self):
+        with pytest.raises(DomainError, match="non-decreasing"):
+            Trajectory(times=np.array([0.0, 1.0, 0.5]), vectors=np.zeros((3, 4)),
+                       omegas=np.ones(3), work=0.0, heat=0.0)
+
     def test_csv_format(self, tmp_path):
         prot = build_constant_mu_protocol(6.0, 5.0, -0.2)
         traj = propagate_unitary(thermal_observable_vector(6.0, 5.0), prot,
@@ -776,6 +840,16 @@ class TestTrajectoryExport:
 
 
 class TestNonFiniteDephasing:
+    @pytest.mark.parametrize("gamma_d", [-1.0, math.nan])
+    def test_stroke_propagators_rejects(self, gamma_d):
+        # no node of the stroke fails, so the generator's error stands,
+        # with no time
+        with pytest.raises(DomainError, match="^dephasing strength must be "
+                                              "finite and non-negative") as err:
+            stroke_propagators(FrequencyProtocol.constant(5.0, 1.0),
+                               gamma_d=gamma_d)
+        assert err.value.time is None
+
     @pytest.mark.parametrize("gamma_d", [math.nan, math.inf])
     def test_generator_rejects(self, gamma_d):
         with pytest.raises(DomainError, match="finite"):

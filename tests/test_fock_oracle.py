@@ -9,7 +9,7 @@ from carnotlab import fock_oracle
 from carnotlab.core import (HBAR, BathSpec, FrequencyProtocol, ObservableVector,
                             dressed_rates, thermal_observable_vector)
 from carnotlab.dynamics import propagate_dephasing, propagate_open
-from carnotlab.errors import DomainError
+from carnotlab.errors import DomainError, TruncationError, UnphysicalState
 from carnotlab.fock_oracle import (COHERENT_STEP_RADIUS, OPEN_STEP_RADIUS,
                                    FockState, basis_operators,
                                    build_jump_operator, gaussian_fock_state,
@@ -92,6 +92,11 @@ class TestJumpOperator:
         with pytest.raises(DomainError):
             build_jump_operator(5.0, 0.0, 3)
 
+    @pytest.mark.parametrize("mu", [2.0, -2.5])
+    def test_mu_outside_the_domain_rejected(self, mu):
+        with pytest.raises(DomainError, match=r"^\|mu\| must be below 2$"):
+            build_jump_operator(5.0, mu, 20)
+
 
 class TestStates:
     def test_thermal_moments(self):
@@ -129,6 +134,22 @@ class TestStates:
         bad = np.eye(6, dtype=complex)
         with pytest.raises(Exception):
             FockState(bad).validate()  # trace is 6
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DomainError, match="^density matrix must be square$"):
+            FockState(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("matrix,error,message", [
+        (np.diag([0.5, 0.5, 0.0, 0.0]) + np.diag([0.1, 0.0, 0.0], 1),
+         UnphysicalState, "^density matrix is not Hermitian$"),
+        (np.diag([0.6, 0.6, -0.2, 0.0]), UnphysicalState,
+         "^negative eigenvalue -2.000e-01$"),
+        (np.diag([0.0] * 9 + [1.0]), TruncationError,
+         "^population 1.000e[+]00 in the top levels"),
+    ], ids=["hermitian", "positive", "leakage"])
+    def test_validation_names_the_check(self, matrix, error, message):
+        with pytest.raises(error, match=message):
+            FockState(matrix).validate()
 
 
 class TestIntegration:

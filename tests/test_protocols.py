@@ -59,6 +59,17 @@ class TestStaBuilder:
             build_sta_protocol(5.0, 10.0, 0.05)
         assert err.value.time is not None
 
+    @pytest.mark.parametrize("t_f", [1e-110, 5e-324])
+    def test_overflowing_scale_refused(self, t_f):
+        # t_f^-3, and at 5e-324 t_f^-1, overflow: the ramp is refused by
+        # the omega^2 > 0 check without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProtocol, match="trap frequency "
+                                                      "squared") as err:
+                build_sta_protocol(5.0, 10.0, t_f)
+        assert 0.0 <= err.value.time <= t_f
+
     def test_population_transfer_via_propagation(self):
         # the unitary stroke map must carry a thermal state to the rescaled
         # diagonal state: zero coherence and h scaled by omega_f/omega_i

@@ -98,6 +98,12 @@ class TestCoherenceEntropy:
         with pytest.raises(UnphysicalState):
             von_neumann_entropy(ObservableVector(h=1.0, l=0.0, c=0.0), 5.0)
 
+    @pytest.mark.parametrize("function", [coherence, von_neumann_entropy])
+    @pytest.mark.parametrize("omega", [math.nan, 0.0, -5.0, -math.inf])
+    def test_omega_outside_the_domain(self, function, omega):
+        with pytest.raises(DomainError, match="^omega must be positive$"):
+            function(thermal_observable_vector(5.0, 5.0), omega)
+
 
 class TestIdealWork:
     def test_reference_value(self):
@@ -151,6 +157,19 @@ class TestFrictionFit:
     def test_count_requirement(self):
         with pytest.raises(DomainError):
             friction_action_fit([(10.0, -1.0), (80.0, -1.5)])
+
+    def test_positive_cycle_times(self):
+        with pytest.raises(DomainError, match="^cycle times must be positive$"):
+            friction_action_fit([(0.0, -1.0), (10.0, -1.2), (80.0, -1.5)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0), (2, 1)])
+    def test_non_finite_sample(self, where, value):
+        samples = [[10.0, -1.0], [20.0, -1.2], [80.0, -1.5]]
+        samples[where[0]][where[1]] = value
+        with pytest.raises(DomainError, match="^cycle times and works must "
+                                              "be finite$"):
+            friction_action_fit(samples)
 
 
 class TestAnalyzeAndSweep:
@@ -216,6 +235,28 @@ class TestAnalyzeAndSweep:
             spec_for_sweep_value(spec, "nonsense", 1.0)
         with pytest.raises(ConfigError, match="non-negative"):
             spec_for_sweep_value(spec, "dephasing", -1.0)
+
+    @pytest.mark.parametrize("preset", ["endo-global", "endo-shortcut"])
+    def test_compression_ratio_needs_carnot_shortcut(self, preset):
+        with pytest.raises(ConfigError, match="^compression-ratio sweeps "
+                                              "apply to the carnot-shortcut"):
+            spec_for_sweep_value(get_preset(preset), "compression_ratio", 2.5)
+
+    def test_sweep_needs_a_value(self):
+        with pytest.raises(ConfigError, match="^sweep needs at least one "
+                                              "value$"):
+            sweep(get_preset("endo-global"), "cycle_time", [])
+
+    def test_too_short_adiabat_gives_typed_rows(self):
+        # the transitionless ramp's third-derivative scale overflows at
+        # 1e-110; the builder refuses the ramp and each point records it
+        spec = get_preset("carnot-shortcut", cycle_time=40.0,
+                          adiabat_duration=1e-110)
+        table = sweep(spec, "dephasing", [0.0, 1e-3])
+        assert [r.ok for r in table.rows] == [False, False]
+        for row in table.rows:
+            assert row.error.startswith(
+                "InvalidProtocol: adiabatic-expansion: trap frequency squared")
 
     def test_compression_ratio_axis(self):
         spec = get_preset("carnot-shortcut")
@@ -358,6 +399,19 @@ class TestSweepLegMemo:
         table = sweep(get_preset("endo-global", cycle_time=8.0), "dephasing",
                       [0.0, 3e-4, 3e-2])
         assert all(r.ok for r in table.rows)
+        assert len(open_legs) == 2
+
+    def test_refused_point_keeps_the_open_legs(self, monkeypatch):
+        # the adiabats at gamma_d = 1e3 are refused; the next point reuses
+        # the open legs of the last completed cycle
+        open_legs = self._count(
+            monkeypatch, "stroke_propagators",
+            key=lambda protocol, bath=None, *a, **k: bath is not None)
+        table = sweep(get_preset("endo-global", cycle_time=8.0), "dephasing",
+                      [0.0, 1e3, 3e-4])
+        assert [r.ok for r in table.rows] == [True, False, True]
+        assert table.rows[1].error.startswith(
+            "NumericalError: adiabatic-expansion: stroke needs")
         assert len(open_legs) == 2
 
     def test_legs_do_not_outlive_a_sweep(self, monkeypatch):
