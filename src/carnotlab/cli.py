@@ -30,7 +30,8 @@ from .presets import DEFAULT_CYCLE_TIME, PRESET_NAMES
 from .protocols import (build_constant_mu_protocol, build_sta_protocol,
                         build_ste_nonthermal_protocol, build_ste_protocol,
                         save_protocol)
-from .thermo import SWEEP_AXES, analyze_cycle, export_sweep, sweep
+from .thermo import (SWEEP_AXES, analyze_cycle, check_axis, export_sweep,
+                     sweep)
 
 OUTPUT_ROOT_ENV = "CARNOTLAB_OUT"
 #: Ledger columns of ``compare.csv``, between ``preset, value, status`` and
@@ -172,6 +173,8 @@ def _cmd_compare(args) -> int:
     values = cfg.values or [DEFAULT_CYCLE_TIME if cfg.cycle_time is None
                             else cfg.cycle_time]
     specs = [replace(cfg, preset=name).build_spec() for name in presets]
+    for spec in specs:
+        check_axis(axis, spec)
     with _out_dir(cfg.out, "compare") as out:
         rows = []
         for name, spec in zip(presets, specs):

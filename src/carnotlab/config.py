@@ -7,8 +7,6 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import List, Optional
 
-import yaml
-
 from .core import CycleKind, CycleSpec
 from .cycle_engine import LIMIT_CYCLE_TOL
 from .errors import ConfigError
@@ -131,13 +129,18 @@ def read_config(path: str) -> dict:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"could not read config file {path}: {err}") from None
-    try:
-        if path.endswith(".json"):
+    if path.endswith(".json"):
+        try:
             raw = json.loads(text)
-        else:
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"could not parse {path}: {err}") from err
+    else:
+        import yaml  # only a YAML file needs it, so a run without one skips it
+
+        try:
             raw = yaml.safe_load(text)
-    except (yaml.YAMLError, json.JSONDecodeError) as err:
-        raise ConfigError(f"could not parse {path}: {err}") from err
+        except yaml.YAMLError as err:
+            raise ConfigError(f"could not parse {path}: {err}") from err
     if raw is None:  # an empty file
         raw = {}
     if not isinstance(raw, dict):

@@ -23,7 +23,6 @@ sorted-key JSON.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -612,4 +611,6 @@ def write_json(path, obj) -> None:
 
 def content_hash(obj) -> str:
     """First 16 hex digits of the SHA-256 of ``obj`` as sorted-key JSON."""
+    import hashlib  # OpenSSL's, several MB: loaded by the commands that hash
+
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]

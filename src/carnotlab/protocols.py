@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .core import (HBAR, KB, BathSpec, ConstantMuFrequency, FrequencyProtocol,
                    ObservableVector, dressed_rates, spline_slopes, write_csv,
@@ -66,7 +65,8 @@ def _check_arguments(omega_initial, omega_final, t_f=None, mu=None,
 # ---------------------------------------------------------------------------
 
 def _quintic(y0, y1, dy0, dy1, d2y0, d2y1):
-    """Fifth-degree polynomial in s from values/derivatives at s = 0, 1."""
+    """Coefficients, lowest degree first, of the fifth-degree polynomial in s
+    with the given values/derivatives at s = 0, 1."""
     a = np.zeros(6)
     a[0], a[1], a[2] = y0, dy0, 0.5 * d2y0
     rhs = np.array([
@@ -76,21 +76,38 @@ def _quintic(y0, y1, dy0, dy1, d2y0, d2y1):
     ])
     m = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
     a[3:] = np.linalg.solve(m, rhs)
-    return Polynomial(a)
+    return a
+
+
+def _deriv(c):
+    """Coefficients j c[j] of the derivative of the polynomial ``c``."""
+    return np.arange(1, len(c)) * c[1:]
+
+
+def _polyval(c, s):
+    """The polynomial ``c`` at ``s`` by Horner's rule, in the order of
+    operations of ``numpy.polynomial.polynomial.polyval``."""
+    value = c[-1] + s * 0
+    for coef in c[-2::-1]:
+        value = coef + value * s
+    return value
 
 
 class _PolyEval:
     """d^order/dt^order of a polynomial in s = t/t_f, as a function of t."""
 
     def __init__(self, poly, t_f, order=0):
-        self.poly = poly.deriv(order) if order else poly
+        for _ in range(order):
+            poly = _deriv(poly)
+        self.poly = poly
         self.t_f = t_f
         with np.errstate(over="ignore"):
             # inf for a t_f so short that the ramp is refused anyway
             self.scale = np.float64(t_f) ** -order if order else 1.0
 
     def __call__(self, t):
-        return self.poly(np.asarray(t, dtype=float) / self.t_f) * self.scale
+        return _polyval(self.poly, np.asarray(t, dtype=float) / self.t_f) \
+            * self.scale
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +293,9 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
 
     def alpha_star(w):
         nstar = n_eq + dcoef / w
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # 1/nstar overflows to inf where nstar is subnormal (a very cold
+        # bath); alpha is then inf and refused as not finite
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = KB * temp / HBAR * np.log1p(1.0 / nstar)
         a[nstar <= 0] = np.nan
         return a, nstar
@@ -361,7 +380,7 @@ def _scalar_root(ck, n_eq, dcoef, temp, w_prev, scale, t):
     grid = np.geomspace(max(lo_limit, 1e-6 * scale), 50.0 * scale, 400)
     # f on the whole grid at once, in f's order of operations
     nstar = n_eq + dcoef / grid
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.where(nstar > 0, grid * ck - KB * temp / HBAR
                         * np.log1p(1.0 / nstar), np.inf)
     finite = np.isfinite(vals)
@@ -413,13 +432,13 @@ def _build_ste(omega_initial, omega_final, t_f, bath, internal_temperature=None)
 
     times = np.linspace(0.0, t_f, DEFAULT_GRID_POINTS)
     s = times / t_f
-    y = poly(s)
+    y = _polyval(poly, s)
     if np.any(y <= 0.0) or np.any(y >= 1.0):
         t_bad = float(times[np.argmax((y <= 0.0) | (y >= 1.0))])
         raise InfeasibleStroke(
             f"designed state parameter leaves (0, 1) at t={t_bad:.6g}; "
             "the endpoint disequilibrium cannot be held this long", time=t_bad)
-    ydot = poly.deriv()(s) / t_f
+    ydot = _polyval(_deriv(poly), s) / t_f
     beta = np.log(y)
     beta_dot = ydot / y
 

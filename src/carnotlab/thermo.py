@@ -198,22 +198,24 @@ def analyze_cycle(result: CycleResult, spec: Optional[CycleSpec] = None) -> Cycl
 SWEEP_AXES = ("cycle_time", "dephasing", "compression_ratio")
 
 
-def check_axis(axis: str) -> None:
-    """Raise ConfigError unless ``axis`` is one of ``SWEEP_AXES``."""
+def check_axis(axis: str, template: Optional[CycleSpec] = None) -> None:
+    """Raise ConfigError unless ``axis`` is one of ``SWEEP_AXES`` and, given
+    a ``template``, applies to its kind."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+    if (axis == "compression_ratio" and template is not None
+            and template.kind is not CycleKind.CARNOT_SHORTCUT):
+        raise ConfigError("compression-ratio sweeps apply to the carnot-shortcut kind")
 
 
 def spec_for_sweep_value(template: CycleSpec, axis: str, value: float) -> CycleSpec:
     """Instantiate the template at one sweep-axis value."""
-    check_axis(axis)
+    check_axis(axis, template)
     if axis == "cycle_time":
         return template.with_cycle_time(value)
     if axis == "dephasing":
         return replace(template, gamma_dephasing=value)
     # compression_ratio
-    if template.kind is not CycleKind.CARNOT_SHORTCUT:
-        raise ConfigError("compression-ratio sweeps apply to the carnot-shortcut kind")
     geom = carnot_corner_frequencies(template.omega3, value,
                                      template.t_cold_bath, template.t_hot_bath)
     return replace(template, omega1=geom.omega1, omega2=geom.omega2,
@@ -292,8 +294,10 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
           tol: float = LIMIT_CYCLE_TOL, jobs: int = 1) -> SweepTable:
     """Run one limit cycle per axis value.
 
-    Failures are recorded per point without aborting the sweep; rows come
-    back in input order regardless of execution order.  Each row comes from
+    An axis that does not apply to the template's kind raises ConfigError
+    before any point runs.  A point that fails is recorded as an error row
+    without aborting the sweep; rows come back in input order regardless of
+    execution order.  Each row comes from
     the two-sample transfer matrices of its strokes (``SWEEP_SAMPLES``), so
     it agrees with a ``run_to_limit_cycle`` at the default samples of the
     same spec to within the stroke maps' error, below 1e-10 of the heat flows.
@@ -306,7 +310,7 @@ def sweep(spec_template: CycleSpec, axis: str, values: Iterable[float],
     call.  With ``jobs`` > 1 each point goes to the next free worker
     process, which keeps the legs of its own last such point.
     """
-    check_axis(axis)
+    check_axis(axis, spec_template)
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one value")

@@ -330,6 +330,25 @@ class TestCli:
                             "first part; second part next line")
         assert lines[2].startswith("endo-global,10,ok,")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "endo-global"],
+        ["compare", "--presets", "carnot-shortcut,endo-global"],
+    ], ids=["sweep", "compare"])
+    def test_compression_ratio_off_carnot_shortcut_exit_code_2(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # refused before any point runs, the carnot-shortcut ones included
+        def no_cycle(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(thermo, "run_to_limit_cycle", no_cycle)
+        out = tmp_path / "out"
+        assert main([*argv, "--axis", "compression_ratio", "--values", "2,3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("ConfigError: compression-ratio "
+                                           "sweeps apply to the "
+                                           "carnot-shortcut kind\n")
+        assert not out.exists()
+
     def test_compare_off_cycle_time_needs_values(self, tmp_path, capsys):
         # the cycle time is no value of another axis
         out = tmp_path / "cmp"

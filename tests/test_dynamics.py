@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -223,7 +224,8 @@ class TestPairedFrequency:
         """omega and omega_dot as separate callables of a clamped time, each
         from its own formula: one spline per curve of a grid, the constant
         ``source`` and zeros, or the closed forms on the scaling-function
-        polynomial of the ErmakovSolution ``source``."""
+        polynomial of the ErmakovSolution ``source``, evaluated by
+        ``numpy.polynomial``."""
         if prot.grid_times is not None:
             t = prot.grid_times
             h = (t[-1] - t[0]) / (len(t) - 1)
@@ -233,7 +235,7 @@ class TestPairedFrequency:
         if isinstance(source, float):
             return (lambda x: source + 0.0 * np.asarray(x),
                     lambda x: 0.0 * np.asarray(x))
-        poly, t_f = source.rho.poly, source.t_f
+        poly, t_f = Polynomial(source.rho.poly), source.t_f
 
         def rho(x, k):
             return poly.deriv(k)(np.asarray(x, dtype=float) / t_f) * t_f ** -k

@@ -4,13 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from carnotlab.core import BathSpec, spline_slopes, thermal_observable_vector
 from carnotlab.cycle_engine import assemble_cycle
 from carnotlab.dynamics import propagate_open, propagate_unitary
 from carnotlab.errors import DomainError, InfeasibleStroke, InvalidProtocol
 from carnotlab.presets import get_preset
-from carnotlab.protocols import (_scalar_root, build_constant_mu_protocol,
+from carnotlab.protocols import (_PolyEval, _quintic, _scalar_root,
+                                 build_constant_mu_protocol,
                                  build_sta_protocol,
                                  build_ste_nonthermal_protocol,
                                  build_ste_protocol, constant_mu_duration,
@@ -36,6 +38,25 @@ VALID_BUILDS = {
                             internal_temperature=8.0,
                             bath=BathSpec(7.75, 0.05))),
 }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quintic_evaluation_matches_numpy_polynomial(seed):
+    # the quintics are summed in numpy.polynomial's order of operations, so
+    # every value and derivative has its bits
+    rng = np.random.default_rng(seed)
+    boundary = rng.normal(size=6) * 10.0 ** rng.integers(-6, 6, size=6)
+    coef = _quintic(*boundary)
+    t_f = 10.0 ** rng.uniform(-2, 3)
+    t = np.concatenate([[0.0, t_f], rng.uniform(0.0, t_f, 200)])
+    for order in range(4):
+        want = Polynomial(coef).deriv(order)
+        scale = np.float64(t_f) ** -order if order else 1.0
+        got = _PolyEval(coef, t_f, order)
+        assert got(t).tobytes() == (want(t / t_f) * scale).tobytes()
+        for x in t[:3]:
+            assert got(x).tobytes() == \
+                (want(np.asarray(x) / t_f) * scale).tobytes()
 
 
 class TestStaBuilder:
@@ -220,15 +241,23 @@ class TestSteBuilder:
         with pytest.raises(InfeasibleStroke):
             build_ste_protocol(10.0, 8.0, 0.4, hot_bath)
 
-    def test_cold_bath_fails_typed_without_warnings(self):
+    @pytest.mark.parametrize("preset, tau, overrides, message", [
         # hbar w / kT passes 710 on this stroke, where exp(-beta) overflows
-        spec = get_preset("carnot-shortcut", cycle_time=57.2627, coupling=1.626,
-                          t_hot_bath=0.013935, t_cold_bath=0.0087095)
+        ("carnot-shortcut", 57.2627,
+         dict(coupling=1.626, t_hot_bath=0.013935, t_cold_bath=0.0087095),
+         "open-expansion: no drive frequency satisfies the rate equation "
+         "at t=0"),
+        # the demanded occupation is subnormal here, so 1/nstar overflows
+        ("table1-literal", 996.5, dict(t_cold_bath=0.00709),
+         "open-compression: no drive frequency satisfies the rate equation "
+         "at t=545.809"),
+    ], ids=["exp-overflow", "occupation-underflow"])
+    def test_cold_bath_fails_typed_without_warnings(self, preset, tau,
+                                                    overrides, message):
+        spec = get_preset(preset, cycle_time=tau, **overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InfeasibleStroke, match=(
-                    "^open-expansion: no drive frequency satisfies the rate "
-                    "equation at t=0$")):
+            with pytest.raises(InfeasibleStroke, match=f"^{re.escape(message)}$"):
                 assemble_cycle(spec)
 
 

@@ -13,6 +13,7 @@ from carnotlab.dynamics import (Trajectory, free_propagator, propagate_open,
 from carnotlab.errors import (CarnotLabError, ConfigError, DomainError,
                               UnphysicalState)
 from carnotlab.presets import get_preset
+from carnotlab import thermo
 from carnotlab.protocols import build_sta_protocol
 from carnotlab.thermo import (SWEEP_SAMPLES, CycleLedger, analyze_cycle,
                               carnot_efficiency, coherence,
@@ -241,6 +242,19 @@ class TestAnalyzeAndSweep:
         with pytest.raises(ConfigError, match="^compression-ratio sweeps "
                                               "apply to the carnot-shortcut"):
             spec_for_sweep_value(get_preset(preset), "compression_ratio", 2.5)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_compression_ratio_sweep_refused_before_any_point(
+            self, monkeypatch, jobs):
+        # a configuration error, not one error row per value
+        def no_cycle(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(thermo, "run_to_limit_cycle", no_cycle)
+        with pytest.raises(ConfigError, match="^compression-ratio sweeps "
+                                              "apply to the carnot-shortcut"):
+            sweep(get_preset("endo-global"), "compression_ratio", [2.0, 3.0],
+                  jobs=jobs)
 
     def test_sweep_needs_a_value(self):
         with pytest.raises(ConfigError, match="^sweep needs at least one "
