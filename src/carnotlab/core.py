@@ -587,19 +587,19 @@ def write_csv(path, header, rows) -> None:
     A str cell is text, with ``,`` written as ``;`` and a newline as a space
     so that it stays one cell on one line; any other cell is a number,
     written as ``"%.17g" % x`` so that ``float()`` reads it back bit-exactly.
+    Each row holds one cell per column.
     """
-    lines = [",".join(header)]
-    numbers = ",".join(["%.17g"] * len(header))
-    for row in rows:
-        try:
-            # one format for a row of numbers; a str cell raises TypeError
-            lines.append(numbers % tuple(row))
-        except TypeError:
-            lines.append(",".join([
-                x.replace(",", ";").replace("\n", " ") if isinstance(x, str)
-                else "%.17g" % x for x in row]))
+    rows = list(rows)
+    numbers = ",".join(["%.17g"] * len(header)) + "\n"
+    try:
+        # one format for a table of numbers; a str cell raises TypeError
+        body = (numbers * len(rows)) % tuple([x for row in rows for x in row])
+    except TypeError:
+        body = "".join(",".join([
+            x.replace(",", ";").replace("\n", " ") if isinstance(x, str)
+            else "%.17g" % x for x in row]) + "\n" for row in rows)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def write_json(path, obj) -> None:

@@ -31,16 +31,17 @@ exponential to unit roundoff.  Its degree-k polynomial is summed by Paterson
 steps that meet ``MAGNUS_TARGET`` by an error estimate read from products
 on a doubling ladder, whose successive differences give the order of
 convergence: a stroke of two samples (its transfer matrix alone, as a sweep
-row needs) from 64-, 128- and 256-step products, a sampled stroke (and a
-two-sample one that ladder cannot resolve) from 400-, 800-, 1600-, ...
-step products on its sample grid, where the first pair, read at the N^-4
-rate of the spline knots, decides the strokes it resolves or sends to at
-most 1600 steps.  Inside the Magnus radius the long open strokes converge
-at N^-6.  The sampled maps are the prefix products of the interval maps, by
-a blocked scan.  The fifth
-component accumulates the stroke work W = integral (w_dot / w) (h - l) dt,
-so work values carry the step error of the product rather than that of a
-sampling grid.
+row needs) from products of n0, 2 n0 and 4 n0 steps, n0 = 64 or the fewest
+steps whose h max|G|_1 the scaling puts inside the radius, a sampled stroke
+(and a two-sample one that ladder cannot resolve or that is so far past the
+radius that its rungs would take more steps than the pilots) from 400-,
+800-, 1600-, ... step products on its sample grid, where the first pair,
+read at the N^-4 rate of the spline knots, decides the strokes it resolves
+or sends to at most 1600 steps.  Inside the Magnus radius the long open
+strokes converge at N^-6.  The sampled maps are the prefix products of the
+interval maps, by a blocked scan.  The fifth component accumulates the
+stroke work W = integral (w_dot / w) (h - l) dt, so work values carry the
+step error of the product rather than that of a sampling grid.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ MAGNUS_TARGET = 1e-11
 #: Steps of the first pair of a sampled stroke's doubling ladder; the finer
 #: is also the least resolution of a sampled stroke.
 _PILOT_STEPS = (400, 800)
-#: Steps of the three products whose differences resolve a stroke of two
-#: samples.
-_LADDER_STEPS = (64, 128, 256)
+#: Steps of the coarsest of the three products, of n0, 2 n0 and 4 n0 steps,
+#: whose differences resolve a stroke of two samples, where these steps are
+#: inside ``_STEP_NORM_BOUND``.
+_LADDER_BASE = 64
 #: A failing stroke is located at the Gauss nodes of this many steps.
 _LOCATE_STEPS = 8000
 #: Largest step count a stroke may need before it fails.
@@ -574,21 +576,30 @@ def _doubling_rule(protocol: FrequencyProtocol, intervals: int, maps_at,
 
 
 def _ladder_rule(protocol: FrequencyProtocol, maps_at, gamma_d: float):
-    """Steps of an unsampled stroke from products of 64, 128 and 256 steps,
-    each taken from ``maps_at(steps, 1)`` and read by :func:`_read_rungs`.
+    """Steps of an unsampled stroke from products of n0, 2 n0 and 4 n0
+    steps, each taken from ``maps_at(steps, 1)`` and read by
+    :func:`_read_rungs`.
 
-    Returns (N, the estimated error of the N-step product), or None when the
-    64-step rung's steps have h |G|_1 above ``_STEP_NORM_BOUND`` or the
-    ladder reads no order: the doubling rule then decides.
+    n0 is 64 where the 64-step rung's steps keep h |G|_1 within
+    ``_STEP_NORM_BOUND``, and otherwise the fewest steps that the scaling
+    of h |G|_1 with h puts under the bound, ceil(64 h |G|_1 / bound), taken
+    again from its own rung until that rung is inside the bound.  Returns
+    (N, the estimated error of the N-step product), or None where the three
+    rungs would take more steps than the 400/800 pilots or the ladder reads
+    no order: the doubling rule then decides.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # steps past the bound may overflow; their product is not used
-        coarse, step_norm = maps_at(_LADDER_STEPS[0], 1)
-    if step_norm > _STEP_NORM_BOUND:
-        return None
-    middle, fine = (maps_at(n, 1)[0] for n in _LADDER_STEPS[1:])
-    return _read_rungs(coarse, middle, fine, _LADDER_STEPS[-1], 1, protocol,
-                       gamma_d)
+    base = _LADDER_BASE
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # steps past the bound may overflow; their product is not used
+            coarse, step_norm = maps_at(base, 1)
+        if step_norm <= _STEP_NORM_BOUND:
+            break
+        base = math.ceil(base * step_norm / _STEP_NORM_BOUND)
+        if 7 * base > sum(_PILOT_STEPS):
+            return None
+    middle, fine = (maps_at(k * base, 1)[0] for k in (2, 4))
+    return _read_rungs(coarse, middle, fine, 4 * base, 1, protocol, gamma_d)
 
 
 def _not_finite(protocol: FrequencyProtocol) -> NumericalError:
@@ -603,10 +614,12 @@ def stroke_propagators(protocol: FrequencyProtocol,
 
     A product of N uniform 6th-order Magnus steps from Phi(0) = I, sampled at
     ``n_samples`` uniform times.  A stroke of two samples, its transfer
-    matrix alone, takes N from a ladder of 64-, 128- and 256-step products
-    whose successive differences give the order and the error
-    (:func:`_ladder_rule`), or from the doubling rule where the ladder's
-    coarsest steps are past ``_STEP_NORM_BOUND`` or it reads no order.  Any
+    matrix alone, takes N from a ladder of products of n0, 2 n0 and 4 n0
+    steps whose successive differences give the order and the error
+    (:func:`_ladder_rule`): n0 is 64, or the fewest steps that keep
+    h max|G|_1 within ``_STEP_NORM_BOUND`` where 64 steps do not.  It takes
+    N from the doubling rule where those rungs would take more steps than
+    the 400/800 pilots or the ladder reads no order.  Any
     other stroke takes N, at least 800 and a multiple of the sample
     intervals, from a doubling ladder of 400-, 800-, 1600-, ... step
     products (:func:`_doubling_rule`).  Both rules and the stroke take their

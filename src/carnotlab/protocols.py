@@ -278,7 +278,13 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
     previous iterate, each grid instant needs
         w * sqrt(1 - mu^2/4) = alpha*(w, t),
     where alpha* follows from the occupation the rate equation demands.  The
-    per-point root is found with a vectorized, safeguarded Newton iteration.
+    per-point root is found with a vectorized, safeguarded Newton iteration
+    that starts from the alpha* the previous residual check evaluated.  It
+    stops at a relative step of 1e-14 on the first outer iteration and, after
+    it, of 1e-4 x the previous outer change held within [1e-14, 1e-8] (an
+    inexact Newton forcing term: Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+    Anal. 19, 400 (1982)), so only the first and the last outer iterations
+    solve to roundoff.
     Returns (omega, omega_dot, alpha) grids.
     """
     temp = bath.temperature
@@ -290,42 +296,51 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
         n_eq = 1.0 / np.expm1(-beta)
     # occupation demanded at drive w:  N*(w) = n_eq + dcoef / w
     dcoef = 2.0 * beta_dot / (g * phi)
+    kt = KB * temp / HBAR
+    # d alpha* / dw = -kt dcoef / (w^2 N* (N* + 1))
+    dalpha_coef = kt * dcoef
 
     def alpha_star(w):
         nstar = n_eq + dcoef / w
         # 1/nstar overflows to inf where nstar is subnormal (a very cold
         # bath); alpha is then inf and refused as not finite
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a = KB * temp / HBAR * np.log1p(1.0 / nstar)
+            a = kt * np.log1p(1.0 / nstar)
         a[nstar <= 0] = np.nan
         return a, nstar
 
-    def newton(ck, w):
-        w = w.copy()
+    def newton(ck, w, a, nstar, tol):
+        """The root from w, where alpha_star(w) is (a, nstar)."""
         for _ in range(60):
-            a, nstar = alpha_star(w)
             bad = ~np.isfinite(a)
             if np.any(bad):
                 # cooling instants require w above the zero-occupation point
                 w_floor = -dcoef / np.maximum(n_eq, 1e-300)
+                w = w.copy()
                 w[bad] = 1.5 * np.abs(w_floor[bad]) + 1e-9
-                continue
-            f = w * ck - a
-            dalpha = (KB * temp / HBAR) * dcoef / (w**2 * nstar * (nstar + 1.0))
-            fp = ck - dalpha
-            step = f / np.where(np.abs(fp) > 1e-14, fp, 1e-14)
-            step = np.clip(step, -0.5 * w, 0.5 * w)
-            w_new = w - step
-            if np.max(np.abs(w_new - w) / w) < 1e-14:
-                return w_new
-            w = w_new
+            else:
+                f = w * ck - a
+                fp = ck - dalpha_coef / (w**2 * nstar * (nstar + 1.0))
+                step = f / np.where(np.abs(fp) > 1e-14, fp, 1e-14)
+                step = np.clip(step, -0.5 * w, 0.5 * w)
+                w_new = w - step
+                if np.max(np.abs(w_new - w) / w) < tol:
+                    return w_new
+                w = w_new
+            a, nstar = alpha_star(w)
         return w
 
     scale = max(omega_initial, omega_final)
     h = (times[-1] - times[0]) / (len(times) - 1)
-    omega = -beta * KB * temp / HBAR  # quasi-static initial guess
+    omega = -beta * kt  # quasi-static initial guess
     omega = np.clip(omega, 1e-3 * scale, 50.0 * scale)
     mu = np.zeros_like(omega)
+    a, nstar = alpha_star(omega)
+    # a step tolerance above 1e-8 can leave a residual past the bisection
+    # threshold below (6.6e-6 did at a 0.03-temperature bath's endpoint);
+    # the first solve, from the quasi-static guess, goes to roundoff, which
+    # keeps the grids nearest those of exact solves
+    tol = 1e-14
 
     for it in range(INVERSION_MAX_ITER):
         ck = np.sqrt(np.maximum(1.0 - 0.25 * mu**2, 0.0))
@@ -333,7 +348,7 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
             t_bad = float(times[np.argmax(ck == 0.0)])
             raise InfeasibleStroke(
                 f"|mu| reached 2 at t={t_bad:.6g}; stroke too fast", time=t_bad)
-        omega_new = newton(ck, omega)
+        omega_new = newton(ck, omega, a, nstar, tol)
         a, nstar = alpha_star(omega_new)
         resid = np.abs(omega_new * ck - a)
         bad = ~np.isfinite(resid) | (resid > 1e-8 * scale)
@@ -342,6 +357,8 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
                                         scale, times[i])
         change = np.max(np.abs(omega_new - omega) / scale)
         omega = omega_new if it < 10 else 0.5 * (omega + omega_new)
+        if it >= 10 or np.any(bad):
+            a, nstar = alpha_star(omega)
         omega_dot = spline_slopes(omega, h)
         mu = omega_dot / omega**2
         # the construction imposes stationary drive endpoints
@@ -349,19 +366,19 @@ def _invert_frequency(times, beta, beta_dot, bath, omega_initial, omega_final):
         mu[-1] = 0.0
         if change < INVERSION_TOL:
             break
+        tol = min(1e-8, max(1e-14, 1e-4 * change))
     else:
         raise ProtocolInversionFailure(
             f"frequency inversion did not converge (last change {change:.3e})")
 
-    alpha, _ = alpha_star(omega)
-    if not np.all(np.isfinite(alpha)):
-        t_bad = float(times[np.argmax(~np.isfinite(alpha))])
+    if not np.all(np.isfinite(a)):
+        t_bad = float(times[np.argmax(~np.isfinite(a))])
         raise InfeasibleStroke(
             f"required emission rate is negative at t={t_bad:.6g}", time=t_bad)
     if abs(omega[-1] - omega_final) / omega_final > 1e-3:
         raise ProtocolInversionFailure(
             f"endpoint mismatch: w(t_f)={omega[-1]:.6g} vs target {omega_final:.6g}")
-    return omega, omega_dot, alpha
+    return omega, omega_dot, a
 
 
 def _scalar_root(ck, n_eq, dcoef, temp, w_prev, scale, t):

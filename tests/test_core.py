@@ -18,9 +18,11 @@ from carnotlab.core import (BathSpec, ConstantMuFrequency, CycleKind,
                             cycle_time_from_atomic, cycle_time_to_atomic,
                             thermal_observable_vector, thermal_population,
                             write_csv)
+from carnotlab.dynamics import propagate_unitary
 from carnotlab.errors import ConfigError, DomainError, UnphysicalState
 from carnotlab.presets import PRESET_NAMES, PRESETS, get_preset
 from carnotlab.protocols import build_sta_protocol
+from carnotlab.thermo import SWEEP_COLUMNS, sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "carnotlab"
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -318,6 +320,17 @@ class TestCycleSpec:
             BathSpec(temperature=5.0, coupling=0.0)
 
 
+def _per_cell_csv(header, rows) -> bytes:
+    """The bytes of ``core.write_csv``'s rule applied cell by cell."""
+    def cell(x):
+        if isinstance(x, str):
+            return x.replace(",", ";").replace("\n", " ")
+        return "%.17g" % x
+
+    return (",".join(header) + "\n" + "".join(
+        ",".join(cell(x) for x in row) + "\n" for row in rows)).encode()
+
+
 class TestOutputFormat:
     def test_numbers_read_back_bit_exactly(self, tmp_path):
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2,
@@ -357,6 +370,34 @@ class TestOutputFormat:
         want = "a,b,c\n" + "".join(",".join(cell(x) for x in row) + "\n"
                                    for row in rows)
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("table", ["trajectory", "sweep", "empty"])
+    def test_tables_match_the_per_cell_rule(self, tmp_path, table):
+        # an all-numeric table is formatted with one string, a table with a
+        # text cell cell by cell; both give the bytes of the per-cell rule
+        path = tmp_path / "table.csv"
+        if table == "trajectory":
+            prot, _ = build_sta_protocol(5.0, 10.0, 5.0)
+            traj = propagate_unitary(thermal_observable_vector(5.0, 5.0),
+                                     prot)
+            traj.to_csv(path)
+            header = ("t", "omega", "h", "l", "c", "coherence")
+            rows = np.column_stack((traj.times, traj.omegas,
+                                    traj.vectors[:, :3],
+                                    traj.coherences())).tolist()
+            assert len(rows) == 801
+        elif table == "sweep":
+            result = sweep(get_preset("carnot-shortcut", cycle_time=30.0),
+                           "cycle_time", [14.0, 30.0])
+            result.rows[0] = replace(result.rows[0],
+                                     error="InfeasibleStroke: a, b\nc")
+            result.to_csv(path)
+            header = ("value", "status", *SWEEP_COLUMNS, "error")
+            rows = [[r.value, *r.cells(SWEEP_COLUMNS)] for r in result.rows]
+        else:
+            header, rows = ("a", "b"), []
+            write_csv(path, header, rows)
+        assert path.read_bytes() == _per_cell_csv(header, rows)
 
     def test_format_is_set_in_core_alone(self):
         # every number, JSON file and hash format goes through core.write_csv,

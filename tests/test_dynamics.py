@@ -462,20 +462,69 @@ class TestStrokePropagators:
         ("carnot-shortcut", 18.0, 0.0, [395, 256, 352, 344]),
         ("carnot-shortcut", 20.0, 0.0, [429, 256, 384, 344]),
         ("carnot-shortcut", 23.0, 0.0, [484, 256, 428, 344]),
-        ("carnot-shortcut", 26.0, 0.0, [800, 256, 470, 344]),
-        ("carnot-shortcut", 30.0, 0.0, [800, 256, 800, 344]),
-        ("carnot-shortcut", 33.0, 0.0, [800, 256, 800, 344]),
-        ("carnot-shortcut", 36.0, 0.0, [851, 256, 800, 344]),
-        ("carnot-shortcut", 40.0, 0.0, [941, 256, 800, 344]),
-        ("carnot-shortcut", 44.0, 0.0, [1029, 256, 860, 344]),
+        ("carnot-shortcut", 26.0, 0.0, [528, 256, 470, 344]),
+        ("carnot-shortcut", 30.0, 0.0, [584, 256, 520, 344]),
+        ("carnot-shortcut", 33.0, 0.0, [623, 256, 554, 344]),
+        ("carnot-shortcut", 36.0, 0.0, [659, 256, 587, 344]),
+        ("carnot-shortcut", 40.0, 0.0, [704, 256, 627, 344]),
+        ("carnot-shortcut", 44.0, 0.0, [747, 256, 665, 344]),
         *(("endo-global", 8.0, g, [256] * 4)
           for g in (0.0,) + KILL_SWITCH_GAMMAS)])
     def test_sweep_step_counts(self, preset, tau, gamma_d, steps):
-        # the two-sample strokes of the short sweeps: the first pilot pair
-        # decides every one that the 64/128/256 ladder leaves
+        # the two-sample strokes of the short sweeps: an open stroke whose
+        # 64-step rung is past the bound (the expansion from tau 24, the
+        # compression from tau 30) reads its order on rungs of n0, 2 n0 and
+        # 4 n0 steps, n0 = ceil(64 h|G|_1 / 3), and takes N below 800
         spec = get_preset(preset, cycle_time=tau, gamma_dephasing=gamma_d)
         assert [stroke_propagators(s.protocol, s.bath, s.gamma_d, 2).steps
                 for s in assemble_cycle(spec)] == steps
+
+    def test_two_samples_past_the_bound_take_fewer_steps(self, monkeypatch):
+        # the carnot-shortcut open strokes at tau 26-44 whose 64-step rung
+        # is past the bound read their order on rungs inside it and take N
+        # below 800.  The rungs of each evaluate fewer steps than the 64-step
+        # rung and the 400/800 pilots, and the 11 strokes fewer in all than
+        # the pilot rule made them evaluate: 64 + 1200 steps per stroke, plus
+        # its N where N > 800 (1264 to 2293 per stroke, 17585 in all)
+        pilot_steps = {(26.0, 0): 800, (30.0, 0): 800, (30.0, 2): 800,
+                       (33.0, 0): 800, (33.0, 2): 800, (36.0, 0): 851,
+                       (36.0, 2): 800, (40.0, 0): 941, (40.0, 2): 800,
+                       (44.0, 0): 1029, (44.0, 2): 860}
+        rows = []
+        original = dynamics._magnus_steps
+
+        def counted(protocol, starts, *args):
+            rows.append(len(starts))
+            return original(protocol, starts, *args)
+
+        strokes = {
+            (tau, i): s for tau in SWEEP_TAUS
+            for i, s in enumerate(assemble_cycle(
+                get_preset("carnot-shortcut", cycle_time=tau)))
+            if dynamics._interval_maps(s.protocol, 64, 1, s.bath,
+                                       s.gamma_d)[1] > 3.0}
+        assert strokes.keys() == pilot_steps.keys()
+        monkeypatch.setattr(dynamics, "_magnus_steps", counted)
+        total = 0
+        for key, s in strokes.items():
+            rows.clear()
+            steps = stroke_propagators(s.protocol, s.bath, s.gamma_d, 2).steps
+            assert steps < 800, key
+            assert sum(rows) - steps < 64 + 1200, key
+            total += sum(rows)
+        assert total < sum(64 + 1200 + (n if n > 800 else 0)
+                           for n in pilot_steps.values())
+
+    def test_far_past_the_bound_takes_the_doubling_rule(self):
+        # the dephased adiabats of endo-global@250 at gamma_d 3 would need
+        # rungs of more steps than the pilots
+        spec = get_preset("endo-global", cycle_time=250.0, gamma_dephasing=3.0)
+        for s in assemble_cycle(spec)[1::2]:
+            maps_at = functools.partial(dynamics._interval_maps, s.protocol,
+                                        bath=s.bath, gamma_d=s.gamma_d)
+            assert dynamics._ladder_rule(s.protocol, maps_at, s.gamma_d) is None
+            assert stroke_propagators(s.protocol, s.bath, s.gamma_d,
+                                      2).steps >= 800
 
     def test_steps_are_sixth_order(self):
         # doubling the steps of a smooth stroke cuts the error 2^6-fold

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from carnotlab.core import BathSpec, spline_slopes, thermal_observable_vector
+from carnotlab import protocols
+from carnotlab.core import (HBAR, KB, BathSpec, spline_slopes,
+                            thermal_observable_vector)
 from carnotlab.cycle_engine import assemble_cycle
 from carnotlab.dynamics import propagate_open, propagate_unitary
 from carnotlab.errors import DomainError, InfeasibleStroke, InvalidProtocol
@@ -20,6 +22,7 @@ from carnotlab.protocols import (_PolyEval, _quintic, _scalar_root,
                                  sta_expectation_values)
 
 from conftest import propagate_ste_beta
+from test_dynamics import SWEEP_TAUS
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 #: Each builder with valid arguments.
@@ -417,3 +420,118 @@ def test_bisection_fallback_matches_brentq():
 
     ref = brentq(f, 0.99 * w, 1.01 * w, xtol=1e-14, rtol=1e-15)
     assert abs(w - ref) <= 1e-14 * ref
+
+
+def _exact_inversion(times, beta, beta_dot, bath, omega_initial, omega_final):
+    """The frequency inversion with every Newton solve taken to a relative
+    step of 1e-14 from its own first evaluation: the reference for the
+    inexact inner solves of ``protocols._invert_frequency``."""
+    temp = bath.temperature
+    g = bath.coupling
+    exp_b = np.exp(beta)
+    with np.errstate(over="ignore"):
+        phi = exp_b + np.exp(-beta) - 2.0
+        n_eq = 1.0 / np.expm1(-beta)
+    dcoef = 2.0 * beta_dot / (g * phi)
+
+    def alpha_star(w):
+        nstar = n_eq + dcoef / w
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = KB * temp / HBAR * np.log1p(1.0 / nstar)
+        a[nstar <= 0] = np.nan
+        return a, nstar
+
+    def newton(ck, w):
+        w = w.copy()
+        for _ in range(60):
+            a, nstar = alpha_star(w)
+            bad = ~np.isfinite(a)
+            if np.any(bad):
+                w_floor = -dcoef / np.maximum(n_eq, 1e-300)
+                w[bad] = 1.5 * np.abs(w_floor[bad]) + 1e-9
+                continue
+            f = w * ck - a
+            dalpha = (KB * temp / HBAR) * dcoef / (w**2 * nstar * (nstar + 1.0))
+            fp = ck - dalpha
+            step = f / np.where(np.abs(fp) > 1e-14, fp, 1e-14)
+            step = np.clip(step, -0.5 * w, 0.5 * w)
+            w_new = w - step
+            if np.max(np.abs(w_new - w) / w) < 1e-14:
+                return w_new
+            w = w_new
+        return w
+
+    scale = max(omega_initial, omega_final)
+    h = (times[-1] - times[0]) / (len(times) - 1)
+    omega = np.clip(-beta * KB * temp / HBAR, 1e-3 * scale, 50.0 * scale)
+    mu = np.zeros_like(omega)
+    for it in range(protocols.INVERSION_MAX_ITER):
+        ck = np.sqrt(np.maximum(1.0 - 0.25 * mu**2, 0.0))
+        if np.any(ck == 0.0):
+            raise InfeasibleStroke("|mu| reached 2")
+        omega_new = newton(ck, omega)
+        a, nstar = alpha_star(omega_new)
+        resid = np.abs(omega_new * ck - a)
+        bad = ~np.isfinite(resid) | (resid > 1e-8 * scale)
+        for i in np.flatnonzero(bad):
+            omega_new[i] = protocols._scalar_root(
+                ck[i], n_eq[i], dcoef[i], temp, omega[i], scale, times[i])
+        change = np.max(np.abs(omega_new - omega) / scale)
+        omega = omega_new if it < 10 else 0.5 * (omega + omega_new)
+        omega_dot = spline_slopes(omega, h)
+        mu = omega_dot / omega**2
+        mu[0] = 0.0
+        mu[-1] = 0.0
+        if change < protocols.INVERSION_TOL:
+            return omega
+    raise AssertionError("the reference inversion did not converge")
+
+
+def _cycle_builds(preset, tau):
+    return lambda: assemble_cycle(get_preset(preset, cycle_time=tau))
+
+
+#: Open-stroke builds: the feasible short carnot-shortcut sweep, the long
+#: cycle, endo-shortcut, and a non-thermal stroke against a 0.03-temperature
+#: bath, where a Newton step tolerance of 6.6e-6 left one grid point's
+#: residual past the bisection threshold.
+INVERSION_CASES = {
+    **{f"{preset}@{tau:g}": _cycle_builds(preset, tau) for preset, tau in (
+        *(("carnot-shortcut", tau) for tau in SWEEP_TAUS),
+        ("carnot-shortcut", 250.0), ("endo-shortcut", 40.0),
+        ("endo-shortcut", 250.0))},
+    "cold-bath": lambda: protocols.build_ste_nonthermal_protocol(
+        9.13, 6.49, 177.0, 0.032, BathSpec(0.03, 0.13))}
+
+
+@pytest.mark.parametrize("case", INVERSION_CASES)
+def test_inexact_inner_solves_match_exact_ones(monkeypatch, case):
+    # Newton solves stopped at 1e-4 of the previous outer change, held
+    # within [1e-14, 1e-8], land each grid within 1e-12 of the exact-solve
+    # grid, and fall back to bisection no more often
+    fallbacks = {"exact": 0, "inexact": 0}
+    side = ["inexact"]
+    root = protocols._scalar_root
+
+    def counted_root(*args):
+        fallbacks[side[0]] += 1
+        return root(*args)
+
+    inversion = protocols._invert_frequency
+    pairs = []
+
+    def both(*args):
+        side[0] = "exact"
+        exact = _exact_inversion(*args)
+        side[0] = "inexact"
+        result = inversion(*args)
+        pairs.append((exact, result[0]))
+        return result
+
+    monkeypatch.setattr(protocols, "_scalar_root", counted_root)
+    monkeypatch.setattr(protocols, "_invert_frequency", both)
+    INVERSION_CASES[case]()
+    assert pairs
+    for exact, omega in pairs:
+        assert np.max(np.abs(omega - exact) / exact) <= 1e-12
+    assert fallbacks["inexact"] <= fallbacks["exact"]
